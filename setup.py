@@ -1,10 +1,9 @@
 """Setuptools configuration.
 
-The library is pure Python with **zero hard dependencies**: every numpy
-path degrades to a retained pure-Python fallback (see
-``repro.core.config.accelerator``).  numpy ships as the ``[fast]`` extra —
-``pip install .[fast]`` — which turns on the vectorized kernels and the
-packed-edge shared-memory transport for process shard workers.
+The library is pure Python with one hard dependency, numpy: it runs the
+batch paths (vectorized hashing and probing, the Algorithm 2 aggregation,
+``query_batch`` endpoint hashing) and the packed-edge shared-memory
+transport for process shard workers.
 """
 
 from setuptools import find_packages, setup
@@ -17,11 +16,5 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     python_requires=">=3.10",
-    install_requires=[],
-    extras_require={
-        # Optional accelerator: vectorized hash/probe/aggregation kernels
-        # and the shared-memory batch transport.  Results are bit-identical
-        # with or without it; only the constant factors change.
-        "fast": ["numpy"],
-    },
+    install_requires=["numpy"],
 )

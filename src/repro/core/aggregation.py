@@ -11,16 +11,18 @@ parent's exact overflow map, preserving exactness of the aggregate.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Tuple
+from typing import List, Tuple
+
+import numpy as np
 
 from . import vectorized
-from .config import HiggsConfig, accelerator
+from .config import HiggsConfig
 from .hashing import lift_address
 from .matrix import CompressedMatrix
 from .node import InternalNode, LeafNode
 
 
-# hot-path: bulk=vectorized.lift_array
+# hot-path
 def lift_coordinates(fingerprint: int, address: int, from_level: int,
                      to_level: int, config: HiggsConfig) -> Tuple[int, int]:
     """Lift a ``(fingerprint, address)`` pair from one tree layer to a higher one.
@@ -48,84 +50,8 @@ def build_parent_matrix(level: int, config: HiggsConfig) -> CompressedMatrix:
         entry_bytes=config.internal_entry_bytes(level))
 
 
-class _LiftMemo:
-    """Per-aggregation memo: child ``(fingerprint, address)`` → lifted
-    coordinates plus the parent-matrix probe sequence.
-
-    One aggregation lifts every entry of ``θ`` children; endpoints repeat
-    heavily (skewed streams), so memoizing the pure lift + probe computation
-    per distinct endpoint removes most of the per-entry arithmetic without
-    changing any result.  ``table`` is exposed so the hot loop can probe the
-    memo with a plain dict get before paying the method call.
-    """
-
-    __slots__ = ("table", "_matrix", "_from_level", "_to_level", "_config")
-
-    def __init__(self, matrix: CompressedMatrix, from_level: int,
-                 to_level: int, config: HiggsConfig) -> None:
-        self.table: dict = {}
-        self._matrix = matrix
-        self._from_level = from_level
-        self._to_level = to_level
-        self._config = config
-
-    def lift(self, fingerprint: int, address: int
-             ) -> Tuple[int, int, Tuple[int, ...]]:
-        """Return (and memoize) ``(lifted_fp, lifted_addr, parent probe rows)``."""
-        lifted_fp, lifted_addr = lift_coordinates(
-            fingerprint, address, self._from_level, self._to_level,
-            self._config)
-        value = self.table[(fingerprint, address)] = (
-            lifted_fp, lifted_addr,
-            self._matrix.probe_rows(lifted_fp, lifted_addr))
-        return value
-
-
 #: Placement-memo marker: the key spilled into the node's exact overflow map.
 _SPILLED = object()
-
-
-# hot-path: bulk=_aggregate_entries_arrays
-def _aggregate_entries(node: InternalNode, entries: Iterable[Tuple],
-                       memo: _LiftMemo, placed: dict) -> None:
-    """Lift and place child entries into the parent, spilling over if needed.
-
-    ``placed`` memoizes where each distinct lifted key landed (its
-    :class:`MatrixEntry`, or :data:`_SPILLED`) across the whole node build;
-    repeated edges — common across sibling subtrees — accumulate directly
-    instead of re-scanning the parent's candidate buckets.  This is
-    bit-identical: the scan would find exactly the memoized entry (at most
-    one entry per key exists), and a key that once failed placement can never
-    gain a free slot later (slots only fill up).
-    """
-    insert_probed = node.matrix.insert_probed
-    lift = memo.lift
-    lift_get = memo.table.get
-    add_overflow = node.add_overflow
-    placed_get = placed.get
-    for fs, fd, hs, hd, weight, _ts in entries:
-        src = lift_get((fs, hs))
-        if src is None:
-            src = lift(fs, hs)
-        lifted_fs, lifted_hs, src_rows = src
-        dst = lift_get((fd, hd))
-        if dst is None:
-            dst = lift(fd, hd)
-        lifted_fd, lifted_hd, dst_cols = dst
-        key = (lifted_fs, lifted_fd, id(src_rows), id(dst_cols))
-        entry = placed_get(key)
-        if entry is not None:
-            if entry is _SPILLED:
-                add_overflow(lifted_fs, lifted_fd, lifted_hs, lifted_hd, weight)
-            else:
-                entry.weight += weight
-            continue
-        entry = insert_probed(lifted_fs, lifted_fd, src_rows, dst_cols, weight)
-        if entry is None:
-            add_overflow(lifted_fs, lifted_fd, lifted_hs, lifted_hd, weight)
-            placed[key] = _SPILLED
-        else:
-            placed[key] = entry
 
 
 # hot-path
@@ -133,18 +59,19 @@ def _aggregate_entries_arrays(node: InternalNode, src_fps, dst_fps,
                               src_addrs, dst_addrs, weights,
                               from_level: int, to_level: int,
                               config: HiggsConfig) -> None:
-    """Array twin of :func:`_aggregate_entries` (requires numpy).
+    """Lift child entries and place them into the parent, spilling over
+    into the parent's exact overflow map when every candidate bucket is full.
 
     The caller concatenates every child's entries into one batch, so the
     lift, the parent probe rows and the flat candidate cells all run
     vectorized once; the remaining per-item loop only touches buckets.  The
     placement memo is keyed by the dense group id of each item's lifted
-    ``(f(s), f(d), h(s), h(d))`` value tuple — value-keying is bit-identical
-    to the scalar path's id-keyed memo because the parent matrix holds at
-    most one entry per key, so the scan a memo hit skips would find exactly
-    the memoized entry (and a key that once spilled can never be placed
-    later: slots only fill up).  Matrix-entry and overflow weights
-    accumulate in the same item order as the scalar path.
+    ``(f(s), f(d), h(s), h(d))`` value tuple, so a repeated key accumulates
+    directly instead of re-scanning its candidate buckets.  This equals the
+    scan: the parent matrix holds at most one entry per key, so the scan a
+    memo hit skips would find exactly the memoized entry, and a key that
+    once spilled can never be placed later (slots only fill up).  Weights
+    accumulate in child entry order.
     """
     count = len(src_fps)
     if count == 0:
@@ -208,24 +135,14 @@ def aggregate_leaves(parent_index: int, leaves: List[LeafNode],
     keys = [leaf.t_min for leaf in leaves[1:] if leaf.t_min is not None]
     node = InternalNode(level, parent_index, matrix, keys, t_min, t_max)
 
-    if accelerator() is not None:
-        np = vectorized.np
-        parts = [child_matrix.canonical_entries_arrays()
-                 for leaf in leaves for child_matrix in leaf.matrices()]
-        parts = [arrays for arrays in parts if len(arrays[0])]
-        if parts:
-            _aggregate_entries_arrays(
-                node, *(np.concatenate([arrays[i] for arrays in parts])
-                        for i in range(5)),
-                1, level, config)
-        return node
-
-    memo = _LiftMemo(matrix, 1, level, config)
-    placed: dict = {}
-    for leaf in leaves:
-        for child_matrix in leaf.matrices():
-            _aggregate_entries(node, child_matrix.iter_canonical_entries(),
-                               memo, placed)
+    parts = [child_matrix.canonical_entries_arrays()
+             for leaf in leaves for child_matrix in leaf.matrices()]
+    parts = [arrays for arrays in parts if len(arrays[0])]
+    if parts:
+        _aggregate_entries_arrays(
+            node, *(np.concatenate([arrays[i] for arrays in parts])
+                    for i in range(5)),
+            1, level, config)
     return node
 
 
@@ -240,33 +157,21 @@ def aggregate_internal(parent_index: int, children: List[InternalNode],
     keys = [child.t_min for child in children[1:]]
     node = InternalNode(level, parent_index, matrix, keys, t_min, t_max)
 
-    if accelerator() is not None:
-        np = vectorized.np
-        parts = []
-        for child in children:
-            arrays = child.matrix.canonical_entries_arrays()
-            if len(arrays[0]):
-                parts.append(arrays)
-            if child.overflow:
-                spilled_keys = np.asarray(list(child.overflow.keys()),
-                                          dtype=np.int64)
-                parts.append((spilled_keys[:, 0], spilled_keys[:, 1],
-                              spilled_keys[:, 2], spilled_keys[:, 3],
-                              np.asarray(list(child.overflow.values()),
-                                         dtype=np.float64)))
-        if parts:
-            _aggregate_entries_arrays(
-                node, *(np.concatenate([arrays[i] for arrays in parts])
-                        for i in range(5)),
-                child_level, level, config)
-        return node
-
-    memo = _LiftMemo(matrix, child_level, level, config)
-    placed: dict = {}
+    parts = []
     for child in children:
-        _aggregate_entries(node, child.matrix.iter_canonical_entries(),
-                           memo, placed)
-        _aggregate_entries(node, ((fs, fd, hs, hd, weight, None)
-                                  for (fs, fd, hs, hd), weight
-                                  in child.overflow.items()), memo, placed)
+        arrays = child.matrix.canonical_entries_arrays()
+        if len(arrays[0]):
+            parts.append(arrays)
+        if child.overflow:
+            spilled_keys = np.asarray(list(child.overflow.keys()),
+                                      dtype=np.int64)
+            parts.append((spilled_keys[:, 0], spilled_keys[:, 1],
+                          spilled_keys[:, 2], spilled_keys[:, 3],
+                          np.asarray(list(child.overflow.values()),
+                                     dtype=np.float64)))
+    if parts:
+        _aggregate_entries_arrays(
+            node, *(np.concatenate([arrays[i] for arrays in parts])
+                    for i in range(5)),
+            child_level, level, config)
     return node

@@ -10,56 +10,10 @@ into the address per aggregation level (``R = 1``).
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
-from types import ModuleType
 from typing import Final, Optional, Tuple
 
 from ..errors import ConfigurationError
-
-try:  # numpy is an optional accelerator, never a hard dependency
-    import numpy as _numpy
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
-    _numpy = None  # type: ignore[assignment]
-
-#: Environment variable forcing the pure-Python kernels even when numpy is
-#: importable.  Any non-empty value other than ``"0"`` disables numpy; the
-#: CI parity jobs set it to prove the fallback stays green.
-PURE_PYTHON_ENV: Final[str] = "REPRO_PURE_PYTHON"
-
-#: Runtime override installed by :func:`set_pure_python` (tests use it to
-#: exercise both kernel families inside one process).  ``None`` defers to
-#: the environment variable.
-_pure_python_override: Optional[bool] = None
-
-
-def set_pure_python(flag: Optional[bool]) -> None:
-    """Force (``True``) or re-allow (``False``) the pure-Python kernels.
-
-    ``None`` removes the override, deferring to the
-    :data:`PURE_PYTHON_ENV` environment variable again.  This is the
-    runtime switch the numpy/pure-Python parity tests flip to run both
-    kernel families in one process; production code selects once at import
-    through the environment.
-    """
-    global _pure_python_override
-    _pure_python_override = flag
-
-
-def accelerator() -> Optional[ModuleType]:
-    """Return the numpy module driving the vectorized kernels, or ``None``.
-
-    ``None`` — because numpy is not installed, the
-    :data:`PURE_PYTHON_ENV` environment variable disables it, or a test
-    called ``set_pure_python(True)`` — selects the retained pure-Python
-    kernels everywhere.  Both kernel families are bit-identical
-    (property-tested), so this choice affects speed only.
-    """
-    if _pure_python_override is not None:
-        return None if _pure_python_override else _numpy
-    if os.environ.get(PURE_PYTHON_ENV, "0").strip() not in ("", "0"):
-        return None
-    return _numpy
 
 
 def _is_power_of_two(value: int) -> bool:

@@ -40,7 +40,6 @@ from typing import Any, Callable, List, Optional, Tuple
 
 from ..errors import ShardingError
 from . import shm
-from .config import accelerator
 
 #: Reserved method name: returns the worker's busy-time counter instead of
 #: invoking the target (handled uniformly by every worker implementation).
@@ -488,8 +487,8 @@ def _process_worker_main(factory: Callable[[], Any], conn) -> None:
                 continue
             try:
                 # Resolve packed-batch references inside the guarded block:
-                # a missing segment or a numpy-less child surfaces as a
-                # normal error result, never a dead worker.
+                # a missing segment surfaces as a normal error result, never
+                # a dead worker.
                 if any(isinstance(arg, shm.PackedBatchRef) for arg in args):
                     args = tuple(receiver.read(arg)
                                  if isinstance(arg, shm.PackedBatchRef)
@@ -585,18 +584,17 @@ class ProcessShardWorker(ShardWorker):
     def _maybe_pack(self, args: Tuple) -> Tuple[Tuple, bool]:
         """Swap a large edge-list argument for a shared-memory batch ref.
 
-        Packing is attempted only when the numpy accelerator is active, the
-        call carries exactly one positional argument that is a list/tuple of
-        at least :data:`~repro.core.shm.MIN_PACK_EDGES` edge-shaped items,
-        and the ring has room; every other case — including a mid-pack
-        conversion error — falls back to the pickled payload untouched.
+        Packing is attempted only when the call carries exactly one
+        positional argument that is a list/tuple of at least
+        :data:`~repro.core.shm.MIN_PACK_EDGES` edge-shaped items, and the
+        ring has room; every other case — including a mid-pack conversion
+        error — falls back to the pickled payload untouched.
         Returns ``(args, True)`` when a ring region was allocated.
         """
         if len(args) != 1 or not isinstance(args[0], (list, tuple)):
             return args, False
         batch = args[0]
-        if len(batch) < shm.MIN_PACK_EDGES or not shm.available() \
-                or accelerator() is None:
+        if len(batch) < shm.MIN_PACK_EDGES:
             return args, False
         first = batch[0]
         if not (hasattr(first, "source") and hasattr(first, "destination")

@@ -4,7 +4,7 @@
 hasher, the aggregated B-tree of compressed matrices, and implements the
 :class:`~repro.summary.TemporalGraphSummary` interface: stream items are
 inserted one at a time (or in bulk via :meth:`Higgs.insert_batch`, which
-pre-hashes the batch through a per-batch fingerprint/address memo and defers
+hashes the batch's distinct vertices in one vectorized pass and defers
 upward aggregation to the end of the batch), and edge / vertex / path /
 subgraph queries can be answered over any temporal range — individually or
 in bulk via :meth:`Higgs.query_batch`.  Range decompositions are memoized in
@@ -28,15 +28,26 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..errors import QueryError
+import numpy as np
+
+from ..errors import InsertionError, QueryError
 from ..streams.edge import StreamEdge, Vertex
 from ..summary import TemporalGraphSummary
 from . import vectorized
 from .aggregation import lift_coordinates
 from .boundary import QueryPlanCache, RangeDecomposition, boundary_search
-from .config import HiggsConfig, accelerator
+from .config import HiggsConfig
 from .hashing import VertexHasher
 from .tree import HiggsTree
+
+_INT64_MIN = -(1 << 63)
+_INT64_MAX = (1 << 63) - 1
+
+
+def _timestamp_error(timestamp: int) -> InsertionError:
+    return InsertionError(
+        f"timestamp {timestamp} is outside the int64 range of the batch "
+        "and shared-memory wire formats")
 
 
 class Higgs(TemporalGraphSummary):
@@ -65,59 +76,59 @@ class Higgs(TemporalGraphSummary):
 
     def insert(self, source: Vertex, destination: Vertex, weight: float,
                timestamp: int) -> None:
-        """Insert one stream item (paper Algorithm 1)."""
+        """Insert one stream item (paper Algorithm 1).
+
+        Raises :class:`~repro.errors.InsertionError` for a timestamp outside
+        the ``int64`` range, exactly as :meth:`insert_batch` does.
+        """
+        timestamp = int(timestamp)
+        if not _INT64_MIN <= timestamp <= _INT64_MAX:
+            raise _timestamp_error(timestamp)
         src_fingerprint, src_address = self._hasher.split(source)
         dst_fingerprint, dst_address = self._hasher.split(destination)
         self._tree.insert_hashed(src_fingerprint, dst_fingerprint,
-                                 src_address, dst_address, weight, int(timestamp))
+                                 src_address, dst_address, weight, timestamp)
 
     def insert_batch(self, edges: Iterable[StreamEdge]) -> int:
         """Insert a batch of stream items with one-pass hashing.
 
-        Each distinct vertex in the batch is hashed once and its leaf-level
-        probe-address sequence computed once (graph streams are heavily
-        skewed, so most items hit this memo), then the pre-hashed batch is
-        applied by :meth:`HiggsTree.insert_hashed_batch`, which defers upward
+        The batch's distinct vertices are indexed once and hashed in one
+        vectorized pass, their leaf-level probe-address sequences computed
+        as arrays, and the pre-hashed batch applied by
+        :meth:`HiggsTree.insert_hashed_batch`, which defers upward
         aggregation to the end of the batch.  The resulting structure is
-        identical to per-item insertion.
+        identical to per-item insertion.  Batches exposing pre-packed
+        arrays (``packed_arrays()``, e.g. shared-memory batches from
+        :mod:`repro.core.shm`) skip the packing pass entirely.
 
-        When numpy is available (see :func:`~repro.core.config.accelerator`)
-        the whole batch is hashed and probed as packed arrays instead
-        (:meth:`HiggsTree.insert_hashed_batch_arrays`) — bit-identical to
-        the scalar path, just without per-item Python arithmetic.  Batches
-        exposing pre-packed arrays (``packed_arrays()``, e.g. shared-memory
-        batches from :mod:`repro.core.shm`) skip the packing pass entirely.
+        Failures keep the per-item contract: the items before a failing
+        one are applied.  An iterable that raises mid-batch re-raises its
+        own exception; a timestamp outside ``int64`` raises
+        :class:`~repro.errors.InsertionError`, as :meth:`insert` does.
         """
-        if accelerator() is not None:
-            packed = getattr(edges, "packed_arrays", None)
-            if packed is not None:
-                vertices, src_idx, dst_idx, weights, timestamps = packed()
-                if not len(src_idx):
-                    return 0
-                return self._tree.insert_hashed_batch_arrays(
-                    *self._hash_indexed(vertices, src_idx, dst_idx,
-                                        weights, timestamps))
-            if isinstance(edges, (list, tuple)):
-                items = edges
-            else:
-                # Match the streaming exception contract of the scalar path:
-                # every item the iterable yielded before dying is applied.
-                items = []
-                try:
-                    items.extend(edges)
-                except BaseException:
-                    if items:
-                        self._tree.insert_hashed_batch_arrays(
-                            *self._pack_batch(items))
-                    raise
-            if not items:
+        packed = getattr(edges, "packed_arrays", None)
+        if packed is not None:
+            vertices, src_idx, dst_idx, weights, timestamps = packed()
+            if not len(src_idx):
                 return 0
             return self._tree.insert_hashed_batch_arrays(
-                *self._pack_batch(items))
-        return self._tree.insert_edges_batch(edges, self._hasher.split)
+                *self._hash_indexed(vertices, src_idx, dst_idx,
+                                    weights, timestamps))
+        if isinstance(edges, (list, tuple)):
+            return self._insert_items(edges)
+        items: List[StreamEdge] = []
+        try:
+            items.extend(edges)
+        except BaseException:
+            self._insert_items(items)
+            raise
+        return self._insert_items(items)
 
-    def _pack_batch(self, items: Sequence[StreamEdge]) -> Tuple:
-        """Index a batch's distinct vertices and pack it into hashed arrays."""
+    def _insert_items(self, items: Sequence[StreamEdge]) -> int:
+        """Index a batch's distinct vertices, pack it into hashed arrays
+        and insert it."""
+        if not items:
+            return 0
         index: Dict[Vertex, int] = {}
         setdefault = index.setdefault
         src_idx: List[int] = []
@@ -129,19 +140,25 @@ class Higgs(TemporalGraphSummary):
             dst_idx.append(setdefault(edge.destination, len(index)))
             weights.append(edge.weight)
             timestamps.append(int(edge.timestamp))
-        return self._hash_indexed(list(index), src_idx, dst_idx,
-                                  weights, timestamps)
+        try:
+            stamps = np.asarray(timestamps, dtype=np.int64)
+        except OverflowError:
+            bad = next(k for k, timestamp in enumerate(timestamps)
+                       if not _INT64_MIN <= timestamp <= _INT64_MAX)
+            self._insert_items(items[:bad])
+            raise _timestamp_error(timestamps[bad]) from None
+        return self._tree.insert_hashed_batch_arrays(
+            *self._hash_indexed(list(index), src_idx, dst_idx,
+                                weights, stamps))
 
     def _hash_indexed(self, vertices: Sequence[Vertex], src_idx, dst_idx,
                       weights, timestamps) -> Tuple:
         """Hash distinct vertices once, fan out to per-edge batch arrays.
 
-        ``src_idx`` / ``dst_idx`` index into ``vertices`` (the bulk analogue
-        of the scalar batch path's per-vertex split memo — each distinct
-        vertex is hashed exactly once).  Returns the argument tuple for
+        ``src_idx`` / ``dst_idx`` index into ``vertices``, so each distinct
+        vertex is hashed exactly once.  Returns the argument tuple for
         :meth:`HiggsTree.insert_hashed_batch_arrays`.
         """
-        np = vectorized.np
         config = self.config
         hashes = vectorized.hash64_array(vertices, config.hash_seed)
         fingerprints, addresses = vectorized.split_array(
@@ -245,36 +262,26 @@ class Higgs(TemporalGraphSummary):
         composite queries fall back to their per-item evaluation, which still
         benefits from the query-plan cache.
 
-        When numpy is available the batch's distinct edge/vertex-query
-        endpoints are hashed in one vectorized pass that pre-fills the split
-        memo; the per-query answers are unchanged (the bulk hash is
-        bit-identical to :meth:`VertexHasher.split`).
+        The batch's distinct edge/vertex-query endpoints are hashed in one
+        vectorized pass that fills the split memo; the per-query answers are
+        unchanged (the bulk hash is bit-identical to
+        :meth:`VertexHasher.split`).
         """
-        split = self._hasher.split
-        split_memo: Dict[Vertex, Tuple[int, int]] = {}
-        if accelerator() is not None:
-            distinct: Dict[Vertex, None] = {}
-            for query in queries:
-                if hasattr(query, "destination"):
-                    distinct.setdefault(query.source)
-                    distinct.setdefault(query.destination)
-                elif hasattr(query, "vertex"):
-                    distinct.setdefault(query.vertex)
-            if distinct:
-                vertices = list(distinct)
-                fingerprints, addresses = vectorized.split_array(
-                    vectorized.hash64_array(vertices, self.config.hash_seed),
-                    self.config.fingerprint_bits,
-                    self.config.leaf_matrix_size)
-                split_memo = dict(zip(vertices, zip(fingerprints.tolist(),
-                                                    addresses.tolist())))
+        distinct: Dict[Vertex, None] = {}
+        for query in queries:
+            if hasattr(query, "destination"):
+                distinct.setdefault(query.source)
+                distinct.setdefault(query.destination)
+            elif hasattr(query, "vertex"):
+                distinct.setdefault(query.vertex)
+        vertices = list(distinct)
+        fingerprints, addresses = vectorized.split_array(
+            vectorized.hash64_array(vertices, self.config.hash_seed),
+            self.config.fingerprint_bits, self.config.leaf_matrix_size)
+        split_memo = dict(zip(vertices, zip(fingerprints.tolist(),
+                                            addresses.tolist(), strict=True),
+                              strict=True))
         lifted: Dict[Tuple[int, int, int], Tuple[int, int]] = {}
-
-        def memo_split(vertex: Vertex) -> Tuple[int, int]:
-            pair = split_memo.get(vertex)
-            if pair is None:
-                pair = split_memo[vertex] = split(vertex)
-            return pair
 
         results: List[float] = []
         append = results.append
@@ -283,8 +290,8 @@ class Higgs(TemporalGraphSummary):
             # with :mod:`repro.queries.types`.
             if hasattr(query, "destination"):  # edge query
                 self.check_range(query.t_start, query.t_end)
-                src = memo_split(query.source)
-                dst = memo_split(query.destination)
+                src = split_memo[query.source]
+                dst = split_memo[query.destination]
                 append(self._edge_query_hashed(src[0], src[1], dst[0], dst[1],
                                                query.t_start, query.t_end,
                                                lifted))
@@ -293,7 +300,7 @@ class Higgs(TemporalGraphSummary):
                 direction = query.direction
                 if direction not in ("out", "in"):
                     raise QueryError("direction must be 'out' or 'in'")
-                fingerprint, address = memo_split(query.vertex)
+                fingerprint, address = split_memo[query.vertex]
                 append(self._vertex_query_hashed(fingerprint, address,
                                                  query.t_start, query.t_end,
                                                  direction, lifted))

@@ -17,7 +17,9 @@ C++ arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from ..errors import ConfigurationError
 from . import vectorized
@@ -133,13 +135,12 @@ class CompressedMatrix:
     # insertion
     # ------------------------------------------------------------------ #
 
-    # hot-path: bulk=probe_rows_array
+    # hot-path
     def probe_rows(self, fingerprint: int, address: int) -> Tuple[int, ...]:
         """The vertex's candidate row/column indices, probe order.
 
-        Precomputing these once per vertex (and memoizing them per batch) is
-        the basis of :meth:`insert_probed`.  Scalar fallback twin of
-        :meth:`probe_rows_array`.
+        Precomputing these once per vertex is the basis of
+        :meth:`insert_probed`; batch paths use :meth:`probe_rows_array`.
         """
         step = probe_step(fingerprint)
         size = self.size
@@ -151,8 +152,6 @@ class CompressedMatrix:
 
         Returns an ``(n, num_probes)`` ``int64`` matrix of candidate
         row/column indices, bit-identical row-wise to :meth:`probe_rows`.
-        Requires numpy (callers gate through
-        :func:`repro.core.config.accelerator`).
         """
         return vectorized.probe_rows_array(fingerprints, addresses,
                                            self.num_probes, self.size)
@@ -169,7 +168,7 @@ class CompressedMatrix:
             self.probe_rows(dst_fingerprint, dst_address),
             weight, timestamp) is not None
 
-    # hot-path: bulk=insert_probed_array
+    # hot-path
     def insert_probed(self, src_fingerprint: int, dst_fingerprint: int,
                       src_rows: Sequence[int], dst_cols: Sequence[int],
                       weight: float,
@@ -230,7 +229,7 @@ class CompressedMatrix:
                 self.end_time = ts
         return entry
 
-    # hot-path: bulk=insert_probed_array
+    # hot-path
     def insert_cells(self, src_fingerprint: int, dst_fingerprint: int,
                      cells: Sequence[int], src_rows: Sequence[int],
                      dst_cols: Sequence[int], weight: float,
@@ -239,7 +238,7 @@ class CompressedMatrix:
 
         ``cells[i * r + j]`` must equal ``src_rows[i] * size + dst_cols[j]``
         (see :func:`repro.core.vectorized.candidate_cells_array`, which the
-        array ingest paths use to build them for a whole batch at once).
+        aggregation uses to build them for a whole batch at once).
         This is the sequential core the bulk paths cannot vectorize —
         placement depends on what previous items placed — stripped of all
         per-candidate address arithmetic.  Scan order, free-slot choice and
@@ -292,39 +291,6 @@ class CompressedMatrix:
             if self.end_time is None or ts > self.end_time:
                 self.end_time = ts
         return entry
-
-    # hot-path
-    def insert_probed_array(self, src_fingerprints, dst_fingerprints,
-                            src_rows, dst_cols, weights,
-                            timestamps=None) -> List[Optional[MatrixEntry]]:
-        """Bulk :meth:`insert_probed` over parallel arrays (requires numpy).
-
-        ``src_rows`` / ``dst_cols`` are ``(n, num_probes)`` ``int64``
-        matrices from :meth:`probe_rows_array`; ``weights`` is ``float64``
-        and ``timestamps`` ``int64`` (or ``None`` for aggregated matrices).
-        The candidate cells of the whole batch are computed in one
-        vectorized pass; items are then applied strictly in order, so the
-        resulting matrix is bit-identical to ``n`` sequential
-        :meth:`insert_probed` calls.  The k-th result is the entry the k-th
-        item accumulated into, or ``None`` on placement failure (callers
-        redirect those into an overflow structure).
-        """
-        cells = vectorized.candidate_cells_array(src_rows, dst_cols,
-                                                 self.size).tolist()
-        rows_list = src_rows.tolist()
-        cols_list = dst_cols.tolist()
-        src_fps = src_fingerprints.tolist()
-        dst_fps = dst_fingerprints.tolist()
-        weight_list = weights.tolist()
-        ts_list = timestamps.tolist() if timestamps is not None else None
-        insert_cells = self.insert_cells
-        results: List[Optional[MatrixEntry]] = []
-        append = results.append
-        for k in range(len(src_fps)):
-            append(insert_cells(src_fps[k], dst_fps[k], cells[k],
-                                rows_list[k], cols_list[k], weight_list[k],
-                                ts_list[k] if ts_list is not None else None))
-        return results
 
     def decrement(self, src_fingerprint: int, dst_fingerprint: int,
                   src_address: int, dst_address: int, weight: float,
@@ -423,39 +389,16 @@ class CompressedMatrix:
     # aggregation support
     # ------------------------------------------------------------------ #
 
-    # hot-path: bulk=canonical_entries_arrays
-    def iter_canonical_entries(self) -> Iterator[Tuple[int, int, int, int, float,
-                                                       Optional[int]]]:
-        """Yield ``(f(s), f(d), h(s), h(d), weight, timestamp)`` per entry.
-
-        Addresses are the *canonical* (probe index 0) addresses, recovered
-        from the bucket coordinates and the stored probe indices.  This is the
-        iteration primitive used by the parent-level aggregation.
-        """
-        size = self.size
-        for key, bucket in self._buckets.items():
-            row, col = divmod(key, size)
-            for entry in bucket:
-                src_fingerprint = entry.src_fingerprint
-                dst_fingerprint = entry.dst_fingerprint
-                # recover_base inlined: base = probed - probe * (2*fp + 1).
-                base_row = (row - entry.src_probe
-                            * (2 * src_fingerprint + 1)) % size
-                base_col = (col - entry.dst_probe
-                            * (2 * dst_fingerprint + 1)) % size
-                yield (src_fingerprint, dst_fingerprint,
-                       base_row, base_col, entry.weight, entry.timestamp)
-
     # hot-path
     def canonical_entries_arrays(self):
-        """Array form of :meth:`iter_canonical_entries` (requires numpy).
+        """``(f(s), f(d), h(s), h(d), weight)`` arrays, one row per entry.
 
-        Returns ``(src_fps, dst_fps, src_addrs, dst_addrs, weights)``
-        arrays in the exact entry order of the iterator; the canonical
-        base-address recovery runs vectorized.  Timestamps are omitted —
-        the only consumer is the aggregation, which drops them.
+        Addresses are the *canonical* (probe index 0) addresses, recovered
+        vectorized from the bucket coordinates and the stored probe indices
+        (``base = probed - probe * (2 * fp + 1) mod size``).  Timestamps
+        are omitted — the only consumer is the parent-level aggregation,
+        which drops them.
         """
-        np = vectorized.np
         src_fps: List[int] = []
         dst_fps: List[int] = []
         rows: List[int] = []

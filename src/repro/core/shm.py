@@ -27,10 +27,8 @@ attaches lazily on the first packed batch, **copies** the records out of
 the mapping (so the parent may recycle the region the moment the result is
 on the pipe), and detaches on shutdown.
 
-numpy is required on both sides: the parent only packs when
-:func:`~repro.core.config.accelerator` is active, and the child falls back
-to an error result if it cannot import numpy (a configuration mismatch the
-transport tests pin down).  Everything degrades to the pickled-list path —
+Batches below :data:`MIN_PACK_EDGES`, batches that do not fit in the ring
+and batches that cannot be packed travel as pickled lists instead —
 packing is an optimization, never a semantic change.
 """
 
@@ -40,12 +38,8 @@ import contextlib
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-try:  # numpy is an optional accelerator, never a hard dependency
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
-    np = None  # type: ignore[assignment]
+import numpy as np
 
-from ..errors import ShardingError
 from ..streams.edge import StreamEdge, Vertex
 
 #: Per-edge wire record: vertex-table indices, weight, timestamp.
@@ -68,17 +62,12 @@ DEFAULT_RING_BYTES = 1 << 20
 MIN_PACK_EDGES = 32
 
 
-def available() -> bool:
-    """True when numpy is importable (packing may be attempted)."""
-    return np is not None
-
-
 class PackedEdges:
     """A batch of stream edges in packed (vertex table + records) form.
 
     Iterating yields :class:`~repro.streams.edge.StreamEdge` objects, so any
-    summary accepts a packed batch wherever it accepts an edge list; numpy
-    summaries skip that entirely through :meth:`packed_arrays`, which is the
+    summary accepts a packed batch wherever it accepts an edge list; HIGGS
+    skips that entirely through :meth:`packed_arrays`, which is the
     duck-typed fast path :meth:`repro.core.higgs.Higgs.insert_batch` probes
     for with ``getattr``.
     """
@@ -252,10 +241,6 @@ class ShmRingReceiver:
 
     def read(self, ref: PackedBatchRef) -> PackedEdges:
         """Materialize a packed batch from its shared-memory reference."""
-        if np is None:  # pragma: no cover - parent gates packing on numpy
-            raise ShardingError(
-                "packed batch received but numpy is not importable in the "
-                "shard worker process")
         shm = self._segments.get(ref.shm_name)
         if shm is None:
             from multiprocessing import resource_tracker, shared_memory

@@ -36,7 +36,6 @@ from ..errors import InsertionError
 from . import vectorized
 from .aggregation import aggregate_internal, aggregate_leaves, lift_coordinates
 from .config import HiggsConfig
-from .hashing import probe_address
 from .matrix import CompressedMatrix, MatrixEntry
 from .node import InternalNode, LeafNode
 
@@ -149,43 +148,6 @@ class HiggsTree:
         if self._leaf_first_ts[leaf.index] is None:
             self._leaf_first_ts[leaf.index] = timestamp
         self._items_inserted += 1
-
-    def insert_edges_batch(self, edges: Iterable, split) -> int:
-        """Fused bulk insert: hash, probe and place a batch of stream edges.
-
-        ``split`` maps a vertex to its ``(fingerprint, address)`` pair (the
-        public :class:`~repro.core.higgs.Higgs` passes its hasher's method).
-        Each distinct vertex in the batch is hashed once and its leaf-level
-        probe rows computed once; the items then flow through the same
-        deferred-aggregation loop as :meth:`insert_hashed_batch` without an
-        intermediate pre-hashed list.  Returns the number of items inserted.
-        """
-        size = self.config.leaf_matrix_size
-        num_probes = self.config.num_probes
-        memo: Dict[object, Tuple[int, Tuple[int, ...]]] = {}
-        memo_get = memo.get
-
-        def prepared() -> Iterable[Tuple[int, int, Tuple[int, ...],
-                                         Tuple[int, ...], float, int]]:
-            for edge in edges:
-                source = edge.source
-                src = memo_get(source)
-                if src is None:
-                    fp, addr = split(source)
-                    src = memo[source] = (fp, tuple(
-                        probe_address(addr, i, fp, size)
-                        for i in range(num_probes)))
-                destination = edge.destination
-                dst = memo_get(destination)
-                if dst is None:
-                    fp, addr = split(destination)
-                    dst = memo[destination] = (fp, tuple(
-                        probe_address(addr, i, fp, size)
-                        for i in range(num_probes)))
-                yield (src[0], dst[0], src[1], dst[1],
-                       edge.weight, int(edge.timestamp))
-
-        return self.insert_hashed_batch(prepared())
 
     def insert_hashed_batch(self, items: Iterable[Tuple[int, int,
                                                         Sequence[int],
@@ -306,19 +268,19 @@ class HiggsTree:
     def insert_hashed_batch_arrays(self, fingerprints, addresses,
                                    src_idx, dst_idx,
                                    weights, timestamps) -> int:
-        """Array front-end of :meth:`insert_hashed_batch` (requires numpy).
+        """Array front-end of :meth:`insert_hashed_batch`.
 
         ``fingerprints`` / ``addresses`` are per-*distinct-vertex* ``int64``
         arrays (the caller hashed the batch's distinct vertices in one
         vectorized pass, see :meth:`Higgs._hash_indexed`); ``src_idx`` /
         ``dst_idx`` map each batch item to its endpoints' rows.  The
-        leaf-level probe sequences are computed vectorized — once per
-        distinct vertex, the array analogue of the scalar split memo — and
-        one probe tuple is shared by every item touching a vertex, which
-        maximizes the placement memo's hit rate downstream.  The prepared
-        items then flow through the scalar batch loop, whose placement
-        memo, overflow handling, exception contract and accounting make
-        the result bit-identical to the pure-Python path by construction.
+        leaf-level probe sequences are computed vectorized, once per
+        distinct vertex, and one probe tuple is shared by every item
+        touching a vertex, which maximizes the placement memo's hit rate
+        downstream.  The prepared items then flow through the sequential
+        batch loop, whose placement memo, overflow handling, exception
+        contract and accounting make the result bit-identical to per-item
+        insertion.
         """
         config = self.config
         rows = [tuple(row) for row in vectorized.probe_rows_array(

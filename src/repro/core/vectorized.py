@@ -1,14 +1,13 @@
-"""Vectorized (numpy) twins of the scalar hot-path kernels.
+"""Array (numpy) forms of the scalar hot-path kernels.
 
 Every function in this module reproduces a scalar kernel from
 :mod:`repro.core.hashing` / :mod:`repro.core.matrix` /
 :mod:`repro.core.aggregation` **bit-identically** over whole arrays: the
 same FNV-1a/splitmix64 constants, the same modular probe arithmetic, the
-same per-level lift clamping.  numpy is optional — callers select between
-the two kernel families through :func:`repro.core.config.accelerator` and
-only call into this module when it returns a module; the scalar kernels
-remain the always-available fallback (and the reference the property tests
-compare against).
+same per-level lift clamping.  The batch paths (batch ingest, Algorithm 2
+aggregation, ``query_batch`` endpoint hashing) run on these; the scalar
+kernels serve the per-item paths (``Higgs.insert``, point queries,
+deletion) and are the reference the property tests compare against.
 
 The arithmetic is arranged so every intermediate fits in ``int64``/
 ``uint64`` for the full supported parameter range (fingerprints up to 56
@@ -22,10 +21,7 @@ from __future__ import annotations
 
 from typing import List, Sequence, Tuple
 
-try:  # numpy is an optional accelerator, never a hard dependency
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 from .config import HiggsConfig
 from .hashing import hash64
@@ -38,11 +34,6 @@ _MIX2 = 0x94D049BB133111EB
 _MASK64 = (1 << 64) - 1
 _INT64_MIN = -(1 << 63)
 _INT64_MAX = (1 << 63) - 1
-
-
-def available() -> bool:
-    """True when numpy is importable (the kernels below may be called)."""
-    return np is not None
 
 
 def _fnv_state(seed: int, count: int) -> "np.ndarray":
@@ -193,9 +184,9 @@ def candidate_cells_array(src_rows: "np.ndarray",
 def group_ids(*columns: "np.ndarray") -> "np.ndarray":
     """Dense group id per row over parallel int64 key columns.
 
-    Rows with equal key tuples share an id — the value-based counterpart of
-    the tuple-keyed placement memos in the scalar batch paths (an ``int``
-    dict key is cheaper to hash than a tuple of five ints).
+    Rows with equal key tuples share an id; the aggregation keys its
+    placement memo by it (an ``int`` dict key is cheaper to hash than a
+    tuple of four ints).
     """
     stacked = np.column_stack(columns)
     _, inverse = np.unique(stacked, axis=0, return_inverse=True)

@@ -9,9 +9,7 @@ into a served system:
   epoch barrier between them so no read ever observes a torn mid-batch
   shard state,
 * :class:`ServingFuture` is the per-request completion handle (and latency
-  probe) clients wait on,
-* :class:`LatencyTracker` keeps the sliding-window p50/p95/p99 latency
-  report the engine's :meth:`~ServingEngine.stats` exposes.
+  probe) clients wait on.
 
 Configuration (queue bound, block/drop backpressure, coalescing limits)
 lives in :class:`~repro.core.config.ServingConfig`; the mixed-workload
@@ -21,12 +19,11 @@ generator that drives the ``serve`` benchmark lives in
 
 from ..core.config import SERVING_ADMISSION_POLICIES, ServingConfig
 from .engine import ServingEngine
-from .metrics import LatencyTracker, nearest_rank
 from .requests import (MAINTENANCE, READ, WRITE, MaintenanceRequest,
                        ReadRequest, ServingFuture, WriteRequest)
 
 __all__ = [
     "ServingEngine", "ServingConfig", "SERVING_ADMISSION_POLICIES",
     "ServingFuture", "ReadRequest", "WriteRequest", "MaintenanceRequest",
-    "READ", "WRITE", "MAINTENANCE", "LatencyTracker", "nearest_rank",
+    "READ", "WRITE", "MAINTENANCE",
 ]

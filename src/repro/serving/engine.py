@@ -56,12 +56,12 @@ from typing import Any, Deque, Dict, Iterable, List, Optional, Union
 
 from ..core.config import ServingConfig
 from ..errors import ServingError
-from ..observability import AdaptiveEpochController, MetricsRegistry
+from ..observability import (AdaptiveEpochController, MetricsRegistry,
+                             WindowedHistogram)
 from ..streams.edge import StreamEdge
 from ..summary import TemporalGraphSummary
-from .metrics import LatencyTracker
-from .requests import (MaintenanceRequest, ReadRequest, ServingFuture,
-                       WriteRequest)
+from .requests import (MAINTENANCE, READ, WRITE, MaintenanceRequest,
+                       ReadRequest, ServingFuture, WriteRequest)
 
 _Request = Union[WriteRequest, ReadRequest, MaintenanceRequest]
 
@@ -122,8 +122,6 @@ class ServingEngine:
         self._dropped = 0
         self._failed = 0
         self._registry = registry if registry is not None else MetricsRegistry()
-        self._latency = LatencyTracker(self.config.latency_window,
-                                       registry=self._registry)
         self._controller: Optional[AdaptiveEpochController] = None
         if self.config.adaptive_epochs:
             self._controller = AdaptiveEpochController(
@@ -197,6 +195,10 @@ class ServingEngine:
         self._metric_round_reads = registry.histogram(
             "serving_round_reads",
             "Queries coalesced per read round.", window=4096)
+        self._metric_latency: WindowedHistogram = registry.histogram(
+            "serving_latency_seconds",
+            "Admission-to-completion request latency by request kind.",
+            labelnames=("kind",), window=self.config.latency_window)
 
     # ------------------------------------------------------------------ #
     # client-facing API
@@ -331,7 +333,7 @@ class ServingEngine:
 
     def latency_percentiles(self, kind: str) -> Dict[str, float]:
         """p50/p95/p99 (and mean) latency of ``kind`` (``"read"``/``"write"``)."""
-        return self._latency.percentiles(kind)
+        return self._metric_latency.report(kind=kind)
 
     def stats(self) -> Dict[str, object]:
         """Engine counters plus the per-kind latency report."""
@@ -348,8 +350,20 @@ class ServingEngine:
             "pending": pending,
             "inflight": inflight,
             "epoch_limit": self._epoch_limit,
-            "latency": self._latency.snapshot(),
+            "latency": self._latency_report(),
         }
+
+    def _latency_report(self) -> Dict[str, Dict[str, float]]:
+        """Per-kind p50/p95/p99 and mean over the latency window, plus the
+        lifetime sample count, for every kind with a recorded sample."""
+        report: Dict[str, Dict[str, float]] = {}
+        for kind in (MAINTENANCE, READ, WRITE):
+            kind_report = self._metric_latency.report(kind=kind)
+            if kind_report:
+                kind_report["count"] = float(
+                    self._metric_latency.count(kind=kind))
+                report[kind] = kind_report
+        return report
 
     # ------------------------------------------------------------------ #
     # admission
@@ -572,7 +586,8 @@ class ServingEngine:
                 request.future._resolve(values[index])
             latency = request.future.latency_s
             if latency is not None:
-                self._latency.record(request.future.kind, latency)
+                self._metric_latency.observe(latency,
+                                             kind=request.future.kind)
         if error is not None:
             self._failed += len(requests)
             self._metric_failed.inc(len(requests))

@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import Higgs
 from repro.core.aggregation import (aggregate_internal, aggregate_leaves,
                                     build_parent_matrix, lift_coordinates)
 from repro.core.config import HiggsConfig
 from repro.core.hashing import VertexHasher
 from repro.core.node import LeafNode
+from repro.streams.edge import StreamEdge
 
 
 @pytest.fixture()
@@ -142,3 +144,110 @@ class TestAggregateInternal:
         assert build_parent_matrix(2, config).size == config.matrix_size_at(2)
         assert build_parent_matrix(3, config).size == config.matrix_size_at(3)
         assert not build_parent_matrix(2, config).store_timestamps
+
+
+# --------------------------------------------------------------------- #
+# oracle: aggregation adds no error
+# --------------------------------------------------------------------- #
+
+# One-slot buckets and tiny matrices force parent-level spills into the
+# exact overflow map; one-slot overflow blocks and repeated timestamps
+# force leaf overflow blocks.
+_SPILL_CONFIGS = [
+    HiggsConfig(leaf_matrix_size=2, bucket_entries=1, fingerprint_bits=6,
+                num_probes=1, overflow_block_entries=1),
+    HiggsConfig(leaf_matrix_size=2, bucket_entries=1, fingerprint_bits=8,
+                num_probes=2, overflow_block_entries=1),
+]
+
+_streams = st.lists(
+    st.tuples(st.integers(0, 15), st.integers(0, 15), st.integers(1, 9),
+              st.integers(0, 40)),
+    min_size=1, max_size=300).map(
+        lambda items: [StreamEdge(f"v{s}", f"v{d}", float(w), t)
+                       for s, d, w, t in sorted(items, key=lambda i: i[3])])
+
+
+def _child_keys(child):
+    """Every ``(f(s), f(d), h(s), h(d))`` key a child stores."""
+    if isinstance(child, LeafNode):
+        matrices = child.matrices()
+        keys = set()
+    else:
+        matrices = [child.matrix]
+        keys = set(child.overflow)
+    for matrix in matrices:
+        columns = [array.tolist()
+                   for array in matrix.canonical_entries_arrays()[:4]]
+        keys.update(zip(*columns, strict=True))
+    return keys
+
+
+def _child_edge(child, key):
+    if isinstance(child, LeafNode):
+        return sum(matrix.query_edge(*key) for matrix in child.matrices())
+    return child.query_edge(*key)
+
+
+def _child_vertex(child, fingerprint, address, direction):
+    if isinstance(child, LeafNode):
+        return sum(matrix.query_vertex(fingerprint, address,
+                                       direction=direction)
+                   for matrix in child.matrices())
+    return child.query_vertex(fingerprint, address, direction=direction)
+
+
+def _assert_aggregation_exact(summary):
+    """Check every internal node against its children; return the number
+    of spilled parent keys seen."""
+    config = summary.config
+    fanout = config.fanout
+    spilled = 0
+    lower = summary.tree.leaves
+    for level, nodes in enumerate(summary.tree.internal_levels(), start=2):
+        for node in nodes:
+            children = lower[node.index * fanout:(node.index + 1) * fanout]
+            vertices = set()
+            for key in set().union(*map(_child_keys, children)):
+                fs, fd, hs, hd = key
+                lifted_fs, lifted_hs = lift_coordinates(fs, hs, level - 1,
+                                                        level, config)
+                lifted_fd, lifted_hd = lift_coordinates(fd, hd, level - 1,
+                                                        level, config)
+                assert node.query_edge(lifted_fs, lifted_fd,
+                                       lifted_hs, lifted_hd) == \
+                    sum(_child_edge(child, key) for child in children)
+                vertices.add((fs, hs, lifted_fs, lifted_hs, "out"))
+                vertices.add((fd, hd, lifted_fd, lifted_hd, "in"))
+            for fp, addr, lifted_fp, lifted_addr, direction in vertices:
+                assert node.query_vertex(lifted_fp, lifted_addr,
+                                         direction=direction) == \
+                    sum(_child_vertex(child, fp, addr, direction)
+                        for child in children)
+            spilled += len(node.overflow)
+        lower = nodes
+    return spilled
+
+
+class TestAggregationAddsNoError:
+    """Each internal node answers every child key's lifted edge query, and
+    every child vertex's lifted out/in query, with exactly the sum of its
+    children's answers (integer weights keep the float sums exact)."""
+
+    @pytest.mark.parametrize("config", _SPILL_CONFIGS, ids=["r1", "r2"])
+    def test_fixed_stream_spills_and_stays_exact(self, config):
+        summary = Higgs(config)
+        summary.insert_batch(
+            [StreamEdge(f"v{(i * 7) % 13}", f"v{(i * 5) % 11}",
+                        float(i % 4 + 1), i // 3) for i in range(600)])
+        assert summary.height >= 3
+        assert any(leaf.overflow_blocks for leaf in summary.tree.leaves)
+        assert _assert_aggregation_exact(summary) > 0
+
+    @pytest.mark.parametrize("config", _SPILL_CONFIGS, ids=["r1", "r2"])
+    @given(edges=_streams)
+    @settings(max_examples=40, deadline=None)
+    def test_every_internal_node_sums_its_children(self, config, edges):
+        summary = Higgs(config)
+        summary.insert_batch(edges)
+        _assert_aggregation_exact(summary)

@@ -18,7 +18,9 @@ from repro.baselines.countmin import CountMinSketch
 from repro.baselines.exact import ExactTemporalGraph
 from repro.baselines.tcm import TCM
 from repro.bench.methods import make_methods
+from repro.errors import InsertionError, ShardingError
 from repro.queries.workload import QueryWorkloadGenerator, WorkloadConfig
+from repro.sharding import ShardedSummary
 from repro.streams.edge import StreamEdge
 from repro.summary import TemporalGraphSummary
 
@@ -196,6 +198,61 @@ class TestBatchExceptionSafety:
         for source, destination, _w, _t in edges[:100]:
             assert per_item.edge_query(source, destination, 0, 50) == \
                 batched.edge_query(source, destination, 0, 50)
+
+
+class TestTimestampRange:
+    """Per-item and batch ingest agree on timestamps outside ``int64``: both
+    raise InsertionError, after applying the items before the bad one."""
+
+    _CONFIG = HiggsConfig(leaf_matrix_size=8)
+
+    @staticmethod
+    def _edges(timestamp):
+        return [StreamEdge("a", "b", 1.0, 1), StreamEdge("b", "c", 2.0, 2),
+                StreamEdge("a", "b", 4.0, timestamp),
+                StreamEdge("c", "a", 1.0, 3)]
+
+    @pytest.mark.parametrize("timestamp", [2 ** 63, -(2 ** 63) - 1])
+    def test_higgs_paths_reject_identically(self, timestamp):
+        edges = self._edges(timestamp)
+        per_item = Higgs(self._CONFIG)
+        with pytest.raises(InsertionError, match="int64"):
+            for edge in edges:
+                per_item.insert(edge.source, edge.destination, edge.weight,
+                                edge.timestamp)
+        assert per_item.tree.items_inserted == 2
+        for batch in (edges, iter(edges)):
+            batched = Higgs(self._CONFIG)
+            with pytest.raises(InsertionError, match="int64"):
+                batched.insert_batch(batch)
+            assert batched.stats() == per_item.stats()
+            assert batched.edge_query("a", "b", 0, 10) == 1.0
+
+    @pytest.mark.parametrize("timestamp", [2 ** 63 - 1, -(2 ** 63)])
+    def test_int64_bounds_accepted(self, timestamp):
+        edges = self._edges(timestamp)
+        per_item = Higgs(self._CONFIG)
+        for edge in edges:
+            per_item.insert(edge.source, edge.destination, edge.weight,
+                            edge.timestamp)
+        batched = Higgs(self._CONFIG)
+        assert batched.insert_batch(edges) == len(edges)
+        assert batched.stats() == per_item.stats()
+
+    def test_serial_sharded_summary(self):
+        edge = StreamEdge("a", "b", 1.0, 2 ** 63)
+        engine = ShardedSummary(shards=2, executor="serial")
+        try:
+            with pytest.raises(InsertionError, match="int64"):
+                engine.insert(edge.source, edge.destination, edge.weight,
+                              edge.timestamp)
+            # Scattered batches wrap shard failures in ShardingError.
+            with pytest.raises(ShardingError) as failure:
+                engine.insert_batch([edge])
+            assert isinstance(failure.value.__cause__, InsertionError)
+            assert engine.items_ingested == 0
+        finally:
+            engine.close()
 
 
 class TestBatchedWorkloads:

@@ -173,7 +173,9 @@ class TestCanonicalIteration:
                 key = (fs, fd, hs, hd)
                 inserted[key] = inserted.get(key, 0.0) + 1.0
         recovered = {}
-        for fs, fd, hs, hd, weight, _ts in matrix.iter_canonical_entries():
+        columns = [array.tolist()
+                   for array in matrix.canonical_entries_arrays()]
+        for fs, fd, hs, hd, weight in zip(*columns, strict=True):
             key = (fs, fd, hs, hd)
             recovered[key] = recovered.get(key, 0.0) + weight
         assert recovered == inserted

@@ -11,8 +11,8 @@ import pytest
 from repro import ServingConfig, ServingEngine, ShardedSummary
 from repro.baselines.exact import ExactTemporalGraph
 from repro.errors import ConfigurationError, DatasetError, QueryError, ServingError
+from repro.observability import nearest_rank
 from repro.queries.types import EdgeQuery, VertexQuery
-from repro.serving import LatencyTracker, nearest_rank
 from repro.streams.edge import StreamEdge
 from repro.streams.generators import (MixedWorkloadSpec, StreamSpec,
                                       generate_mixed_workload, generate_stream)
@@ -43,6 +43,9 @@ class TestServingConfig:
 
 
 class TestLatencyTracker:
+    """The engine's per-kind latency tracking: the percentile definition,
+    the sliding window and the ``stats()`` report."""
+
     def test_nearest_rank_percentiles(self):
         samples = sorted(float(i) for i in range(1, 101))
         assert nearest_rank(samples, 50.0) == 50.0
@@ -58,16 +61,26 @@ class TestLatencyTracker:
             nearest_rank([1.0], 0.0)
 
     def test_window_and_snapshot(self):
-        tracker = LatencyTracker(window=4)
-        for value in (1.0, 2.0, 3.0, 4.0, 100.0):
-            tracker.record("read", value)
-        report = tracker.percentiles("read")
-        # The window dropped the 1.0 sample; p50 over [2,3,4,100] is 3.
-        assert report["p50"] == 3.0
-        assert tracker.count("read") == 5
-        assert tracker.percentiles("write") == {}
-        snapshot = tracker.snapshot()
-        assert snapshot["read"]["count"] == 5.0
+        with ServingEngine(ExactTemporalGraph(),
+                           ServingConfig(latency_window=4)) as engine:
+            latencies = []
+            for i in range(5):
+                future = engine.submit_write(StreamEdge("a", "b", 1.0, i))
+                future.result(30)
+                latencies.append(future.latency_s)
+            assert engine.flush(timeout=30)
+            report = engine.latency_percentiles("write")
+            # The window dropped the first sample: percentiles and mean
+            # cover the last four, the count stays lifetime.
+            window = sorted(latencies[1:])
+            assert report["p50"] == nearest_rank(window, 50.0)
+            assert report["p99"] == nearest_rank(window, 99.0)
+            assert report["mean"] == pytest.approx(sum(window) / 4)
+            assert engine.latency_percentiles("read") == {}
+            snapshot = engine.stats()["latency"]
+            assert set(snapshot) == {"write"}
+            assert snapshot["write"]["count"] == 5.0
+            assert snapshot["write"]["p50"] == report["p50"]
 
 
 class TestServingEngineBasics:

@@ -15,15 +15,10 @@ import os
 import pytest
 
 from repro.core import shm
-from repro.core.config import set_pure_python
 from repro.core.executor import make_shard_worker
 from repro.errors import ShardingError
 from repro.sharding import ShardedSummary
 from repro.streams.edge import StreamEdge
-
-pytestmark = pytest.mark.skipif(
-    not shm.available(), reason="numpy not importable; transport disabled")
-
 
 def _edges(count, vertices=40):
     return [StreamEdge(f"v{i % vertices}", f"v{(i * 7 + 1) % vertices}",
@@ -130,20 +125,13 @@ class TestRingAllocator:
         sender.destroy()  # second destroy is a no-op
 
 
-@pytest.fixture()
-def accelerated():
-    set_pure_python(False)
-    yield
-    set_pure_python(None)
-
-
 def _higgs_factory():
     from repro.sharding.engine import HiggsShardFactory
     return HiggsShardFactory()
 
 
 class TestWorkerTransport:
-    def test_process_worker_ships_packed_batches(self, accelerated):
+    def test_process_worker_ships_packed_batches(self):
         worker = make_shard_worker("process", _higgs_factory(),
                                    name="shm-probe")
         try:
@@ -160,7 +148,7 @@ class TestWorkerTransport:
         finally:
             worker.close()
 
-    def test_small_batches_fall_through_to_pickle(self, accelerated):
+    def test_small_batches_fall_through_to_pickle(self):
         worker = make_shard_worker("process", _higgs_factory(),
                                    name="shm-small")
         try:
@@ -171,20 +159,7 @@ class TestWorkerTransport:
         finally:
             worker.close()
 
-    def test_pure_python_mode_never_packs(self):
-        set_pure_python(True)
-        try:
-            worker = make_shard_worker("process", _higgs_factory(),
-                                       name="shm-pure")
-            try:
-                assert worker.call("insert_batch", _edges(200)).ok
-                assert worker.transport_stats()["packed_batches"] == 0
-            finally:
-                worker.close()
-        finally:
-            set_pure_python(None)
-
-    def test_packed_and_pickled_results_identical(self, accelerated):
+    def test_packed_and_pickled_results_identical(self):
         packed_worker = make_shard_worker("process", _higgs_factory(),
                                           name="shm-eq-a")
         inline_worker = make_shard_worker("serial", _higgs_factory(),
@@ -205,7 +180,7 @@ class TestWorkerTransport:
             packed_worker.close()
             inline_worker.close()
 
-    def test_clean_close_unlinks_segment(self, accelerated):
+    def test_clean_close_unlinks_segment(self):
         worker = make_shard_worker("process", _higgs_factory(),
                                    name="shm-close")
         assert worker.call("insert_batch", _edges(200)).ok
@@ -215,7 +190,7 @@ class TestWorkerTransport:
         assert not _segment_exists(name)
 
     @pytest.mark.faultinject
-    def test_killed_worker_unlinks_segment(self, accelerated):
+    def test_killed_worker_unlinks_segment(self):
         from faultinject import kill_inner_process
 
         worker = make_shard_worker("process", _higgs_factory(),
@@ -236,7 +211,7 @@ class TestWorkerTransport:
             worker.close()
 
     @pytest.mark.faultinject
-    def test_engine_survives_shard_crash_without_leaking(self, accelerated):
+    def test_engine_survives_shard_crash_without_leaking(self):
         from faultinject import kill_worker
 
         engine = ShardedSummary(shards=2, executor="process")
@@ -256,7 +231,7 @@ class TestWorkerTransport:
 
 
 class TestEngineTransportStats:
-    def test_process_engine_reports_packed_traffic(self, accelerated):
+    def test_process_engine_reports_packed_traffic(self):
         engine = ShardedSummary(shards=2, executor="process")
         try:
             engine.insert_batch(_edges(400))

@@ -1,13 +1,15 @@
-"""Bit-identity of the vectorized kernels against the pure-Python fallback.
+"""Bit-identity of the vectorized (numpy) paths against the per-item reference.
 
-Every numpy path in the codebase is an *optimization*, never a semantic
-change: the accelerated kernels must produce byte-for-byte the same summary
+The array paths — batch ingest, Algorithm 2 aggregation, ``query_batch``
+endpoint hashing, the shared-memory packed batches — are *optimizations*,
+never a semantic change: they must produce byte-for-byte the same summary
 (bucket contents, occupancy maps, leaf time ranges, overflow maps) and the
-same query answers as the retained pure-Python code.  These tests build the
-same stream twice — once with the accelerator active, once under
-``set_pure_python(True)`` — and compare deep structural digests plus every
-query type (edge, vertex in/out, path, subgraph) through both the per-item
-and the batch query APIs, for both sharding partition modes.
+same query answers as per-item ``Higgs.insert`` and per-item queries, the
+scalar reference path.  These tests build the same stream both ways and
+compare deep structural digests plus every query type (edge, vertex in/out,
+path, subgraph) through both the per-item and the batch query APIs, and
+check each shard of a sharded engine against per-item ingest of its
+partition, for both partition modes.
 
 Kernel-level properties (``hash64_array`` vs :func:`repro.core.hashing.hash64`
 and friends) are pinned separately so a divergence points at the exact
@@ -16,26 +18,20 @@ kernel rather than at "the tree ended up different".
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Higgs, HiggsConfig
-from repro.core import vectorized
+from repro.core import shm, vectorized
 from repro.core.aggregation import lift_coordinates
-from repro.core.config import set_pure_python
 from repro.core.hashing import VertexHasher, hash64
 from repro.core.matrix import CompressedMatrix
 from repro.queries.types import (EdgeQuery, PathQuery, SubgraphQuery,
                                  VertexQuery)
-from repro.sharding import ShardedSummary
+from repro.sharding import HiggsShardFactory, ShardedSummary
 from repro.streams.edge import StreamEdge
-
-pytestmark = pytest.mark.skipif(
-    not vectorized.available(),
-    reason="numpy not importable; only the fallback path exists")
-
-np = vectorized.np
 
 # Small universes force fingerprint collisions, bucket spills, overflow
 # blocks, and aggregation — the structurally interesting regimes.
@@ -55,13 +51,6 @@ _keys = st.one_of(
     st.integers(min_value=-(2 ** 63), max_value=2 ** 63 - 1),
     st.text(max_size=24),
     st.binary(max_size=24))
-
-
-@pytest.fixture()
-def pure_python_toggle():
-    """Restore accelerator auto-detection after a test that forces modes."""
-    yield set_pure_python
-    set_pure_python(None)
 
 
 def _matrix_digest(matrix: CompressedMatrix):
@@ -189,48 +178,43 @@ def test_group_ids_first_occurrence_order():
 @given(edges=_edges)
 @settings(max_examples=25, deadline=None)
 def test_batch_insert_summary_bit_identical(config, edges):
-    try:
-        set_pure_python(False)
-        fast = _build(config, edges, batch=True)
-        set_pure_python(True)
-        slow = _build(config, edges, batch=True)
-    finally:
-        set_pure_python(None)
-    assert _tree_digest(fast) == _tree_digest(slow)
+    assert _tree_digest(_build(config, edges, batch=True)) == \
+        _tree_digest(_build(config, edges, batch=False))
 
 
-@given(edges=_edges)
+@given(edges=_edges,
+       cuts=st.lists(st.integers(0, 150), max_size=6),
+       forms=st.lists(st.sampled_from(["list", "generator", "packed"]),
+                      min_size=7, max_size=7))
 @settings(max_examples=20, deadline=None)
-def test_batch_insert_matches_per_item_inserts(edges):
-    try:
-        set_pure_python(False)
-        batched = _build(_SMALL, edges, batch=True)
-        set_pure_python(True)
-        itemized = _build(_SMALL, edges, batch=False)
-    finally:
-        set_pure_python(None)
-    assert _tree_digest(batched) == _tree_digest(itemized)
+def test_batch_insert_matches_per_item_inserts(edges, cuts, forms):
+    """Batch boundaries anywhere, in every input form the batch path takes
+    (list, streamed iterable, shared-memory packed arrays)."""
+    bounds = [0, *sorted(min(cut, len(edges)) for cut in cuts), len(edges)]
+    batched = Higgs(_SMALL)
+    for start, end, form in zip(bounds, bounds[1:], forms, strict=False):
+        chunk = edges[start:end]
+        if form == "generator":
+            batch = iter(chunk)
+        elif form == "packed":
+            batch = shm.pack_edges(chunk)
+        else:
+            batch = chunk
+        assert batched.insert_batch(batch) == len(chunk)
+    assert _tree_digest(batched) == \
+        _tree_digest(_build(_SMALL, edges, batch=False))
 
 
 @given(edges=_edges)
 @settings(max_examples=20, deadline=None)
 def test_query_answers_bit_identical(edges):
     queries = _queries(edges)
-    try:
-        set_pure_python(False)
-        fast = _build(_SMALL, edges, batch=True)
-        fast_batch = fast.query_batch(queries)
-        fast_items = [query.evaluate(fast) for query in queries
-                      if not isinstance(query, (PathQuery, SubgraphQuery))]
-        set_pure_python(True)
-        slow = _build(_SMALL, edges, batch=True)
-        slow_batch = slow.query_batch(queries)
-        slow_items = [query.evaluate(slow) for query in queries
-                      if not isinstance(query, (PathQuery, SubgraphQuery))]
-    finally:
-        set_pure_python(None)
-    assert fast_batch == slow_batch
-    assert fast_items == slow_items
+    batched = _build(_SMALL, edges, batch=True)
+    itemized = _build(_SMALL, edges, batch=False)
+    reference = [query.evaluate(itemized) for query in queries]
+    assert batched.query_batch(queries) == reference
+    assert itemized.query_batch(queries) == reference
+    assert [query.evaluate(batched) for query in queries] == reference
 
 
 @pytest.mark.parametrize("partition_by", ["source", "edge"])
@@ -238,43 +222,36 @@ def test_query_answers_bit_identical(edges):
 @settings(max_examples=10, deadline=None)
 def test_sharded_answers_bit_identical(partition_by, edges):
     queries = _queries(edges)
-
-    def run(pure: bool):
-        set_pure_python(pure)
-        engine = ShardedSummary(shards=3, partition_by=partition_by)
-        try:
-            engine.insert_batch(edges)
-            digests = tuple(_tree_digest(inner)
-                            for inner in engine.shard_summaries())
-            return digests, engine.query_batch(queries)
-        finally:
-            engine.close()
-
+    engine = ShardedSummary(HiggsShardFactory(_SMALL), shards=3,
+                            partition_by=partition_by)
     try:
-        fast_state, fast_answers = run(False)
-        slow_state, slow_answers = run(True)
+        engine.insert_batch(edges)
+        parts = engine.partitioner.split(edges)
+        for shard, part in zip(engine.shard_summaries(), parts, strict=True):
+            assert _tree_digest(shard) == \
+                _tree_digest(_build(_SMALL, part, batch=False))
+        assert engine.query_batch(queries) == \
+            [query.evaluate(engine) for query in queries]
     finally:
-        set_pure_python(None)
-    assert fast_state == slow_state
-    assert fast_answers == slow_answers
+        engine.close()
 
 
-def test_generator_prefix_applied_on_mid_stream_error(pure_python_toggle):
-    """The numpy batch path keeps the scalar streaming exception contract."""
+def test_generator_prefix_applied_on_mid_stream_error():
+    """A dying iterable keeps the per-item contract: every item it yielded
+    before raising is applied."""
 
     class Boom(RuntimeError):
         pass
 
-    def stream(count):
-        for i in range(count):
-            yield StreamEdge(f"v{i % 7}", f"v{(i + 1) % 7}", 1.0, i)
+    prefix = [StreamEdge(f"v{i % 7}", f"v{(i + 1) % 7}", 1.0, i)
+              for i in range(40)]
+
+    def stream():
+        yield from prefix
         raise Boom()
 
-    def build(pure: bool):
-        pure_python_toggle(pure)
-        summary = Higgs(_SMALL)
-        with pytest.raises(Boom):
-            summary.insert_batch(stream(40))
-        return summary
-
-    assert _tree_digest(build(False)) == _tree_digest(build(True))
+    summary = Higgs(_SMALL)
+    with pytest.raises(Boom):
+        summary.insert_batch(stream())
+    assert _tree_digest(summary) == \
+        _tree_digest(_build(_SMALL, prefix, batch=False))

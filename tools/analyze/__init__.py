@@ -22,8 +22,7 @@ raises, hot-path loop inventory).  Two halves:
   ERR001    raising bare builtin exceptions instead of
             :mod:`repro.errors` types from ``src/repro/**``
   HOT001    per-edge Python loop inside a function marked ``# hot-path``
-            (the machine-checked vectorization inventory); scalar twins
-            declaring ``# hot-path: bulk=<kernel>`` and hot-path
+            (the machine-checked vectorization inventory); hot-path
             functions driving ``*_array``/numpy bulk calls are compliant
   ========  ==========================================================
 

@@ -59,7 +59,7 @@ _LOGGING_NAMES = {"log", "debug", "info", "warning", "warn", "error",
                   "exception", "critical", "print", "fail", "record"}
 
 _GUARDED_BY = re.compile(r"#\s*guarded-by:\s*([^\s#][^#]*?)\s*$")
-_HOT_PATH = re.compile(r"#\s*hot-path\b(?::\s*bulk=(?P<bulk>[\w.]+))?")
+_HOT_PATH = re.compile(r"#\s*hot-path\b")
 
 
 @dataclass(frozen=True)
@@ -514,41 +514,22 @@ def check_hot_path_loops(ctx: _Context) -> List[Finding]:
 
     This produces the machine-checked inventory of loops the ROADMAP's
     vectorization item must replace with bulk array operations; each one is
-    expected to live in the committed baseline with that justification until
-    it is vectorized.
+    expected to live in the committed baseline with a justification — why
+    it stays scalar (its loop runs over one item's probes or levels, not
+    over items), or until it is vectorized.
 
-    Two shapes of hot-path function are **compliant** (their loops are not
-    findings):
-
-    * ``# hot-path: bulk=<name>`` — the function is the retained scalar
-      twin of the named bulk kernel (numpy is optional, so the scalar loop
-      must exist).  A bare ``<name>`` must be defined in the same file —
-      a dangling twin reference is itself a finding — while a dotted name
-      (``vectorized.lift_array``) is accepted as-is, since the reference
-      crosses a module boundary the per-file pass cannot resolve.
-    * A plain ``# hot-path`` function that *makes bulk calls* (a call to a
-      ``*_array``/``*_arrays`` kernel or through ``np``/``numpy``): its
-      remaining Python loops are orchestration around vectorized work, not
-      per-item math — exactly the end state the inventory drives toward.
+    A hot-path function that *makes bulk calls* (a call to a
+    ``*_array``/``*_arrays`` kernel or through ``np``/``numpy``) is
+    **compliant**: its remaining Python loops are orchestration around
+    vectorized work, not per-item math — exactly the end state the
+    inventory drives toward.
     """
-    defined_names = {
-        node.name for node in ast.walk(ctx.tree)
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
     findings: List[Finding] = []
     for node in ast.walk(ctx.tree):
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
-        match = _annotation_for(node.lineno, ctx.comments, ctx.lines,
-                                _HOT_PATH)
-        if match is None:
-            continue
-        bulk = match.group("bulk")
-        if bulk is not None:
-            if "." not in bulk and bulk not in defined_names:
-                findings.append(Finding(
-                    "HOT001", ctx.path, node.lineno, node.name,
-                    f"hot-path function '{node.name}' names bulk twin "
-                    f"'{bulk}' which is not defined in this file"))
+        if _annotation_for(node.lineno, ctx.comments, ctx.lines,
+                           _HOT_PATH) is None:
             continue
         if any(isinstance(sub, ast.Call) and _is_bulk_call(sub)
                for sub in ast.walk(node)):
