@@ -1,25 +1,31 @@
-"""Bit-shift aggregation of child matrices into a parent matrix (Algorithm 2).
+"""Bit-shift aggregation of child nodes into a parent node (Algorithm 2).
 
-A parent node at layer ``l+1`` aggregates the ``θ`` matrices of its children
-at layer ``l``.  The parent matrix is ``√θ`` times larger per dimension; the
+A parent node at layer ``l+1`` aggregates the ``θ`` children at layer
+``l``.  The paper's parent matrix is ``√θ`` times larger per dimension; the
 extra address bits are taken from the top of each entry's fingerprint
 (``R = log2(√θ)`` bits per level), so aggregation is a pure re-addressing of
 the same information and introduces no additional error.  Entries whose
 candidate buckets in the parent matrix are all occupied spill into the
 parent's exact overflow map, preserving exactness of the aggregate.
+
+Because each lifted key ends up stored exactly once with its summed weight,
+an :class:`~repro.core.node.InternalNode` keeps exact maps instead of the
+matrix.  The build still simulates Algorithm 2's bucket placement, over
+distinct keys and by bucket occupancy alone, because placement decides which
+keys spill (charged by the memory model) and the order keys pass upward.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from . import vectorized
 from .config import HiggsConfig
 from .hashing import lift_address
-from .matrix import CompressedMatrix
-from .node import InternalNode, LeafNode
+from .node import (InternalNode, LeafNode, pack_edge, pack_vertex,
+                   unpack_edge, unpack_vertex, vertex_bits)
 
 
 # hot-path
@@ -42,81 +48,108 @@ def lift_coordinates(fingerprint: int, address: int, from_level: int,
     return current_fp, current_addr
 
 
-def build_parent_matrix(level: int, config: HiggsConfig) -> CompressedMatrix:
-    """Allocate the (empty) aggregated matrix for a node at tree layer ``level``."""
-    return CompressedMatrix(
-        config.matrix_size_at(level), config.bucket_entries,
-        num_probes=config.num_probes, store_timestamps=False,
-        entry_bytes=config.internal_entry_bytes(level))
+def _new_node(level: int, index: int, keys: List[int], t_min: int,
+              t_max: int, config: HiggsConfig) -> InternalNode:
+    return InternalNode(level, index, keys, t_min, t_max,
+                        fingerprint_bits=config.fingerprint_bits_at(level),
+                        vertex_bits=vertex_bits(config))
 
 
-#: Placement-memo marker: the key spilled into the node's exact overflow map.
-_SPILLED = object()
+def _key_dtype(config: HiggsConfig):
+    """``int64`` when a packed edge key fits in it, else Python ints."""
+    return np.int64 if 2 * vertex_bits(config) < 64 else object
 
 
 # hot-path
-def _aggregate_entries_arrays(node: InternalNode, src_fps, dst_fps,
-                              src_addrs, dst_addrs, weights,
-                              from_level: int, to_level: int,
-                              config: HiggsConfig) -> None:
-    """Lift child entries and place them into the parent, spilling over
-    into the parent's exact overflow map when every candidate bucket is full.
+def _first_fit(cells: List[int], width: int, capacity: int) -> List[int]:
+    """Algorithm 2's bucket choice for each distinct key, by occupancy alone.
 
-    The caller concatenates every child's entries into one batch, so the
-    lift, the parent probe rows and the flat candidate cells all run
-    vectorized once; the remaining per-item loop only touches buckets.  The
-    placement memo is keyed by the dense group id of each item's lifted
-    ``(f(s), f(d), h(s), h(d))`` value tuple, so a repeated key accumulates
-    directly instead of re-scanning its candidate buckets.  This equals the
-    scan: the parent matrix holds at most one entry per key, so the scan a
-    memo hit skips would find exactly the memoized entry, and a key that
-    once spilled can never be placed later (slots only fill up).  Weights
-    accumulate in child entry order.
+    ``cells`` holds each key's ``width`` candidate cells back to back, in
+    probe-scan order, and the keys come in first-occurrence order.  A key
+    takes the first of its cells that holds fewer than ``capacity`` keys;
+    the result is that cell, or ``-1`` when all are full and the key
+    spills.  This is the placement scan of
+    :meth:`~repro.core.matrix.CompressedMatrix.insert_probed` without its
+    search for a matching entry: a distinct key never matches one, since a
+    match in the same cell at the same probe position has the same
+    fingerprints and so the same canonical addresses.
     """
-    count = len(src_fps)
-    if count == 0:
-        return
-    matrix = node.matrix
-    lifted_fs, lifted_hs = vectorized.lift_array(src_fps, src_addrs,
-                                                 from_level, to_level, config)
-    lifted_fd, lifted_hd = vectorized.lift_array(dst_fps, dst_addrs,
-                                                 from_level, to_level, config)
-    src_rows = matrix.probe_rows_array(lifted_fs, lifted_hs)
-    dst_cols = matrix.probe_rows_array(lifted_fd, lifted_hd)
-    cells = vectorized.candidate_cells_array(src_rows, dst_cols,
-                                             matrix.size).tolist()
-    group = vectorized.group_ids(lifted_fs, lifted_fd,
-                                 lifted_hs, lifted_hd).tolist()
-    fs_list = lifted_fs.tolist()
-    fd_list = lifted_fd.tolist()
-    hs_list = lifted_hs.tolist()
-    hd_list = lifted_hd.tolist()
-    rows_list = src_rows.tolist()
-    cols_list = dst_cols.tolist()
-    weight_list = weights.tolist()
-    insert_cells = matrix.insert_cells
-    add_overflow = node.add_overflow
-    placed: dict = {}
-    placed_get = placed.get
-    for k in range(count):
-        gid = group[k]
-        weight = weight_list[k]
-        entry = placed_get(gid)
-        if entry is not None:
-            if entry is _SPILLED:
-                add_overflow(fs_list[k], fd_list[k], hs_list[k], hd_list[k],
-                             weight)
-            else:
-                entry.weight += weight
-            continue
-        entry = insert_cells(fs_list[k], fd_list[k], cells[k],
-                             rows_list[k], cols_list[k], weight)
-        if entry is None:
-            add_overflow(fs_list[k], fd_list[k], hs_list[k], hd_list[k],
-                         weight)
-            placed[gid] = _SPILLED
+    occupancy: Dict[int, int] = {}
+    occupied = occupancy.get
+    chosen: List[int] = []
+    choose = chosen.append
+    for start in range(0, len(cells), width):
+        for cell in cells[start:start + width]:
+            used = occupied(cell, 0)
+            if used < capacity:
+                occupancy[cell] = used + 1
+                choose(cell)
+                break
         else:
-            placed[gid] = entry
+            choose(-1)
+    return chosen
+
+
+# hot-path
+def _aggregate(node: InternalNode, keys, weights,
+               config: HiggsConfig) -> None:
+    """Fill ``node`` from its children's packed edge keys and weights.
+
+    ``keys`` and ``weights`` concatenate every child's entries in the order
+    the node receives them.  Equal keys are grouped in first-occurrence
+    order and summed with ``np.bincount``, which adds a group's weights in
+    entry order starting from ``0.0`` — the accumulation order of the
+    matrix-and-spill-map build, so every weight is bit-identical to it.
+    Placement (:func:`_first_fit`) then decides which keys the aggregated
+    matrix holds and which spill, and fixes the order the node hands its
+    keys to its parent.
+    """
+    if len(keys) == 0:
+        return
+    distinct, first, inverse = np.unique(keys, return_index=True,
+                                         return_inverse=True)
+    by_first = np.argsort(first)
+    rank = np.empty_like(by_first)
+    rank[by_first] = np.arange(len(by_first))
+    sums = np.bincount(rank[inverse], weights=weights,
+                       minlength=len(by_first))
+    distinct = distinct[by_first]
+
+    size = config.matrix_size_at(node.level)
+    sources, destinations = unpack_edge(distinct, node.vertex_bits)
+    src_fps, src_addrs = unpack_vertex(sources, node.fingerprint_bits)
+    dst_fps, dst_addrs = unpack_vertex(destinations, node.fingerprint_bits)
+    cells = vectorized.candidate_cells_array(
+        vectorized.probe_rows_array(src_fps, src_addrs, config.num_probes,
+                                    size),
+        vectorized.probe_rows_array(dst_fps, dst_addrs, config.num_probes,
+                                    size),
+        size)
+    chosen = np.asarray(_first_fit(cells.reshape(-1).tolist(),
+                                   cells.shape[1], config.bucket_entries),
+                        dtype=np.int64)
+
+    # Hand-up order: placed keys by their bucket's first use, then in
+    # placement order; spilled keys after them, in spill order.
+    placed = np.flatnonzero(chosen >= 0)
+    _, first_use, bucket = np.unique(chosen[placed], return_index=True,
+                                     return_inverse=True)
+    order = np.concatenate([
+        placed[np.argsort(first_use[bucket], kind="stable")],
+        np.flatnonzero(chosen < 0)])
+    node.weights = dict(zip(distinct[order].tolist(), sums[order].tolist(),
+                            strict=True))
+    node.placed = len(placed)
+    node.out_weights = _vertex_sums(sources, sums)
+    node.in_weights = _vertex_sums(destinations, sums)
+
+
+def _vertex_sums(vertices, sums) -> Dict[int, float]:
+    """Packed vertex key → summed weight of its distinct edge keys."""
+    distinct, inverse = np.unique(vertices, return_inverse=True)
+    totals = np.bincount(inverse, weights=sums,
+                         minlength=len(distinct))
+    return dict(zip(distinct.tolist(), totals.tolist(), strict=True))
 
 
 def aggregate_leaves(parent_index: int, leaves: List[LeafNode],
@@ -126,52 +159,46 @@ def aggregate_leaves(parent_index: int, leaves: List[LeafNode],
     Timestamps are dropped: the parent only records the group's overall time
     span and the separating keys (each child's start timestamp).
     """
-    level = 2
-    matrix = build_parent_matrix(level, config)
     t_mins = [leaf.t_min for leaf in leaves if leaf.t_min is not None]
     t_maxs = [leaf.t_max for leaf in leaves if leaf.t_max is not None]
     t_min = min(t_mins) if t_mins else 0
     t_max = max(t_maxs) if t_maxs else 0
     keys = [leaf.t_min for leaf in leaves[1:] if leaf.t_min is not None]
-    node = InternalNode(level, parent_index, matrix, keys, t_min, t_max)
+    node = _new_node(2, parent_index, keys, t_min, t_max, config)
 
     parts = [child_matrix.canonical_entries_arrays()
              for leaf in leaves for child_matrix in leaf.matrices()]
-    parts = [arrays for arrays in parts if len(arrays[0])]
-    if parts:
-        _aggregate_entries_arrays(
-            node, *(np.concatenate([arrays[i] for arrays in parts])
-                    for i in range(5)),
-            1, level, config)
+    src_fps, dst_fps, src_addrs, dst_addrs, weights = (
+        np.concatenate([arrays[i] for arrays in parts]) for i in range(5))
+    dtype = _key_dtype(config)
+    sources = pack_vertex(src_fps.astype(dtype), src_addrs.astype(dtype),
+                          config.fingerprint_bits)
+    destinations = pack_vertex(dst_fps.astype(dtype), dst_addrs.astype(dtype),
+                               config.fingerprint_bits)
+    _aggregate(node, pack_edge(sources, destinations, node.vertex_bits),
+               weights, config)
     return node
 
 
 def aggregate_internal(parent_index: int, children: List[InternalNode],
                        config: HiggsConfig) -> InternalNode:
-    """Build an internal node at layer ``children[0].level + 1`` from complete children."""
-    child_level = children[0].level
-    level = child_level + 1
-    matrix = build_parent_matrix(level, config)
+    """Build an internal node at layer ``children[0].level + 1`` from complete children.
+
+    A packed key is the same at every layer, so the children's keys pass
+    up unchanged.
+    """
     t_min = min(child.t_min for child in children)
     t_max = max(child.t_max for child in children)
     keys = [child.t_min for child in children[1:]]
-    node = InternalNode(level, parent_index, matrix, keys, t_min, t_max)
-
-    parts = []
-    for child in children:
-        arrays = child.matrix.canonical_entries_arrays()
-        if len(arrays[0]):
-            parts.append(arrays)
-        if child.overflow:
-            spilled_keys = np.asarray(list(child.overflow.keys()),
-                                      dtype=np.int64)
-            parts.append((spilled_keys[:, 0], spilled_keys[:, 1],
-                          spilled_keys[:, 2], spilled_keys[:, 3],
-                          np.asarray(list(child.overflow.values()),
-                                     dtype=np.float64)))
-    if parts:
-        _aggregate_entries_arrays(
-            node, *(np.concatenate([arrays[i] for arrays in parts])
-                    for i in range(5)),
-            child_level, level, config)
+    node = _new_node(children[0].level + 1, parent_index, keys, t_min, t_max,
+                     config)
+    dtype = _key_dtype(config)
+    _aggregate(node,
+               np.concatenate([np.fromiter(child.weights, dtype,
+                                           len(child.weights))
+                               for child in children]),
+               np.concatenate([np.fromiter(child.weights.values(), np.float64,
+                                           len(child.weights))
+                               for child in children]),
+               config)
     return node

@@ -3,15 +3,15 @@
 Given a query range ``[t_start, t_end]``, the boundary search selects
 
 * the highest materialized (complete) internal nodes whose entire time span
-  lies inside the range — their aggregated, timestamp-free matrices answer
-  their whole subtree in one access, and
+  lies inside the range — their exact, timestamp-free aggregates answer
+  their whole subtree in one lookup, and
 * the leaf nodes that only partially overlap the range boundaries — those are
   answered with per-entry timestamp filtering.
 
 The selection is equivalent to the paper's two-phase boundary search (fully
 covered children first, then a descent along the two boundary paths); the
 implementation walks the implicit θ-ary tree over the leaf sequence so that
-incomplete spine groups — which have no aggregated matrix yet — transparently
+incomplete spine groups — which have no aggregated node yet — transparently
 fall through to their children.
 
 Query-plan caching

@@ -6,7 +6,10 @@ Each bucket holds up to ``b`` entries.  A leaf-level entry records
 entry omits the timestamp.  With the *multiple mapping buckets* optimization
 an edge has ``r × r`` candidate buckets obtained from per-vertex probe
 sequences; the probe index pair ``(i, j)`` is stored so the canonical
-addresses can be recovered during aggregation.
+addresses can be recovered during aggregation.  HIGGS's own aggregated
+nodes keep exact maps instead of a timestamp-free matrix (see
+:class:`~repro.core.node.InternalNode`); the Horae and AuxoTime baselines
+still use one.
 
 The implementation stores buckets sparsely (only occupied buckets allocate a
 Python list), while the analytic memory model charges the full pre-allocated
@@ -22,7 +25,6 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from ..errors import ConfigurationError
-from . import vectorized
 from .hashing import probe_address, probe_step
 
 
@@ -140,21 +142,12 @@ class CompressedMatrix:
         """The vertex's candidate row/column indices, probe order.
 
         Precomputing these once per vertex is the basis of
-        :meth:`insert_probed`; batch paths use :meth:`probe_rows_array`.
+        :meth:`insert_probed`; batch paths use
+        :func:`repro.core.vectorized.probe_rows_array`.
         """
         step = probe_step(fingerprint)
         size = self.size
         return tuple((address + i * step) % size for i in range(self.num_probes))
-
-    # hot-path
-    def probe_rows_array(self, fingerprints, addresses):
-        """Vectorized :meth:`probe_rows` over parallel coordinate arrays.
-
-        Returns an ``(n, num_probes)`` ``int64`` matrix of candidate
-        row/column indices, bit-identical row-wise to :meth:`probe_rows`.
-        """
-        return vectorized.probe_rows_array(fingerprints, addresses,
-                                           self.num_probes, self.size)
 
     def insert(self, src_fingerprint: int, dst_fingerprint: int,
                src_address: int, dst_address: int, weight: float,
@@ -221,69 +214,6 @@ class CompressedMatrix:
         i, j = free_slot
         entry = MatrixEntry(src_fingerprint, dst_fingerprint, i, j, weight, ts)
         self._bucket(src_rows[i], dst_cols[j]).append(entry)
-        self._entry_count += 1
-        if ts is not None:
-            if self.start_time is None or ts < self.start_time:
-                self.start_time = ts
-            if self.end_time is None or ts > self.end_time:
-                self.end_time = ts
-        return entry
-
-    # hot-path
-    def insert_cells(self, src_fingerprint: int, dst_fingerprint: int,
-                     cells: Sequence[int], src_rows: Sequence[int],
-                     dst_cols: Sequence[int], weight: float,
-                     timestamp: Optional[int] = None) -> Optional[MatrixEntry]:
-        """:meth:`insert_probed` with the candidate cells precomputed.
-
-        ``cells[i * r + j]`` must equal ``src_rows[i] * size + dst_cols[j]``
-        (see :func:`repro.core.vectorized.candidate_cells_array`, which the
-        aggregation uses to build them for a whole batch at once).
-        This is the sequential core the bulk paths cannot vectorize —
-        placement depends on what previous items placed — stripped of all
-        per-candidate address arithmetic.  Scan order, free-slot choice and
-        the returned entry are bit-identical to :meth:`insert_probed`.
-        """
-        ts = timestamp if self.store_timestamps else None
-        free_slot = -1
-        buckets = self._buckets
-        bucket_entries = self.bucket_entries
-        num_cols = len(dst_cols)
-
-        for position, cell in enumerate(cells):
-            bucket = buckets.get(cell)
-            if bucket is None:
-                if free_slot < 0:
-                    free_slot = position
-                continue
-            i, j = divmod(position, num_cols)
-            for entry in bucket:
-                if (entry.src_probe == i and entry.dst_probe == j
-                        and entry.src_fingerprint == src_fingerprint
-                        and entry.dst_fingerprint == dst_fingerprint
-                        and (ts is None or entry.timestamp == ts)):
-                    entry.weight += weight
-                    if ts is not None:
-                        if self.start_time is None or ts < self.start_time:
-                            self.start_time = ts
-                        if self.end_time is None or ts > self.end_time:
-                            self.end_time = ts
-                    return entry
-            if free_slot < 0 and len(bucket) < bucket_entries:
-                free_slot = position
-
-        if free_slot < 0:
-            return None
-        i, j = divmod(free_slot, num_cols)
-        entry = MatrixEntry(src_fingerprint, dst_fingerprint, i, j, weight, ts)
-        key = cells[free_slot]
-        bucket = self._buckets.get(key)
-        if bucket is None:
-            bucket = self._buckets[key] = []
-            row, col = src_rows[i], dst_cols[j]
-            self._rows.setdefault(row, set()).add(col)
-            self._cols.setdefault(col, set()).add(row)
-        bucket.append(entry)
         self._entry_count += 1
         if ts is not None:
             if self.start_time is None or ts < self.start_time:

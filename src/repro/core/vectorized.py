@@ -1,11 +1,10 @@
 """Array (numpy) forms of the scalar hot-path kernels.
 
 Every function in this module reproduces a scalar kernel from
-:mod:`repro.core.hashing` / :mod:`repro.core.matrix` /
-:mod:`repro.core.aggregation` **bit-identically** over whole arrays: the
-same FNV-1a/splitmix64 constants, the same modular probe arithmetic, the
-same per-level lift clamping.  The batch paths (batch ingest, Algorithm 2
-aggregation, ``query_batch`` endpoint hashing) run on these; the scalar
+:mod:`repro.core.hashing` / :mod:`repro.core.matrix` **bit-identically**
+over whole arrays: the same FNV-1a/splitmix64 constants, the same modular
+probe arithmetic.  The batch paths (batch ingest, Algorithm 2 aggregation,
+``query_batch`` endpoint hashing) run on these; the scalar
 kernels serve the per-item paths (``Higgs.insert``, point queries,
 deletion) and are the reference the property tests compare against.
 
@@ -23,7 +22,6 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .config import HiggsConfig
 from .hashing import hash64
 
 _FNV_OFFSET = 0xCBF29CE484222325
@@ -144,28 +142,6 @@ def probe_rows_array(fingerprints: "np.ndarray", addresses: "np.ndarray",
     return (addresses[:, None] + probes[None, :] * steps[:, None]) % size
 
 
-def lift_array(fingerprints: "np.ndarray", addresses: "np.ndarray",
-               from_level: int, to_level: int,
-               config: HiggsConfig) -> Tuple["np.ndarray", "np.ndarray"]:
-    """Vectorized :func:`~repro.core.aggregation.lift_coordinates`.
-
-    Applies the per-level clamped bit shift to whole coordinate arrays; the
-    loop runs over tree levels (a handful), not entries.
-    """
-    lifted_fps = fingerprints.astype(np.int64, copy=True)
-    lifted_addrs = addresses.astype(np.int64, copy=True)
-    for level in range(from_level, to_level):
-        available_bits = config.fingerprint_bits_at(level)
-        shift = min(config.shift_bits, available_bits)
-        if shift <= 0:
-            continue
-        remaining = available_bits - shift
-        high_bits = lifted_fps >> remaining
-        lifted_fps = lifted_fps & ((1 << remaining) - 1)
-        lifted_addrs = (lifted_addrs << shift) | high_bits
-    return lifted_fps, lifted_addrs
-
-
 def candidate_cells_array(src_rows: "np.ndarray",
                           dst_cols: "np.ndarray", size: int) -> "np.ndarray":
     """Flat candidate-bucket indices per item, in probe-scan order.
@@ -173,23 +149,9 @@ def candidate_cells_array(src_rows: "np.ndarray",
     ``cells[k, i*r + j] = src_rows[k, i] * size + dst_cols[k, j]`` — exactly
     the ``(i, j)``-ordered scan of
     :meth:`~repro.core.matrix.CompressedMatrix.insert_probed`, precomputed
-    for the whole batch so the per-item placement loop only does dict
-    lookups.
+    for the whole batch so the aggregation's placement loop only counts
+    bucket occupancy.
     """
     count = src_rows.shape[0]
     return (src_rows[:, :, None] * size
             + dst_cols[:, None, :]).reshape(count, -1)
-
-
-def group_ids(*columns: "np.ndarray") -> "np.ndarray":
-    """Dense group id per row over parallel int64 key columns.
-
-    Rows with equal key tuples share an id; the aggregation keys its
-    placement memo by it (an ``int`` dict key is cheaper to hash than a
-    tuple of four ints).
-    """
-    stacked = np.column_stack(columns)
-    _, inverse = np.unique(stacked, axis=0, return_inverse=True)
-    # numpy <2.1 returns the inverse with a trailing unit axis for axis-wise
-    # unique; flatten so callers always see one id per row.
-    return inverse.reshape(-1)

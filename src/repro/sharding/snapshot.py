@@ -48,7 +48,8 @@ PARTITION_NAME = "partition.pkl"
 FACTORY_NAME = "factory.pkl"
 
 #: Current snapshot format version; bumped on incompatible layout changes.
-FORMAT_VERSION = 1
+#: Version 2: HIGGS internal nodes pickle exact key maps, not a matrix.
+FORMAT_VERSION = 2
 
 
 def shard_payload_name(shard: int) -> str:

@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 
 from repro import Higgs
 from repro.core.aggregation import (aggregate_internal, aggregate_leaves,
-                                    build_parent_matrix, lift_coordinates)
+                                    lift_coordinates)
 from repro.core.config import HiggsConfig
 from repro.core.hashing import VertexHasher
-from repro.core.node import LeafNode
+from repro.core.matrix import CompressedMatrix
+from repro.core.node import LeafNode, unpack_edge, unpack_vertex
 from repro.streams.edge import StreamEdge
 
 
@@ -140,25 +141,43 @@ class TestAggregateInternal:
         assert level3.t_min == 1
         assert level3.t_max == 151
 
-    def test_build_parent_matrix_dimensions(self, config):
-        assert build_parent_matrix(2, config).size == config.matrix_size_at(2)
-        assert build_parent_matrix(3, config).size == config.matrix_size_at(3)
-        assert not build_parent_matrix(2, config).store_timestamps
+    def test_parent_memory_charges_full_aggregated_matrix(self, config):
+        # Even an empty parent charges its whole d_l x d_l x b matrix at the
+        # timestamp-free entry size, plus its keys and child pointers.
+        level2 = [aggregate_leaves(group, [LeafNode(i, config)
+                                           for i in range(config.fanout)],
+                                   config)
+                  for group in range(config.fanout)]
+        level3 = aggregate_internal(0, level2, config)
+        for node in (level2[0], level3):
+            size = config.matrix_size_at(node.level)
+            assert node.memory_bytes(config) == (
+                size * size * config.bucket_entries
+                * config.internal_entry_bytes(node.level)
+                + len(node.keys) * config.key_bytes
+                + config.fanout * config.pointer_bytes)
 
 
 # --------------------------------------------------------------------- #
 # oracle: aggregation adds no error
 # --------------------------------------------------------------------- #
 
-# One-slot buckets and tiny matrices force parent-level spills into the
+# Small buckets and tiny matrices force parent-level spills into the
 # exact overflow map; one-slot overflow blocks and repeated timestamps
-# force leaf overflow blocks.
+# force leaf overflow blocks.  Two-slot buckets make the order in which a
+# node hands its keys upward differ from placement order.  40-bit
+# fingerprints make a packed edge key too wide for int64.
 _SPILL_CONFIGS = [
     HiggsConfig(leaf_matrix_size=2, bucket_entries=1, fingerprint_bits=6,
                 num_probes=1, overflow_block_entries=1),
     HiggsConfig(leaf_matrix_size=2, bucket_entries=1, fingerprint_bits=8,
                 num_probes=2, overflow_block_entries=1),
+    HiggsConfig(leaf_matrix_size=2, bucket_entries=2, fingerprint_bits=8,
+                num_probes=2, overflow_block_entries=1),
+    HiggsConfig(leaf_matrix_size=2, bucket_entries=1, fingerprint_bits=40,
+                num_probes=2, overflow_block_entries=1),
 ]
+_SPILL_IDS = ["r1", "r2", "r2b2", "wide"]
 
 _streams = st.lists(
     st.tuples(st.integers(0, 15), st.integers(0, 15), st.integers(1, 9),
@@ -168,19 +187,42 @@ _streams = st.lists(
                        for s, d, w, t in sorted(items, key=lambda i: i[3])])
 
 
+def _fixed_stream():
+    """600 items over 13 x 11 vertices, three per timestamp."""
+    return [StreamEdge(f"v{(i * 7) % 13}", f"v{(i * 5) % 11}",
+                       float(i % 4 + 1), i // 3) for i in range(600)]
+
+
+def _node_entries(node):
+    """An internal node's ``(f(s), f(d), h(s), h(d)) → weight`` map at its
+    own level, in the order it hands its keys to its parent."""
+    entries = {}
+    for key, weight in node.weights.items():
+        source, destination = unpack_edge(key, node.vertex_bits)
+        fs, hs = unpack_vertex(source, node.fingerprint_bits)
+        fd, hd = unpack_vertex(destination, node.fingerprint_bits)
+        entries[(fs, fd, hs, hd)] = weight
+    return entries
+
+
+def _matrix_entries(matrix):
+    """``(f(s), f(d), h(s), h(d), weight)`` rows of a matrix, bucket order."""
+    columns = [array.tolist() for array in matrix.canonical_entries_arrays()]
+    return list(zip(*columns, strict=True))
+
+
+def _child_entries(child):
+    """Every ``(key, weight)`` a child hands its parent, in order."""
+    if isinstance(child, LeafNode):
+        return [(tuple(row[:4]), row[4])
+                for matrix in child.matrices()
+                for row in _matrix_entries(matrix)]
+    return list(_node_entries(child).items())
+
+
 def _child_keys(child):
     """Every ``(f(s), f(d), h(s), h(d))`` key a child stores."""
-    if isinstance(child, LeafNode):
-        matrices = child.matrices()
-        keys = set()
-    else:
-        matrices = [child.matrix]
-        keys = set(child.overflow)
-    for matrix in matrices:
-        columns = [array.tolist()
-                   for array in matrix.canonical_entries_arrays()[:4]]
-        keys.update(zip(*columns, strict=True))
-    return keys
+    return {key for key, _ in _child_entries(child)}
 
 
 def _child_edge(child, key):
@@ -224,9 +266,40 @@ def _assert_aggregation_exact(summary):
                                          direction=direction) == \
                     sum(_child_vertex(child, fp, addr, direction)
                         for child in children)
-            spilled += len(node.overflow)
+            spilled += node.spilled
         lower = nodes
     return spilled
+
+
+def _assert_placement_matches_matrix(summary):
+    """Check every internal node against a real aggregated matrix fed its
+    children's lifted entries one at a time, the paper's Algorithm 2."""
+    config = summary.config
+    fanout = config.fanout
+    lower = summary.tree.leaves
+    for level, nodes in enumerate(summary.tree.internal_levels(), start=2):
+        for node in nodes:
+            children = lower[node.index * fanout:(node.index + 1) * fanout]
+            reference = CompressedMatrix(
+                config.matrix_size_at(level), config.bucket_entries,
+                num_probes=config.num_probes, store_timestamps=False)
+            spills = {}
+            for child in children:
+                for (fs, fd, hs, hd), weight in _child_entries(child):
+                    lifted_fs, lifted_hs = lift_coordinates(
+                        fs, hs, level - 1, level, config)
+                    lifted_fd, lifted_hd = lift_coordinates(
+                        fd, hd, level - 1, level, config)
+                    if not reference.insert(lifted_fs, lifted_fd, lifted_hs,
+                                            lifted_hd, weight):
+                        key = (lifted_fs, lifted_fd, lifted_hs, lifted_hd)
+                        spills[key] = spills.get(key, 0.0) + weight
+            entries = list(_node_entries(node).items())
+            assert entries[:node.placed] == [
+                (tuple(row[:4]), row[4])
+                for row in _matrix_entries(reference)]
+            assert entries[node.placed:] == list(spills.items())
+        lower = nodes
 
 
 class TestAggregationAddsNoError:
@@ -234,20 +307,38 @@ class TestAggregationAddsNoError:
     every child vertex's lifted out/in query, with exactly the sum of its
     children's answers (integer weights keep the float sums exact)."""
 
-    @pytest.mark.parametrize("config", _SPILL_CONFIGS, ids=["r1", "r2"])
+    @pytest.mark.parametrize("config", _SPILL_CONFIGS, ids=_SPILL_IDS)
     def test_fixed_stream_spills_and_stays_exact(self, config):
         summary = Higgs(config)
-        summary.insert_batch(
-            [StreamEdge(f"v{(i * 7) % 13}", f"v{(i * 5) % 11}",
-                        float(i % 4 + 1), i // 3) for i in range(600)])
+        summary.insert_batch(_fixed_stream())
         assert summary.height >= 3
         assert any(leaf.overflow_blocks for leaf in summary.tree.leaves)
         assert _assert_aggregation_exact(summary) > 0
 
-    @pytest.mark.parametrize("config", _SPILL_CONFIGS, ids=["r1", "r2"])
+    @pytest.mark.parametrize("config", _SPILL_CONFIGS, ids=_SPILL_IDS)
     @given(edges=_streams)
     @settings(max_examples=40, deadline=None)
     def test_every_internal_node_sums_its_children(self, config, edges):
         summary = Higgs(config)
         summary.insert_batch(edges)
         _assert_aggregation_exact(summary)
+
+
+class TestPlacementMatchesMatrix:
+    """The occupancy-only placement puts exactly the keys a real aggregated
+    matrix accepts into each node's placed part, in the matrix's bucket
+    order, and spills the rest in spill order with the same weights."""
+
+    @pytest.mark.parametrize("config", _SPILL_CONFIGS, ids=_SPILL_IDS)
+    def test_fixed_stream(self, config):
+        summary = Higgs(config)
+        summary.insert_batch(_fixed_stream())
+        _assert_placement_matches_matrix(summary)
+
+    @pytest.mark.parametrize("config", _SPILL_CONFIGS, ids=_SPILL_IDS)
+    @given(edges=_streams)
+    @settings(max_examples=40, deadline=None)
+    def test_random_streams(self, config, edges):
+        summary = Higgs(config)
+        summary.insert_batch(edges)
+        _assert_placement_matches_matrix(summary)

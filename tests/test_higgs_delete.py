@@ -5,7 +5,8 @@ Two behaviours the interface promises but were previously untested:
 * deleting an item that was never inserted leaves the summary untouched
   (byte-identical structure, not merely equal query answers), and
 * deleting after upward aggregation decrements every materialized ancestor
-  aggregate, not only the leaf entry.
+  aggregate, not only the leaf entry: its edge weight and both endpoints'
+  vertex sums.
 """
 
 from __future__ import annotations
@@ -52,27 +53,32 @@ class TestDeleteNeverInserted:
         assert pickle.dumps(summary.tree) == before
 
 
+def _ancestors(summary: Higgs, source: str, destination: str):
+    """``(node, lifted source, lifted destination)`` for every materialized
+    ancestor of leaf 0, bottom-up."""
+    tree = summary.tree
+    src_fp, src_addr = summary._hasher.split(source)
+    dst_fp, dst_addr = summary._hasher.split(destination)
+    ancestors = []
+    level = 2
+    while tree.internal_node(level, 0) is not None:
+        ancestors.append((
+            tree.internal_node(level, 0),
+            lift_coordinates(src_fp, src_addr, 1, level, summary.config),
+            lift_coordinates(dst_fp, dst_addr, 1, level, summary.config)))
+        level += 1
+    return ancestors
+
+
 class TestDeleteAfterAggregation:
     def test_every_materialized_ancestor_decrements(self):
         summary = _loaded(600)
-        tree = summary.tree
-        assert tree.height >= 3, "test needs materialized internal levels"
+        assert summary.tree.height >= 3, \
+            "test needs materialized internal levels"
 
         # Item i=0 lives in leaf 0; its ancestors are index 0 at every level.
         source, destination, weight, timestamp = "s0", "d0", 1.0, 0
-        src_fp, src_addr = summary._hasher.split(source)
-        dst_fp, dst_addr = summary._hasher.split(destination)
-
-        ancestors = []
-        level = 2
-        while tree.internal_node(level, 0) is not None:
-            node = tree.internal_node(level, 0)
-            lifted_src = lift_coordinates(src_fp, src_addr, 1, level,
-                                          summary.config)
-            lifted_dst = lift_coordinates(dst_fp, dst_addr, 1, level,
-                                          summary.config)
-            ancestors.append((node, lifted_src, lifted_dst))
-            level += 1
+        ancestors = _ancestors(summary, source, destination)
         assert len(ancestors) >= 2
 
         before = [node.query_edge(src[0], dst[0], src[1], dst[1])
@@ -82,6 +88,28 @@ class TestDeleteAfterAggregation:
                  for node, src, dst in ancestors]
         for value_before, value_after in zip(before, after, strict=True):
             assert value_after == pytest.approx(value_before - weight)
+
+    def test_deletion_reaches_vertex_sums(self):
+        # The whole-span vertex queries are answered from aggregated nodes;
+        # a delete must lower the source's out-sum and the destination's
+        # in-sum there and in every materialized ancestor.
+        summary = _loaded(600)
+        source, destination, weight, timestamp = "s0", "d0", 1.0, 0
+        ancestors = _ancestors(summary, source, destination)
+        assert len(ancestors) >= 2
+
+        def vertex_sums():
+            sums = [summary.vertex_query(source, 0, 1_000, "out"),
+                    summary.vertex_query(destination, 0, 1_000, "in")]
+            for node, src, dst in ancestors:
+                sums.append(node.query_vertex(*src, direction="out"))
+                sums.append(node.query_vertex(*dst, direction="in"))
+            return sums
+
+        before = vertex_sums()
+        assert all(value >= weight for value in before)
+        summary.delete(source, destination, weight, timestamp)
+        assert vertex_sums() == [value - weight for value in before]
 
     def test_full_range_query_reflects_deletion(self):
         summary = _loaded(600)

@@ -14,6 +14,7 @@ The contract under test (ARCHITECTURE.md, "Elastic sharding & recovery"):
 
 from __future__ import annotations
 
+import json
 import os
 import tempfile
 
@@ -186,6 +187,23 @@ class TestSnapshotFormat:
         with open(manifest, "w", encoding="utf-8") as handle:
             handle.write(text.replace('"items_total"', '"items_Total"', 1))
         with pytest.raises(SnapshotError, match="checksum"):
+            ShardedSummary.restore(path)
+
+    def test_old_format_version_refuses(self, snapshot_dir):
+        # A correctly checksummed manifest from format version 1, whose
+        # HIGGS payloads pickle the old node layout, must not load.
+        _, path = snapshot_dir
+        manifest_path = os.path.join(path, snapshot_format.MANIFEST_NAME)
+        with open(manifest_path, "r", encoding="utf-8") as handle:
+            manifest = json.load(handle)
+        manifest["format_version"] = manifest["body"]["format_version"] = 1
+        manifest["checksum"] = snapshot_format._body_checksum(manifest["body"])
+        with open(manifest_path, "w", encoding="utf-8") as handle:
+            json.dump(manifest, handle)
+        assert snapshot_format.FORMAT_VERSION == 2
+        with pytest.raises(SnapshotError,
+                           match="format version 1; this build reads "
+                                 "version 2"):
             ShardedSummary.restore(path)
 
     def test_verify_checksums_false_skips_payload_hashing(self, snapshot_dir):

@@ -3,7 +3,8 @@
 The array paths — batch ingest, Algorithm 2 aggregation, ``query_batch``
 endpoint hashing, the shared-memory packed batches — are *optimizations*,
 never a semantic change: they must produce byte-for-byte the same summary
-(bucket contents, occupancy maps, leaf time ranges, overflow maps) and the
+(leaf bucket contents, occupancy maps and time ranges; each internal
+node's ordered key map, spilled keys and vertex maps) and the
 same query answers as per-item ``Higgs.insert`` and per-item queries, the
 scalar reference path.  These tests build the same stream both ways and
 compare deep structural digests plus every query type (edge, vertex in/out,
@@ -28,6 +29,7 @@ from repro.core import shm, vectorized
 from repro.core.aggregation import lift_coordinates
 from repro.core.hashing import VertexHasher, hash64
 from repro.core.matrix import CompressedMatrix
+from repro.core.node import pack_vertex, unpack_vertex, vertex_bits
 from repro.queries.types import (EdgeQuery, PathQuery, SubgraphQuery,
                                  VertexQuery)
 from repro.sharding import HiggsShardFactory, ShardedSummary
@@ -69,7 +71,9 @@ def _tree_digest(summary: Higgs):
         ([_matrix_digest(m) for m in leaf.matrices()], leaf.closed)
         for leaf in tree.leaves]
     internal = [
-        [(_matrix_digest(node.matrix), dict(node.overflow))
+        [(list(node.weights.items()), list(node.weights)[node.placed:],
+          node.placed, node.out_weights, node.in_weights, node.keys,
+          node.t_min, node.t_max)
          for node in level]
         for level in tree.internal_levels()]
     return (leaves, internal, summary.stats())
@@ -138,35 +142,28 @@ def test_probe_rows_array_matches_scalar(items):
     matrix = CompressedMatrix(size=16, bucket_entries=2, num_probes=4)
     fingerprints = np.asarray([fp for fp, _ in items], dtype=np.int64)
     addresses = np.asarray([addr for _, addr in items], dtype=np.int64)
-    bulk = matrix.probe_rows_array(fingerprints, addresses)
+    bulk = vectorized.probe_rows_array(fingerprints, addresses,
+                                       matrix.num_probes, matrix.size)
     for row, (fp, addr) in zip(bulk.tolist(), items):
         assert tuple(row) == matrix.probe_rows(fp, addr)
 
 
-@given(fps=st.lists(st.integers(0, 2 ** 19 - 1), min_size=1, max_size=50),
-       from_level=st.integers(1, 3), up=st.integers(1, 3))
+@given(fps=st.lists(st.integers(0, 2 ** 12 - 1), min_size=1, max_size=50),
+       level=st.integers(1, 16))
 @settings(max_examples=40, deadline=None)
-def test_lift_array_matches_lift_coordinates(fps, from_level, up):
+def test_packed_vertex_key_is_lift_invariant(fps, level):
+    # Aggregation passes packed keys up unlifted: a vertex must pack to the
+    # same integer at every layer, even once its fingerprint is exhausted.
     config = _MEDIUM
-    to_level = from_level + up
-    addrs = [fp % config.matrix_size_at(from_level) for fp in fps]
-    lifted_fp, lifted_addr = vectorized.lift_array(
-        np.asarray(fps, dtype=np.int64), np.asarray(addrs, dtype=np.int64),
-        from_level, to_level, config)
-    expected = [lift_coordinates(fp, addr, from_level, to_level, config)
-                for fp, addr in zip(fps, addrs)]
-    assert list(zip(lifted_fp.tolist(), lifted_addr.tolist())) == expected
-
-
-def test_group_ids_first_occurrence_order():
-    gids = vectorized.group_ids(
-        np.asarray([3, 1, 3, 2, 1], dtype=np.int64),
-        np.asarray([0, 0, 0, 0, 0], dtype=np.int64)).tolist()
-    # Equal rows share an id; ids are dense but need not be order of first
-    # occurrence — only the partition matters for the placement memo.
-    assert gids[0] == gids[2]
-    assert gids[1] == gids[4]
-    assert len({gids[0], gids[1], gids[3]}) == 3
+    for fp in fps:
+        addr = fp % config.leaf_matrix_size
+        packed = pack_vertex(fp, addr, config.fingerprint_bits)
+        assert packed < 1 << vertex_bits(config)
+        lifted_fp, lifted_addr = lift_coordinates(fp, addr, 1, level, config)
+        assert pack_vertex(lifted_fp, lifted_addr,
+                           config.fingerprint_bits_at(level)) == packed
+        assert unpack_vertex(packed, config.fingerprint_bits_at(level)) == \
+            (lifted_fp, lifted_addr)
 
 
 # --------------------------------------------------------------------- #
