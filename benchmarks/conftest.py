@@ -1,9 +1,9 @@
 """Shared configuration for the per-figure benchmark harness.
 
 Every benchmark regenerates one table or figure of the paper's evaluation at
-a reduced scale (see DESIGN.md §3), prints the series the figure plots, and
-saves the rows under ``results/``.  ``pytest benchmarks/ --benchmark-only``
-runs the full harness.
+a reduced scale (see "Paper substitutions" in docs/ARCHITECTURE.md), prints
+the series the figure plots, and saves the rows under ``results/``.
+``pytest benchmarks/ --benchmark-only`` runs the full harness.
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ from .methods import DEFAULT_Z_MULTIPLE, METHOD_ORDER, ingest, make_methods
 
 #: Default dataset scale used by the pytest benchmark harness.  0.2 keeps the
 #: full suite under a few minutes in CPython while preserving the relative
-#: dataset sizes (see DESIGN.md §3).
+#: dataset sizes (see "Paper substitutions" in docs/ARCHITECTURE.md).
 DEFAULT_SCALE = 0.2
 
 

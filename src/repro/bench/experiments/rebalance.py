@@ -68,6 +68,11 @@ def _row(**values: object) -> Dict[str, object]:
     return row
 
 
+def _shard_busy(engine) -> List[float]:
+    """Cumulative per-shard busy seconds, from the engine's stats sweep."""
+    return [float(entry["busy_seconds"]) for entry in engine.shard_stats()]
+
+
 def _phase_metrics(engine, edges) -> Dict[str, float]:
     """Ingest ``edges``; return projected-parallel metrics for this phase.
 
@@ -76,13 +81,13 @@ def _phase_metrics(engine, edges) -> Dict[str, float]:
     engine.  ``max_items`` (the slowest shard's edge count) is the
     deterministic load figure the gated recovery ratio is built from.
     """
-    busy_before = engine.shard_busy_seconds()
+    busy_before = _shard_busy(engine)
     items_before = engine.shard_items()
     start = time.perf_counter()
     engine.insert_batch(edges)
     wall = time.perf_counter() - start
     busy = [after - before for after, before
-            in zip(engine.shard_busy_seconds(), busy_before)]
+            in zip(_shard_busy(engine), busy_before)]
     per_shard = [after - before for after, before
                  in zip(engine.shard_items(), items_before)]
     overhead = max(0.0, wall - sum(busy))

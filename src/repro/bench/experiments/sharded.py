@@ -66,7 +66,7 @@ def _measure_engine(stream: GraphStream, shards: int,
         start = time.perf_counter()
         inserted = engine.insert_stream(stream)
         wall = time.perf_counter() - start
-        busy = engine.shard_busy_seconds()
+        busy = [float(entry["busy_seconds"]) for entry in engine.shard_stats()]
         memory = engine.memory_bytes()
         transport = engine.transport_stats()
     finally:

@@ -3,8 +3,9 @@
 The paper configures every baseline following its own publication and sets
 HIGGS's ``d1``/``F1`` so the hash ranges are comparable (Section VI-A).
 Because this reproduction replays streams that are 100-1000× smaller than the
-paper's traces (see DESIGN.md §3), the factory re-derives the structural
-parameters from the stream being summarized:
+paper's traces (see "Paper substitutions" in docs/ARCHITECTURE.md), the
+factory re-derives the structural parameters from the stream being
+summarized:
 
 * **HIGGS** keeps the paper's leaf size ``d1 = 16`` and picks ``F1`` so the
   leaf hash range is a small multiple of the stream size — the same load
@@ -19,8 +20,8 @@ parameters from the stream being summarized:
 
 The resulting ordering (HIGGS most accurate / smallest / fastest, PGSS least
 accurate, compact variants slower and less accurate than their full
-counterparts) reproduces the paper's shape; EXPERIMENTS.md discusses how the
-magnitudes compress at laptop scale.
+counterparts) reproduces the paper's shape; "Paper substitutions" in
+docs/ARCHITECTURE.md notes how the magnitudes compress at laptop scale.
 """
 
 from __future__ import annotations
@@ -147,8 +148,7 @@ def make_sharded_higgs(stream: GraphStream, shards: int, *,
     shards:
         Number of shards.
     executor:
-        Shard executor mode (``"serial"``, ``"thread"``, ``"process"``, or
-        ``"auto"``).
+        Shard executor mode (``"serial"`` or ``"process"``).
     partition_by:
         Partition key mode (``"source"`` or ``"edge"``).
     batch_size:

@@ -2,7 +2,7 @@
 
 Every experiment produces a list of row dictionaries; these helpers render
 them as aligned ASCII tables (the "figure series" the paper plots) and
-persist them under ``results/`` so EXPERIMENTS.md can reference stable
+persist them under ``results/`` so the documentation can reference stable
 artifacts.
 """
 

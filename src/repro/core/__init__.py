@@ -2,9 +2,8 @@
 public :class:`Higgs` summary."""
 
 from .config import HiggsConfig, ServingConfig, ShardingConfig, SnapshotConfig
-from .executor import (InlineShardWorker, ProcessShardWorker, QueueWorker,
-                       ShardResult, ShardWorker, ThreadShardWorker,
-                       make_shard_worker, resolve_executor)
+from .executor import (InlineShardWorker, ProcessShardWorker, ShardResult,
+                       ShardWorker, make_shard_worker)
 from .hashing import VertexHasher, hash64, hash_pair, lift_address, shard_of
 from .matrix import CompressedMatrix, MatrixEntry
 from .node import InternalNode, LeafNode
@@ -12,7 +11,6 @@ from .tree import HiggsTree
 from .boundary import RangeDecomposition, boundary_search, decompose_range
 from .aggregation import aggregate_internal, aggregate_leaves, lift_coordinates
 from .higgs import Higgs
-from .parallel import PipelinedInserter, insert_stream_parallel
 
 __all__ = [
     "HiggsConfig", "ServingConfig", "ShardingConfig", "SnapshotConfig",
@@ -22,8 +20,6 @@ __all__ = [
     "CompressedMatrix", "MatrixEntry", "InternalNode", "LeafNode",
     "HiggsTree", "RangeDecomposition", "boundary_search", "decompose_range",
     "aggregate_internal", "aggregate_leaves", "lift_coordinates",
-    "Higgs", "PipelinedInserter", "insert_stream_parallel",
-    "QueueWorker", "ShardResult", "ShardWorker", "InlineShardWorker",
-    "ThreadShardWorker", "ProcessShardWorker", "make_shard_worker",
-    "resolve_executor",
+    "Higgs", "ShardResult", "ShardWorker", "InlineShardWorker",
+    "ProcessShardWorker", "make_shard_worker",
 ]

@@ -52,7 +52,8 @@ class HiggsConfig:
     hash_seed:
         Seed of the vertex hash function.
     weight_bytes / timestamp_bytes / key_bytes / pointer_bytes:
-        Field widths used by the analytic memory model (DESIGN.md §3.4).
+        Field widths used by the analytic memory model (see "Paper
+        substitutions" in docs/ARCHITECTURE.md).
     """
 
     leaf_matrix_size: int = 16
@@ -119,8 +120,7 @@ class HiggsConfig:
 
 
 #: Executor modes accepted by :class:`ShardingConfig`.
-SHARD_EXECUTORS: Final[Tuple[str, ...]] = ("serial", "thread", "process",
-                                           "auto")
+SHARD_EXECUTORS: Final[Tuple[str, ...]] = ("serial", "process")
 
 #: Partition-key modes accepted by :class:`ShardingConfig`.
 SHARD_PARTITION_MODES: Final[Tuple[str, ...]] = ("source", "edge")
@@ -145,11 +145,9 @@ class ShardingConfig:
         source-vertex skew but forces every vertex query to scatter.
     executor:
         How per-shard work is driven: ``"serial"`` runs shards inline in the
-        calling thread, ``"thread"`` gives each shard a worker thread
-        (bounded by the GIL for pure-Python summaries), ``"process"`` gives
-        each shard a worker process (true parallelism; the shard factory and
-        all arguments must be picklable), and ``"auto"`` picks ``"process"``
-        on multi-core machines and ``"serial"`` otherwise.
+        calling thread, and ``"process"`` gives each shard a worker process
+        (true parallelism; the shard factory and all arguments must be
+        picklable).
     batch_size:
         Per-shard batch size used when a stream is replayed through the
         engine; the engine reads ``num_shards * batch_size`` items per

@@ -1,38 +1,23 @@
-"""Shared worker/executor abstraction for pipelined and sharded execution.
+"""Shard worker abstraction for sharded execution.
 
-Two execution patterns in this codebase need a background worker that owns
-mutable summary state:
-
-* the **pipelined inserter** (:mod:`repro.core.parallel`) streams many small
-  work items through a bounded queue into one consumer thread, and
-* the **sharded summary engine** (:mod:`repro.sharding`) scatters batch-sized
-  method calls across one worker per shard and gathers the results.
-
-This module provides both building blocks:
-
-* :class:`QueueWorker` — a bounded-queue consumer thread with
-  drain-on-failure semantics (the producer can never deadlock on a dead
-  consumer), extracted from the original ``PipelinedInserter`` so every
-  queue-driven pipeline shares one battle-tested lifecycle.
-* :class:`ShardWorker` and its three implementations
-  (:class:`InlineShardWorker`, :class:`ThreadShardWorker`,
-  :class:`ProcessShardWorker`) — a uniform submit/collect protocol for
-  dispatching named method calls to a long-lived target object, inline, on a
-  thread, or in a child process.
+The sharded summary engine (:mod:`repro.sharding`) scatters batch-sized
+method calls across one worker per shard and gathers the results.
+:class:`ShardWorker` and its two implementations
+(:class:`InlineShardWorker`, :class:`ProcessShardWorker`) give it a uniform
+submit/collect protocol for dispatching named method calls to a long-lived
+target object, inline or in a child process.
 
 Every shard worker tracks the cumulative wall-clock time it spent executing
-calls (:meth:`ShardWorker.busy_seconds`), which the benchmark harness uses to
-report per-shard load balance and projected parallel ingest time.
+calls and the number of calls it executed (:meth:`ShardWorker.stats`), which
+the benchmark harness uses to report per-shard load balance and projected
+parallel ingest time.
 """
 
 from __future__ import annotations
 
 import contextlib
 import multiprocessing
-import os
 import pickle
-import queue
-import threading
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -41,15 +26,10 @@ from typing import Any, Callable, List, Optional, Tuple
 from ..errors import ShardingError
 from . import shm
 
-#: Reserved method name: returns the worker's busy-time counter instead of
-#: invoking the target (handled uniformly by every worker implementation).
-BUSY_SECONDS_OP = "__busy_seconds__"
-
 #: Reserved method name: returns the worker's load counters —
-#: ``{"busy_seconds": float, "calls": int}`` — in one round trip.  The
-#: observability layer scrapes this instead of issuing one reserved op per
-#: counter; like :data:`BUSY_SECONDS_OP`, the stats call itself never counts
-#: toward the counters it reports.
+#: ``{"busy_seconds": float, "calls": int}`` — in one round trip instead of
+#: invoking the target (handled uniformly by every worker implementation).
+#: The stats call itself never counts toward the counters it reports.
 STATS_OP = "__stats__"
 
 #: Reserved method name: a no-op barrier.  Because every worker serves its
@@ -75,72 +55,6 @@ LOAD_OP = "__load__"
 #: seconds.  Small enough that a dead child surfaces promptly; large enough
 #: that polling stays invisible next to real shard work.
 _COLLECT_POLL_SECONDS = 0.05
-
-
-class QueueWorker:
-    """A consumer thread draining a bounded queue of work items.
-
-    Parameters
-    ----------
-    handler:
-        Callable invoked once per submitted item.  Exceptions raised by the
-        handler are recorded (the first one is re-raised by :meth:`close`)
-        and flip :attr:`failed`.
-    name:
-        Thread name (useful in stack dumps).
-    maxsize:
-        Bound of the work queue; producers block in :meth:`put` when the
-        consumer falls behind.
-
-    A consumer-side exception must not deadlock the producer: the bounded
-    queue would fill while the dead consumer never drains it, and the
-    producer would block in ``put`` before ever sending the shutdown
-    sentinel.  On error the consumer therefore keeps consuming (and
-    discarding) items until the sentinel arrives, while producers can stop
-    early as soon as they observe :attr:`failed`.
-    """
-
-    def __init__(self, handler: Callable[[Any], None], *, name: str = "queue-worker",
-                 maxsize: int = 4096) -> None:
-        self._handler = handler
-        self._queue: "queue.Queue[Optional[Any]]" = queue.Queue(maxsize=maxsize)
-        self._errors: List[BaseException] = []
-        self._failed = threading.Event()
-        self._thread = threading.Thread(target=self._run, name=name, daemon=True)
-        self._thread.start()
-
-    @property
-    def failed(self) -> bool:
-        """True once the handler has raised; producers should stop early."""
-        return self._failed.is_set()
-
-    def put(self, item: Any) -> None:
-        """Enqueue one work item (blocks when the queue is full)."""
-        self._queue.put(item)
-
-    def close(self) -> None:
-        """Send the shutdown sentinel, join the thread, and re-raise the
-        first handler exception if one occurred."""
-        self._queue.put(None)
-        self._thread.join()
-        if self._errors:
-            raise self._errors[0]
-
-    def _run(self) -> None:
-        while True:
-            item = self._queue.get()
-            if item is None:
-                return
-            try:
-                self._handler(item)
-            except BaseException as exc:  # noqa: BLE001 - re-raised in close()
-                self._errors.append(exc)
-                self._failed.set()
-                # Drain until the sentinel so producers never block on the
-                # bounded queue.
-                while self._queue.get() is not None:
-                    pass
-                return
 
 
 @dataclass(slots=True)
@@ -206,9 +120,9 @@ class ShardWorker(ABC):
     def alive(self) -> bool:
         """Whether the worker's execution vehicle can still serve calls.
 
-        Inline workers are always alive; thread and process workers report
-        the liveness of their thread/child.  A worker that was :meth:`close`\\ d
-        is not alive.  The sharded engine's crash recovery polls this to
+        Inline workers are always alive; process workers report the
+        liveness of their child.  A worker that was :meth:`close`\\ d is not
+        alive.  The sharded engine's crash recovery polls this to
         decide which shards need rebuilding.
         """
         return True
@@ -222,11 +136,6 @@ class ShardWorker(ABC):
     def outstanding(self) -> int:
         """Number of submitted calls whose results are not yet collected."""
         return self._outstanding
-
-    def busy_seconds(self) -> float:
-        """Cumulative wall-clock seconds this worker spent executing calls."""
-        result = self.call(BUSY_SECONDS_OP)
-        return float(result.value) if result.ok else 0.0
 
     def stats(self) -> dict:
         """Load counters of this worker: ``busy_seconds`` and ``calls``.
@@ -244,8 +153,8 @@ class ShardWorker(ABC):
         """Wire-transport counters of this worker.
 
         Non-trivial only for :class:`ProcessShardWorker` (the only worker
-        with a wire); inline and thread workers pass arguments by reference
-        and report zeros, so pool-wide sweeps need no type dispatch.
+        with a wire); inline workers pass arguments by reference and report
+        zeros, so pool-wide sweeps need no type dispatch.
         """
         return {"packed_batches": 0, "packed_bytes": 0,
                 "fallback_batches": 0, "live_regions": 0}
@@ -282,8 +191,6 @@ def _apply_reserved(holder: Any, method: str, args: Tuple,
     projections and load dashboards of real shard work, and
     snapshot/migration/metrics traffic would distort them.
     """
-    if method == BUSY_SECONDS_OP:
-        return ShardResult(True, busy[0])
     if method == STATS_OP:
         return ShardResult(True, {"busy_seconds": busy[0],
                                   "calls": busy[1]})
@@ -352,90 +259,6 @@ class InlineShardWorker(ShardWorker):
 
     def close(self) -> None:
         self._pending.clear()
-
-
-class ThreadShardWorker(ShardWorker):
-    """Executes calls on a dedicated worker thread.
-
-    Keeps the scatter/gather structure truly concurrent for targets that
-    release the GIL (or on free-threaded interpreters); for pure-Python
-    targets it mainly provides the same isolation semantics as the process
-    worker without pickling.  The target object is constructed in the caller
-    thread and remains directly accessible as :attr:`target`; all method
-    execution happens on the worker thread, keeping per-shard mutation
-    single-threaded.
-    """
-
-    def __init__(self, factory: Callable[[], Any], *, name: str = "shard") -> None:
-        self.target = factory()
-        self.name = name
-        self._busy = [0.0, 0]
-        self._results: "queue.Queue[ShardResult]" = queue.Queue()
-        self._tasks: "queue.Queue[Optional[Tuple[str, Tuple, Optional[dict]]]]" = \
-            queue.Queue()
-        #: Results owed by calls a timed-out collect abandoned.  The worker
-        #: still delivers them eventually; collect discards exactly this many
-        #: before returning a live result, keeping the FIFO submit/collect
-        #: pairing intact after a timeout.
-        self._stale = 0  # guarded-by: owner=collect
-        self._outstanding = 0  # guarded-by: owner=submit,collect
-        self._thread = threading.Thread(target=self._run, name=name, daemon=True)
-        self._thread.start()
-        self._closed = False
-
-    def _run(self) -> None:
-        while True:
-            task = self._tasks.get()
-            if task is None:
-                return
-            method, args, kwargs = task
-            reserved = _apply_reserved(self, method, args, self._busy)
-            if reserved is not None:
-                self._results.put(reserved)
-                continue
-            try:
-                value = _timed_invoke(self.target, method, args, kwargs, self._busy)
-                self._results.put(ShardResult(True, value))
-            except BaseException as exc:  # noqa: BLE001 - reported via ShardResult
-                self._results.put(ShardResult(False, None, exc))
-
-    def submit(self, method: str, args: Tuple = (), kwargs: Optional[dict] = None) -> None:
-        if self._closed:
-            raise ShardingError("submit on a closed shard worker")
-        self._tasks.put((method, args, kwargs))
-        self._outstanding += 1
-
-    def collect(self, timeout: Optional[float] = None) -> ShardResult:
-        self._outstanding = max(0, self._outstanding - 1)
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
-            if deadline is None:
-                result = self._results.get()
-            else:
-                try:
-                    result = self._results.get(
-                        timeout=max(0.0, deadline - time.monotonic()))
-                except queue.Empty:
-                    # Abandon the call but remember that its result is still
-                    # coming, so the pairing of later collects stays correct.
-                    self._stale += 1
-                    return ShardResult(False, None, ShardingError(
-                        f"timed out after {timeout:.3f}s waiting for shard "
-                        f"worker {self.name!r}"))
-            if self._stale:
-                self._stale -= 1
-                continue
-            return result
-
-    def alive(self) -> bool:
-        """Whether the worker thread is still serving tasks."""
-        return not self._closed and self._thread.is_alive()
-
-    def close(self) -> None:
-        if not self._closed:
-            self._closed = True
-            self._tasks.put(None)
-            self._thread.join()
 
 
 class _TargetHolder:
@@ -508,7 +331,7 @@ class ProcessShardWorker(ShardWorker):
     The factory and every call's arguments and return value must be
     picklable.  The target lives exclusively in the child, so
     :attr:`target` is ``None`` here; engines that need direct access to
-    shard summaries must use the serial or thread executor.
+    shard summaries must use the serial executor.
 
     Raises
     ------
@@ -535,9 +358,10 @@ class ProcessShardWorker(ShardWorker):
         #: submission order preserves the submit/collect pairing even when
         #: the child dies mid-scatter.
         self._submit_markers: List[str] = []  # guarded-by: owner=submit,collect
-        #: Results owed by calls a timed-out collect abandoned (see
-        #: :class:`ThreadShardWorker`); discarded as they arrive so later
-        #: collects keep pairing with their own calls.
+        #: Results owed by calls a timed-out collect abandoned.  The child
+        #: still delivers them eventually; collect discards exactly this many
+        #: as they arrive, so later collects keep pairing with their own
+        #: calls.
         self._stale = 0  # guarded-by: owner=collect
         self._outstanding = 0  # guarded-by: owner=submit,collect
         #: Shared-memory ring for packed edge batches, created lazily on the
@@ -729,36 +553,17 @@ class ProcessShardWorker(ShardWorker):
         self._destroy_transport()
 
 
-def resolve_executor(mode: str) -> str:
-    """Resolve the ``"auto"`` executor mode against the current machine.
-
-    ``"auto"`` picks ``"process"`` when more than one CPU is available to
-    this process and ``"serial"`` otherwise (worker processes only add IPC
-    overhead on a single core).  Explicit modes pass through unchanged.
-    """
-    if mode != "auto":
-        return mode
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        cpus = os.cpu_count() or 1
-    return "process" if cpus > 1 else "serial"
-
-
 def make_shard_worker(mode: str, factory: Callable[[], Any], *,
                       name: str = "shard") -> ShardWorker:
-    """Build one :class:`ShardWorker` for the resolved executor ``mode``.
+    """Build one :class:`ShardWorker` for executor ``mode``.
 
     Raises
     ------
     ShardingError
         If ``mode`` is not a known executor mode.
     """
-    mode = resolve_executor(mode)
     if mode == "serial":
         return InlineShardWorker(factory, name=name)
-    if mode == "thread":
-        return ThreadShardWorker(factory, name=name)
     if mode == "process":
         return ProcessShardWorker(factory, name=name)
     raise ShardingError(f"unknown shard executor mode {mode!r}")

@@ -7,8 +7,7 @@ across ``N`` hash-partitioned shards:
   of the partition key (source vertex, or the whole edge),
 * :class:`ShardedSummary` is the engine: it routes inserts and deletes to
   owning shards, drives per-shard ingestion through each summary's native
-  ``insert_batch`` fast path (serially, on worker threads, or on worker
-  processes), and answers edge / vertex / path / subgraph queries by
+  ``insert_batch`` fast path (serially or on worker processes), and answers edge / vertex / path / subgraph queries by
   scatter-gather with an exact sum-merge,
 * :class:`HiggsShardFactory` is the picklable default factory building one
   HIGGS summary per shard,
@@ -19,9 +18,8 @@ across ``N`` hash-partitioned shards:
   and live shards, and :meth:`ShardedSummary.recover_dead_shards` rebuilds
   crashed workers from the last snapshot with a bounded loss.
 
-The worker machinery (inline / thread / process execution with a uniform
-submit-collect protocol) lives in :mod:`repro.core.executor` and is shared
-with the pipelined inserter.
+The worker machinery (inline or process execution with a uniform
+submit-collect protocol) lives in :mod:`repro.core.executor`.
 """
 
 from ..core.config import SnapshotConfig

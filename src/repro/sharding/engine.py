@@ -43,7 +43,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 from ..core.config import (SHARD_EXECUTORS, HiggsConfig, ShardingConfig,
                            SnapshotConfig)
 from ..core.executor import (LOAD_OP, SERIALIZE_OP, ShardResult, ShardWorker,
-                             make_shard_worker, resolve_executor)
+                             make_shard_worker)
 from ..core.higgs import Higgs
 from ..errors import QueryError, ShardingError, SnapshotError
 from ..observability import MetricsRegistry
@@ -91,7 +91,7 @@ class RebalancePlan:
     migrate:
         Shard index → executor mode: each named shard's live summary is
         serialized and moved onto a fresh worker of that mode (e.g. promote
-        a hot shard from ``"thread"`` to ``"process"``).
+        a hot shard from ``"serial"`` to ``"process"``).
 
     Both mappings may be empty; :meth:`ShardedSummary.rebalance` validates
     every entry before touching any state.
@@ -163,7 +163,7 @@ class ShardedSummary(TemporalGraphSummary):
         ``"source"`` (default) or ``"edge"`` — see
         :class:`~repro.sharding.partition.ShardPartitioner`.
     executor:
-        ``"serial"``, ``"thread"``, ``"process"``, or ``"auto"`` — see
+        ``"serial"`` or ``"process"`` — see
         :class:`~repro.core.config.ShardingConfig`.
     batch_size:
         Per-shard batch size used by :meth:`insert_stream`.
@@ -216,7 +216,7 @@ class ShardedSummary(TemporalGraphSummary):
             executor=executor if executor is not None else base.executor,
             batch_size=batch_size if batch_size is not None else base.batch_size,
             hash_seed=base.hash_seed)
-        self.executor_mode = resolve_executor(self.config.executor)
+        self.executor_mode = self.config.executor
         self.factory = factory if factory is not None else HiggsShardFactory()
         self._partitioner = ShardPartitioner(self.config.num_shards,
                                              partition_by=self.config.partition_by,
@@ -250,10 +250,10 @@ class ShardedSummary(TemporalGraphSummary):
         engine's acknowledged counts (a plain list read — no worker round
         trip), so scraping never touches the submit/collect protocol.  The
         busy-seconds and call-count gauges *do* need a worker round trip and
-        are therefore only refreshed by explicit calls
-        (:meth:`shard_busy_seconds` / :meth:`shard_stats`) — never from a
-        render-time callback, which could run concurrently with scheduler
-        traffic and mispair the workers' FIFO submit/collect ordering.
+        are therefore only refreshed by explicit :meth:`shard_stats` calls —
+        never from a render-time callback, which could run concurrently with
+        scheduler traffic and mispair the workers' FIFO submit/collect
+        ordering.
         """
         registry = self._registry
         self._metric_items = registry.gauge(
@@ -266,7 +266,7 @@ class ShardedSummary(TemporalGraphSummary):
         self._metric_busy = registry.gauge(
             "sharding_shard_busy_seconds",
             "Cumulative seconds each shard worker spent executing calls "
-            "(as of the last shard_busy_seconds/shard_stats sweep).",
+            "(as of the last shard_stats sweep).",
             labelnames=("shard",))
         self._metric_calls = registry.gauge(
             "sharding_shard_calls",
@@ -275,8 +275,8 @@ class ShardedSummary(TemporalGraphSummary):
         self._metric_packed = registry.gauge(
             "sharding_transport_packed_batches",
             "Batches shipped to process workers over the shared-memory "
-            "packed-edge transport (parent-side counter; zero for serial "
-            "and thread executors).")
+            "packed-edge transport (parent-side counter; zero for the "
+            "serial executor).")
         self._metric_packed.set_function(
             lambda: float(self.transport_stats()["packed_batches"]))
         self._metric_packed_bytes = registry.gauge(
@@ -437,7 +437,7 @@ class ShardedSummary(TemporalGraphSummary):
 
         The submit-without-collect half of :meth:`insert_batch`: the batch
         is partitioned and each shard's sub-batch is dispatched, but the
-        caller keeps control while shards execute (thread/process executors)
+        caller keeps control while shards execute (process executor)
         and resolves the returned :class:`PendingBatch` when it needs the
         barrier.  Returns ``None`` for an empty batch (nothing submitted,
         nothing to resolve).
@@ -671,27 +671,17 @@ class ShardedSummary(TemporalGraphSummary):
         """Per-shard acknowledged item counts (index = shard index)."""
         return tuple(self._shard_items)
 
-    def shard_busy_seconds(self) -> List[float]:
-        """Cumulative per-shard execution time, in seconds.
-
-        Measured inside each worker around every call it executes; the
-        benchmark harness derives load-imbalance and projected parallel
-        ingest time from these counters.  Each sweep also refreshes the
-        ``sharding_shard_busy_seconds`` gauge.
-        """
-        busy = [worker.busy_seconds() for worker in self._workers]
-        for index, seconds in enumerate(busy):
-            self._metric_busy.set(seconds, shard=str(index))
-        return busy
-
     def shard_stats(self) -> List[Dict[str, float]]:
         """Per-shard load counters: ``busy_seconds`` and ``calls`` each.
 
-        One reserved-op round trip per worker (see
-        :data:`~repro.core.executor.STATS_OP`); a dead worker contributes
-        zeros.  Each sweep refreshes the ``sharding_shard_busy_seconds``
-        and ``sharding_shard_calls`` gauges, so callers that scrape metrics
-        periodically get fresh per-shard load by calling this first.
+        Both are measured inside each worker around every call it executes;
+        the benchmark harness derives load imbalance and projected parallel
+        ingest time from ``busy_seconds``.  One reserved-op round trip per
+        worker (see :data:`~repro.core.executor.STATS_OP`); a dead worker
+        contributes zeros.  Each sweep refreshes the
+        ``sharding_shard_busy_seconds`` and ``sharding_shard_calls`` gauges,
+        so callers that scrape metrics periodically get fresh per-shard load
+        by calling this first.
         """
         stats = [worker.stats() for worker in self._workers]
         for index, entry in enumerate(stats):
@@ -714,8 +704,8 @@ class ShardedSummary(TemporalGraphSummary):
         Summed over each worker's parent-side
         :meth:`~repro.core.executor.ShardWorker.transport_stats` — a plain
         local read, never a worker round trip, so it is safe from
-        collection-time metric callbacks.  All zeros for serial and thread
-        executors, which never pack batches.
+        collection-time metric callbacks.  All zeros for the serial
+        executor, which never packs batches.
         """
         totals = {"packed_batches": 0, "packed_bytes": 0,
                   "fallback_batches": 0, "live_regions": 0}
@@ -738,13 +728,13 @@ class ShardedSummary(TemporalGraphSummary):
         Raises
         ------
         ShardingError
-            In ``"process"`` executor mode, where the summaries live in
-            worker processes and cannot be returned by reference.
+            When any shard runs on a ``"process"`` worker, whose summary
+            lives in the worker process and cannot be returned by reference.
         """
         if any(worker.target is None for worker in self._workers):
             raise ShardingError(
                 "shard summaries live in worker processes; use the 'serial' "
-                "or 'thread' executor for direct access")
+                "executor for direct access")
         return [worker.target for worker in self._workers]
 
     def stats(self) -> Dict[str, object]:
@@ -850,11 +840,18 @@ class ShardedSummary(TemporalGraphSummary):
         ------
         SnapshotError
             On a missing, torn, or corrupt snapshot (the message names the
-            offending file or shard), or when no factory is available.
+            offending file or shard), when no factory is available, or when
+            the recorded executor is not a current mode and no ``executor``
+            override is given.
         """
         policy = snapshot if snapshot is not None else SnapshotConfig()
         body = snapshot_format.read_manifest(
             path, verify=policy.verify_checksums)
+        recorded = body.get("executor")
+        if executor is None and recorded not in SHARD_EXECUTORS:
+            raise SnapshotError(
+                f"snapshot at {path!r} records executor {recorded!r}, "
+                f"which is not one of {SHARD_EXECUTORS}; pass executor=")
         if factory is None:
             factory = snapshot_format.read_factory(
                 path, body, verify=policy.verify_checksums)
@@ -862,12 +859,12 @@ class ShardedSummary(TemporalGraphSummary):
             raise SnapshotError(
                 f"snapshot at {path!r} does not embed its shard factory "
                 f"(it was not picklable when written); pass factory=")
-        # Field types were validated by read_manifest (SnapshotError on a
+        # read_manifest validated the other fields (SnapshotError on a
         # malformed manifest), so no further coercion here.
         config = ShardingConfig(
             num_shards=body["num_shards"],
-            partition_by=str(body["partition_by"]),
-            executor=str(executor if executor is not None else body["executor"]),
+            partition_by=body["partition_by"],
+            executor=executor if executor is not None else recorded,
             batch_size=body["batch_size"],
             hash_seed=body["hash_seed"])
         engine = cls(factory, config=config, snapshot=policy)
@@ -906,7 +903,7 @@ class ShardedSummary(TemporalGraphSummary):
         if body["num_shards"] != self.num_shards:
             mismatches.append(
                 f"num_shards {body['num_shards']} != {self.num_shards}")
-        if str(body["partition_by"]) != self.config.partition_by:
+        if body["partition_by"] != self.config.partition_by:
             mismatches.append(
                 f"partition_by {body['partition_by']!r} != "
                 f"{self.config.partition_by!r}")
@@ -977,13 +974,9 @@ class ShardedSummary(TemporalGraphSummary):
                 f"migration of shard {shard} failed to serialize: "
                 f"{blob.error}") from blob.error
         if worker is None:
-            mode = resolve_executor(
-                executor if executor is not None else self.executor_mode)
-            if mode not in SHARD_EXECUTORS:
-                raise ShardingError(
-                    f"unknown shard executor mode {mode!r}")
-            worker = make_shard_worker(mode, self.factory,
-                                       name=f"shard-{shard}")
+            worker = make_shard_worker(
+                executor if executor is not None else self.executor_mode,
+                self.factory, name=f"shard-{shard}")
         loaded = worker.call(LOAD_OP, blob.value)
         if not loaded.ok:
             # The replacement is the broken side: discard it and keep the
@@ -1135,15 +1128,15 @@ class ShardedSummary(TemporalGraphSummary):
     def close(self) -> None:
         """Shut down all shard workers (idempotent).
 
-        Serial-mode engines hold no external resources, but thread- and
-        process-mode engines should always be closed (or used as context
-        managers) so worker threads and processes exit promptly.
+        Serial-mode engines hold no external resources, but process-mode
+        engines should always be closed (or used as context managers) so
+        worker processes exit promptly.
         """
         workers, self._workers = getattr(self, "_workers", []), []
         for worker in workers:
             # Best-effort shutdown: one worker's close failure must not keep
-            # its siblings' threads/processes alive; workers report call
-            # failures via ShardResult already.
+            # its siblings' processes alive; workers report call failures
+            # via ShardResult already.
             # repro-lint: ok EXC001 — see above
             with contextlib.suppress(Exception):
                 worker.close()

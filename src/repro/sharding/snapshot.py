@@ -35,7 +35,7 @@ import os
 import pickle
 from typing import Any, Callable, Dict, List, Optional
 
-from ..core.config import ShardingConfig
+from ..core.config import SHARD_PARTITION_MODES, ShardingConfig
 from ..errors import SnapshotError
 
 #: Name of the manifest file inside a snapshot directory.
@@ -183,9 +183,13 @@ def read_manifest(directory: str, *, verify: bool = True) -> Dict[str, Any]:
     Raises
     ------
     SnapshotError
-        When the manifest is missing, torn (invalid JSON, missing keys),
-        from an unknown format version, or — with ``verify`` — when the
-        body's checksum does not match (a torn or tampered manifest).
+        When the manifest is missing, torn (invalid JSON, missing keys,
+        malformed integer fields, an unknown ``partition_by``), from an
+        unknown format version, or — with ``verify`` — when the body's
+        checksum does not match (a torn or tampered manifest).  The recorded
+        ``executor`` is not checked here: only
+        :meth:`~repro.sharding.ShardedSummary.restore` uses it, and a caller
+        may override it there.
     """
     path = os.path.join(directory, MANIFEST_NAME)
     try:
@@ -227,6 +231,11 @@ def read_manifest(directory: str, *, verify: bool = True) -> Dict[str, Any]:
             raise SnapshotError(
                 f"snapshot manifest at {path} is torn: {field!r} is "
                 f"{body.get(field)!r}, expected an integer")
+    if body.get("partition_by") not in SHARD_PARTITION_MODES:
+        raise SnapshotError(
+            f"snapshot manifest at {path} is torn: 'partition_by' is "
+            f"{body.get('partition_by')!r}, expected one of "
+            f"{SHARD_PARTITION_MODES}")
     for shard, entry in enumerate(shards):
         items = entry.get("items") if isinstance(entry, dict) else None
         if not isinstance(items, int) or isinstance(items, bool):

@@ -15,7 +15,7 @@ stream replay, so this module generates *synthetic analogues* that preserve
 the qualitative properties the paper's analysis depends on — power-law degree
 skew and bursty arrivals — at a laptop-friendly scale, while keeping the
 relative size ordering (SO > WT > Lkml).  The substitution is documented in
-DESIGN.md §3.
+"Paper substitutions" in docs/ARCHITECTURE.md.
 """
 
 from __future__ import annotations

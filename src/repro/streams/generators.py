@@ -160,8 +160,8 @@ def generate_skewness_suite(num_vertices: int = 2_000, num_edges: int = 20_000,
     """Generate the skewness sweep used by the paper's Fig. 14.
 
     The paper uses 100 K nodes / 5 M edges per dataset; the defaults here are
-    scaled down ~250x so the full sweep runs quickly in pure Python (see the
-    substitution notes in DESIGN.md).
+    scaled down ~250x so the full sweep runs quickly in pure Python (see
+    "Paper substitutions" in docs/ARCHITECTURE.md).
     """
     streams = []
     for i, exponent in enumerate(exponents):

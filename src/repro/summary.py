@@ -248,10 +248,10 @@ class TemporalGraphSummary(ABC):
         int
             The size a space-efficient implementation of the structure
             would occupy, computed from entry counts and the configured
-            field widths (DESIGN.md §3.4) — not the Python object graph's
-            actual size, which would drown the comparison in interpreter
-            overhead.  Deterministic for a given structure state; never
-            raises.
+            field widths ("Paper substitutions" in docs/ARCHITECTURE.md) —
+            not the Python object graph's actual size, which would drown
+            the comparison in interpreter overhead.  Deterministic for a
+            given structure state; never raises.
         """
 
     @staticmethod

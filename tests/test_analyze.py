@@ -908,8 +908,8 @@ class TestPickleSafety:
                 return Payload()
 
         def boot(make_shard_worker):
-            worker = make_shard_worker("thread", BadFactory())
-            clean = make_shard_worker("thread", GoodFactory(4))
+            worker = make_shard_worker("process", BadFactory())
+            clean = make_shard_worker("process", GoodFactory(4))
             return worker, clean
     """}
 
@@ -940,7 +940,7 @@ class TestPickleSafety:
                     return Payload()
 
             def boot(make_shard_worker):
-                return make_shard_worker("thread", GoodFactory(4))
+                return make_shard_worker("process", GoodFactory(4))
         """})
         assert check_pickle_safety(graph) == []
 

@@ -70,16 +70,18 @@ class TestInsertBatchEquivalence:
 
     def test_insert_stream_chunks_through_batches(self, tiny_stream):
         one_chunk = ExactTemporalGraph()
-        many_chunks = ExactTemporalGraph()
         assert one_chunk.insert_stream(tiny_stream) == len(tiny_stream)
-        assert many_chunks.insert_stream(tiny_stream, batch_size=3) == \
-            len(tiny_stream)
         t_min, t_max = tiny_stream.time_span
-        for edge in tiny_stream:
-            assert one_chunk.edge_query(edge.source, edge.destination,
-                                        t_min, t_max) == \
-                many_chunks.edge_query(edge.source, edge.destination,
-                                       t_min, t_max)
+        # batch_size=0 is clamped to one-item batches.
+        for batch_size in (3, 0):
+            many_chunks = ExactTemporalGraph()
+            assert many_chunks.insert_stream(
+                tiny_stream, batch_size=batch_size) == len(tiny_stream)
+            for edge in tiny_stream:
+                assert one_chunk.edge_query(edge.source, edge.destination,
+                                            t_min, t_max) == \
+                    many_chunks.edge_query(edge.source, edge.destination,
+                                           t_min, t_max)
 
     def test_non_temporal_batch_helpers(self):
         items = [(f"s{i % 7}", f"d{i % 5}", float(i % 3 + 1))

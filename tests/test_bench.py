@@ -154,7 +154,7 @@ class TestExperimentSmokeRuns:
         rows = experiments.run_fig20a_parallelization(
             datasets=TINY_DATASETS, scale=TINY_SCALE)
         assert {row["variant"] for row in rows} == {
-            "HIGGS-serial", "HIGGS-batched", "HIGGS-threaded"}
+            "HIGGS-serial", "HIGGS-batched"}
         rows = experiments.run_fig20b_mmb_and_ob(
             datasets=TINY_DATASETS, scale=TINY_SCALE, edge_queries=10)
         assert {row["variant"] for row in rows} == {

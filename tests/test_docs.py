@@ -1,8 +1,9 @@
 """Tier-1 wrapper around the documentation checks in ``tools/check_docs.py``.
 
 Keeps the docs honest from inside the normal test suite: the public API of
-``summary.py`` and the sharding package must stay fully docstring'd, and the
-README's quickstart snippets must execute as written.
+``summary.py`` and the sharding package must stay fully docstring'd, the
+README's quickstart snippets must execute as written, and every document a
+Python file cites by name must exist.
 """
 
 from __future__ import annotations
@@ -42,3 +43,27 @@ class TestReadmeSnippets:
 
     def test_readme_snippets_execute(self):
         assert check_docs.run_readme_snippets() == []
+
+
+def _doc(stem: str) -> str:
+    # Fixture names are assembled so this file itself cites no document.
+    return stem + ".md"
+
+
+class TestDocReferences:
+    def test_every_cited_doc_exists(self):
+        assert check_docs.find_dangling_doc_references() == []
+
+    def test_dangling_reference_is_reported(self, tmp_path):
+        at_root, in_docs, missing = (_doc("ROOTDOC"), _doc("GUIDE"),
+                                     _doc("NOWHERE"))
+        (tmp_path / at_root).write_text("", encoding="utf-8")
+        (tmp_path / "docs").mkdir()
+        (tmp_path / "docs" / in_docs).write_text("", encoding="utf-8")
+        (tmp_path / "src").mkdir()
+        (tmp_path / "src" / "mod.py").write_text(
+            f'"""See {at_root} and docs/{in_docs}."""\n'
+            f"# {missing} is gone; {_doc('lowercase')} is not checked\n",
+            encoding="utf-8")
+        assert check_docs.find_dangling_doc_references(tmp_path) == [
+            f"src/mod.py:2: {missing} does not exist"]

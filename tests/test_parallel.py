@@ -1,4 +1,4 @@
-"""Tests for the pipelined / batched insertion paths and the shard workers."""
+"""Tests for the shard workers: drain barriers, timeouts and worker death."""
 
 from __future__ import annotations
 
@@ -7,123 +7,8 @@ import time
 
 import pytest
 
-from repro import Higgs, HiggsConfig
-from repro.core.executor import (InlineShardWorker, ProcessShardWorker,
-                                 ThreadShardWorker)
-from repro.core.parallel import PipelinedInserter, insert_stream_parallel
-from repro.errors import ConfigurationError, ShardingError
-from repro.streams.edge import StreamEdge
-
-
-def _config() -> HiggsConfig:
-    return HiggsConfig(leaf_matrix_size=8, fingerprint_bits=18)
-
-
-class TestPipelinedInserter:
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(ConfigurationError):
-            PipelinedInserter(Higgs(_config()), mode="warp-drive")
-
-    def test_threaded_mode_survives_failing_stream_iterable(self):
-        """A stream iterable that raises mid-iteration must propagate without
-        leaking the worker thread (the shutdown sentinel is always sent)."""
-        def exploding_stream():
-            yield StreamEdge("a", "b", 1.0, 1)
-            yield StreamEdge("b", "c", 1.0, 2)
-            raise RuntimeError("stream source died")
-
-        summary = Higgs(_config())
-        before = threading.active_count()
-        with pytest.raises(RuntimeError, match="stream source died"):
-            PipelinedInserter(summary, mode="threaded").insert_stream(
-                exploding_stream())
-        assert threading.active_count() == before
-        # The items yielded before the failure were applied.
-        assert summary.tree.items_inserted == 2
-
-    @pytest.mark.parametrize("mode", ["serial", "batched", "threaded"])
-    def test_all_modes_insert_every_item(self, mode, small_stream):
-        summary = Higgs(_config())
-        inserted = PipelinedInserter(summary, mode=mode).insert_stream(small_stream)
-        assert inserted == len(small_stream)
-        assert summary.tree.items_inserted == len(small_stream)
-
-    @pytest.mark.parametrize("mode", ["batched", "threaded"])
-    def test_modes_build_equivalent_structures(self, mode, small_stream, small_truth):
-        serial = Higgs(_config())
-        serial.insert_stream(small_stream)
-        other = Higgs(_config())
-        insert_stream_parallel(other, small_stream, mode=mode)
-
-        assert other.leaf_count == serial.leaf_count
-        assert other.height == serial.height
-        t_min, t_max = small_stream.time_span
-        for source, destination in sorted(small_stream.distinct_edges())[:50]:
-            assert other.edge_query(source, destination, t_min, t_max) == \
-                pytest.approx(serial.edge_query(source, destination, t_min, t_max))
-
-    def test_batched_respects_batch_size(self, small_stream):
-        summary = Higgs(_config())
-        inserter = PipelinedInserter(summary, mode="batched", batch_size=17)
-        assert inserter.insert_stream(small_stream) == len(small_stream)
-
-    def test_batch_size_clamped_to_one(self):
-        inserter = PipelinedInserter(Higgs(_config()), mode="batched", batch_size=0)
-        assert inserter.batch_size == 1
-
-
-class TestThreadedConsumerFailure:
-    """Regression: a consumer-side exception must reach the caller promptly.
-
-    Before the fix, a dead consumer left the bounded work queue full, so the
-    producer blocked forever in ``put`` and never sent the shutdown sentinel
-    — the pipeline deadlocked instead of raising.
-    """
-
-    def _poisoned_summary(self, fail_after: int) -> Higgs:
-        summary = Higgs(_config())
-        original = summary.tree.insert_hashed
-        calls = {"n": 0}
-
-        def poisoned(*args, **kwargs):
-            calls["n"] += 1
-            if calls["n"] > fail_after:
-                raise RuntimeError("poisoned insert_hashed")
-            return original(*args, **kwargs)
-
-        summary.tree.insert_hashed = poisoned
-        return summary
-
-    def test_consumer_exception_propagates_without_hang(self):
-        # A small batch_size gives a small bounded queue (4 * batch_size),
-        # and the stream is far larger, so the pre-fix producer is guaranteed
-        # to block on `put` once the consumer dies.
-        summary = self._poisoned_summary(fail_after=3)
-        inserter = PipelinedInserter(summary, mode="threaded", batch_size=4)
-        stream = [StreamEdge(f"s{i}", f"d{i}", 1.0, i) for i in range(5_000)]
-
-        outcome: dict = {}
-
-        def run() -> None:
-            try:
-                inserter.insert_stream(stream)
-                outcome["result"] = "returned"
-            except RuntimeError as exc:
-                outcome["error"] = exc
-
-        caller = threading.Thread(target=run, daemon=True)
-        caller.start()
-        caller.join(timeout=15.0)
-        assert not caller.is_alive(), "threaded insert deadlocked"
-        assert "error" in outcome
-        assert "poisoned insert_hashed" in str(outcome["error"])
-
-    def test_immediate_consumer_failure_propagates(self):
-        summary = self._poisoned_summary(fail_after=0)
-        inserter = PipelinedInserter(summary, mode="threaded", batch_size=2)
-        stream = [StreamEdge(f"s{i}", f"d{i}", 1.0, i) for i in range(1_000)]
-        with pytest.raises(RuntimeError, match="poisoned"):
-            inserter.insert_stream(stream)
+from repro.core.executor import InlineShardWorker, ProcessShardWorker
+from repro.errors import ShardingError
 
 
 class _SlowTarget:
@@ -196,7 +81,7 @@ class TestProcessWorkerDeath:
 class TestWorkerDrain:
     """The reserved drain op is a FIFO barrier on every worker kind."""
 
-    @pytest.mark.parametrize("worker_cls", [InlineShardWorker, ThreadShardWorker])
+    @pytest.mark.parametrize("worker_cls", [InlineShardWorker])
     def test_drain_waits_for_submitted_work(self, worker_cls):
         events: list = []
 
@@ -232,24 +117,13 @@ class TestCollectTimeoutPairing:
     FIFO submit/collect pairing: the stale result is discarded when it
     arrives, and later collects return their own calls' results."""
 
-    def test_thread_worker_stays_paired_after_timeout(self):
-        worker = ThreadShardWorker(_SlowTarget, name="shard-5")
-        try:
-            worker.submit("nap", (0.4,))
-            timed_out = worker.collect(timeout=0.05)
-            assert not timed_out.ok and "timed out" in str(timed_out.error)
-            # The abandoned nap's "rested" must NOT surface as ping's result.
-            result = worker.call("ping")
-            assert result.ok and result.value == "pong"
-        finally:
-            worker.close()
-
     def test_process_worker_stays_paired_after_timeout(self):
         worker = ProcessShardWorker(_SlowTarget, name="shard-6")
         try:
             worker.submit("nap", (0.4,))
             timed_out = worker.collect(timeout=0.05)
             assert not timed_out.ok and "timed out" in str(timed_out.error)
+            # The abandoned nap's "rested" must NOT surface as ping's result.
             result = worker.call("ping")
             assert result.ok and result.value == "pong"
         finally:
@@ -261,7 +135,7 @@ class TestDrainWithOutstandingCalls:
     collected: it discards their results and returns the barrier op's own
     result, leaving the FIFO pairing clean for subsequent calls."""
 
-    @pytest.mark.parametrize("worker_cls", [InlineShardWorker, ThreadShardWorker])
+    @pytest.mark.parametrize("worker_cls", [InlineShardWorker])
     def test_drain_discards_uncollected_results(self, worker_cls):
         worker = worker_cls(_SlowTarget)
         try:

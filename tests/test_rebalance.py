@@ -54,7 +54,7 @@ def _assert_matches_reference(engine, truth, stream) -> None:
 class TestMigration:
     """migrate_shard moves live state without changing a single answer."""
 
-    @pytest.mark.parametrize("target_mode", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("target_mode", ["serial", "process"])
     def test_migration_preserves_every_answer(self, small_stream, target_mode):
         edges = list(small_stream)
         truth = _reference(edges)
@@ -85,7 +85,10 @@ class TestMigration:
             with pytest.raises(ShardingError, match="out of range"):
                 engine.migrate_shard(7)
             with pytest.raises(ShardingError, match="not both"):
-                engine.migrate_shard(0, engine._workers[0], executor="thread")
+                engine.migrate_shard(0, engine._workers[0], executor="process")
+            with pytest.raises(ShardingError,
+                               match="unknown shard executor mode 'thread'"):
+                engine.migrate_shard(0, executor="thread")
 
     @pytest.mark.faultinject
     def test_failed_migration_keeps_old_worker_serving(self, small_stream):
@@ -131,10 +134,10 @@ class TestRebalance:
         with ShardedSummary(ExactTemporalGraph, shards=2) as engine:
             engine.insert_stream(small_stream)
             items = engine.items_ingested
-            engine.rebalance(RebalancePlan(migrate={0: "thread",
-                                                    1: "thread"}))
+            engine.rebalance(RebalancePlan(migrate={0: "process",
+                                                    1: "process"}))
             assert engine.items_ingested == items
-            assert all(w.__class__.__name__ == "ThreadShardWorker"
+            assert all(w.__class__.__name__ == "ProcessShardWorker"
                        for w in engine._workers)
 
     def test_rebalance_survives_snapshot_round_trip(self, small_stream):
@@ -163,7 +166,7 @@ class TestRebalance:
             with pytest.raises(ShardingError, match="out of range"):
                 engine.rebalance(RebalancePlan(reassign={"v1": 9}))
             with pytest.raises(ShardingError, match="out of range"):
-                engine.rebalance(RebalancePlan(migrate={5: "thread"}))
+                engine.rebalance(RebalancePlan(migrate={5: "process"}))
             with pytest.raises(ShardingError, match="executor"):
                 engine.rebalance(RebalancePlan(migrate={0: "quantum"}))
             assert engine.shard_items() == items  # nothing changed

@@ -196,7 +196,7 @@ class TestServingOverShards:
     @pytest.mark.lockgraph
     def test_sharded_serving_matches_exact(self, tiny_stream, lock_monitor):
         with ShardedSummary(ExactTemporalGraph, shards=3,
-                            executor="thread") as sharded:
+                            executor="process") as sharded:
             with ServingEngine(sharded) as engine:
                 for edge in tiny_stream:
                     engine.submit_write(edge)
@@ -214,7 +214,7 @@ class TestServingOverShards:
     @pytest.mark.lockgraph
     def test_flush_goes_idle(self, lock_monitor):
         with (ShardedSummary(ExactTemporalGraph, shards=2,
-                             executor="thread") as sharded,
+                             executor="process") as sharded,
               ServingEngine(sharded) as engine):
             for i in range(100):
                 engine.submit_write(StreamEdge(f"v{i % 5}", "d", 1.0, i))
@@ -269,7 +269,7 @@ class TestEpochConsistency:
         stop_reading = threading.Event()
 
         with (ShardedSummary(ExactTemporalGraph, shards=3,
-                             executor="thread") as sharded,
+                             executor="process") as sharded,
               ServingEngine(sharded) as engine):
             def reader():
                 while not stop_reading.is_set():
@@ -449,7 +449,7 @@ class TestMaintenanceRounds:
             self, lock_monitor):
         observed = []
         with (ShardedSummary(ExactTemporalGraph, shards=2,
-                             executor="thread") as sharded,
+                             executor="process") as sharded,
               ServingEngine(sharded) as engine):
             for batch in (_edges(30), _edges(30, offset=100)):
                 engine.submit_write(batch)

@@ -6,7 +6,7 @@ import pytest
 
 from repro import (Higgs, HiggsConfig, HiggsShardFactory, ShardedSummary,
                    ShardingConfig, SnapshotConfig)
-from repro.core.executor import make_shard_worker, resolve_executor
+from repro.core.executor import make_shard_worker
 from repro.core.hashing import shard_of
 from repro.errors import ConfigurationError, QueryError, ShardingError
 from repro.queries.types import EdgeQuery, PathQuery, SubgraphQuery, VertexQuery
@@ -78,14 +78,12 @@ class TestShardingConfig:
         {"partition_by": "destination"},
         {"executor": "quantum"},
         {"batch_size": 0},
+        {"executor": "thread"},
+        {"executor": "auto"},
     ])
     def test_invalid_values_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):
             ShardingConfig(**kwargs)
-
-    def test_resolve_executor_passthrough(self):
-        assert resolve_executor("serial") == "serial"
-        assert resolve_executor("auto") in ("serial", "process")
 
 
 class TestSingleShardBitIdentity:
@@ -200,7 +198,7 @@ class TestScatterGather:
 
 class TestExecutors:
     @pytest.mark.lockgraph
-    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("executor", ["serial", "process"])
     def test_executors_agree(self, executor, small_stream, lock_monitor):
         with ShardedSummary(_factory(), shards=3, executor=executor) as sharded:
             sharded.insert_stream(small_stream)
@@ -266,7 +264,7 @@ class TestExecutors:
     def test_busy_seconds_accumulate(self, small_stream):
         sharded = ShardedSummary(_factory(), shards=2)
         sharded.insert_stream(small_stream)
-        busy = sharded.shard_busy_seconds()
+        busy = [entry["busy_seconds"] for entry in sharded.shard_stats()]
         assert len(busy) == 2
         assert all(b >= 0.0 for b in busy)
         assert sum(b > 0.0 for b in busy) >= 1
@@ -390,7 +388,7 @@ class TestAsyncBatchInterleaveGuard:
 
     def _engine(self):
         from repro.baselines.exact import ExactTemporalGraph
-        return ShardedSummary(ExactTemporalGraph, shards=2, executor="thread")
+        return ShardedSummary(ExactTemporalGraph, shards=2, executor="process")
 
     def test_interleaved_operations_rejected_until_resolved(self):
         from repro.errors import ShardingError
@@ -422,7 +420,7 @@ class TestShardingMetrics:
     """The engine's ``sharding_*`` metric families track real shard state."""
 
     def test_items_gauge_tracks_acknowledged_inserts(self):
-        with ShardedSummary(_factory(), shards=3, executor="thread") as sharded:
+        with ShardedSummary(_factory(), shards=3, executor="process") as sharded:
             for i in range(30):
                 sharded.insert(f"s{i % 7}", f"d{i % 5}", 1.0, i)
             items = sharded.metrics.get("sharding_shard_items")
@@ -431,7 +429,7 @@ class TestShardingMetrics:
             assert per_shard == [float(n) for n in sharded.shard_items()]
 
     def test_shard_stats_sweep_refreshes_load_gauges(self):
-        with ShardedSummary(_factory(), shards=2, executor="thread") as sharded:
+        with ShardedSummary(_factory(), shards=2, executor="process") as sharded:
             for i in range(20):
                 sharded.insert(f"s{i}", f"d{i}", 1.0, i)
             stats = sharded.shard_stats()
@@ -446,7 +444,7 @@ class TestShardingMetrics:
 
     def test_migration_and_snapshot_counters(self, tmp_path):
         with ShardedSummary(
-                _factory(), shards=2, executor="thread",
+                _factory(), shards=2, executor="process",
                 snapshot=SnapshotConfig(directory=str(tmp_path))) as sharded:
             sharded.insert("a", "b", 1.0, 5)
             registry = sharded.metrics
@@ -464,7 +462,7 @@ class TestShardingMetrics:
         from repro.serving import ServingEngine
 
         registry = MetricsRegistry()
-        with ShardedSummary(_factory(), shards=2, executor="thread",
+        with ShardedSummary(_factory(), shards=2, executor="process",
                             registry=registry) as sharded, \
                 ServingEngine(sharded, registry=registry) as engine:
             engine.submit_write(StreamEdge("a", "b", 1.0, 5)).result(30)
@@ -477,7 +475,7 @@ class TestShardingMetrics:
 
 class TestWorkerStats:
     def test_worker_stats_round_trip(self):
-        worker = make_shard_worker("thread", _factory(), name="stats-probe")
+        worker = make_shard_worker("process", _factory(), name="stats-probe")
         try:
             assert worker.stats() == {"busy_seconds": 0.0, "calls": 0}
             result = worker.call("insert", "a", "b", 1.0, 5)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import tempfile
 
 import pytest
@@ -206,6 +207,38 @@ class TestSnapshotFormat:
                                  "version 2"):
             ShardedSummary.restore(path)
 
+    @pytest.mark.parametrize("field, value", [
+        ("partition_by", "vertex"), ("partition_by", 7),
+        ("executor", "quantum"), ("executor", None),
+        ("executor", "thread"), ("executor", "auto"),
+    ])
+    def test_unknown_mode_in_manifest_refuses(self, snapshot_dir, field,
+                                              value):
+        # A correctly checksummed manifest naming a partition mode or
+        # executor this build does not know is a bad snapshot, not a bad
+        # engine configuration: SnapshotError, naming the value.
+        engine, path = snapshot_dir
+        message = (f"'partition_by' is {value!r}" if field == "partition_by"
+                   else f"executor {value!r}")
+        manifest_path = os.path.join(path, snapshot_format.MANIFEST_NAME)
+        with open(manifest_path, "r", encoding="utf-8") as handle:
+            manifest = json.load(handle)
+        manifest["body"][field] = value
+        manifest["checksum"] = snapshot_format._body_checksum(manifest["body"])
+        with open(manifest_path, "w", encoding="utf-8") as handle:
+            json.dump(manifest, handle)
+        with pytest.raises(SnapshotError, match=re.escape(message)):
+            ShardedSummary.restore(path)
+        if field == "partition_by":
+            with pytest.raises(SnapshotError, match=re.escape(message)):
+                engine.load_snapshot(path)
+            return
+        # Shard state is executor-agnostic: an explicit executor reads the
+        # snapshot, and load_snapshot ignores the recorded one.
+        with ShardedSummary.restore(path, executor="serial") as restored:
+            assert restored.shard_items() == engine.shard_items()
+        engine.load_snapshot(path)
+
     def test_verify_checksums_false_skips_payload_hashing(self, snapshot_dir):
         """Payload verification can be opted out (trusted local snapshots)."""
         engine, path = snapshot_dir
@@ -300,12 +333,12 @@ class TestExecutorsAndFactories:
             restored.close()
 
     def test_restore_can_override_executor(self, snapshot_dir):
-        """A serial snapshot restores onto worker threads (and vice versa)."""
+        """A serial snapshot restores onto worker processes (and vice versa)."""
         engine, path = snapshot_dir
-        threaded = ShardedSummary.restore(path, executor="thread")
-        assert threaded.executor_mode == "thread"
-        assert threaded.items_ingested == engine.items_ingested
-        threaded.close()
+        processes = ShardedSummary.restore(path, executor="process")
+        assert processes.executor_mode == "process"
+        assert processes.items_ingested == engine.items_ingested
+        processes.close()
 
     def test_restore_without_embedded_factory_needs_one(self, small_stream):
         """A lambda factory cannot be pickled into the snapshot; restore

@@ -62,7 +62,8 @@ _LOCKISH = re.compile(r"(^|_)(lock|mutex|state|cond|condition|sem|semaphore)s?\d
 #: receiver (queue/pipe/socket/condition objects).  Internal callees are
 #: never matched syntactically — their bodies are analyzed instead, which
 #: is exactly what makes ``InlineShardWorker.collect`` (a list pop)
-#: non-blocking while ``ThreadShardWorker.collect`` (``Queue.get``) blocks.
+#: non-blocking while ``ProcessShardWorker.collect`` (pipe ``poll``/``recv``)
+#: blocks.
 _BLOCKING_ATTRS = {"get", "put", "join", "collect", "sleep", "wait", "wait_for",
                    "recv", "recv_bytes", "select", "accept", "connect"}
 
@@ -938,7 +939,7 @@ def _worker_call_methods(graph: CallGraph) -> Set[str]:
     """Qnames of ``submit``/``call`` methods on the worker hierarchy."""
     out: Set[str] = set()
     for cls in graph.classes.values():
-        if "ShardWorker" in cls.name or cls.name == "QueueWorker":
+        if "ShardWorker" in cls.name:
             for name in ("submit", "call"):
                 if name in cls.methods:
                     out.add(cls.methods[name])

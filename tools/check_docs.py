@@ -1,7 +1,7 @@
 #!/usr/bin/env python
-"""Documentation checks: public-API docstrings and README code snippets.
+"""Documentation checks: docstrings, README snippets and doc references.
 
-Two checks, both dependency-free so they run identically in CI and locally:
+Three checks, all dependency-free so they run identically in CI and locally:
 
 * :func:`find_missing_docstrings` walks the AST of the public-interface
   modules (``src/repro/summary.py`` and everything under
@@ -10,6 +10,10 @@ Two checks, both dependency-free so they run identically in CI and locally:
 * :func:`run_readme_snippets` extracts every fenced ``python`` code block
   from ``README.md`` and executes it in a fresh namespace (with ``src`` on
   ``sys.path``), so the quickstart the README promises actually runs as-is.
+* :func:`find_dangling_doc_references` scans every ``.py`` file under
+  ``src/``, ``benchmarks/``, ``tools/``, ``tests/`` and ``examples/`` for
+  uppercase document names such as ``README.md`` and reports each one that
+  exists neither at the repository root nor in ``docs/``.
 
 Run from the repository root::
 
@@ -37,6 +41,12 @@ DOCUMENTED_PATHS = (
     REPO_ROOT / "src" / "repro" / "serving",
     REPO_ROOT / "src" / "repro" / "observability",
 )
+
+#: Directories whose Python files are scanned for cited document names.
+REFERENCING_DIRS = ("src", "benchmarks", "tools", "tests", "examples")
+
+#: An uppercase document name such as ``README.md``.
+_DOC_REFERENCE = re.compile(r"\b[A-Z][A-Z0-9_]*\.md\b")
 
 
 def _is_public(name: str) -> bool:
@@ -117,17 +127,37 @@ def run_readme_snippets(readme: Path = REPO_ROOT / "README.md") -> List[str]:
     return failures
 
 
+def find_dangling_doc_references(root: Path = REPO_ROOT) -> List[str]:
+    """Return ``"file:line: <name> does not exist"`` for every cited
+    uppercase document that is neither at ``root`` nor in ``root/docs``."""
+    problems: List[str] = []
+    for directory in REFERENCING_DIRS:
+        for file in sorted((root / directory).rglob("*.py")):
+            lines = file.read_text(encoding="utf-8").splitlines()
+            for number, line in enumerate(lines, start=1):
+                for name in _DOC_REFERENCE.findall(line):
+                    if not ((root / name).is_file()
+                            or (root / "docs" / name).is_file()):
+                        problems.append(f"{file.relative_to(root)}:{number}: "
+                                        f"{name} does not exist")
+    return problems
+
+
 def main() -> int:
-    """Run both checks and report; returns a process exit code."""
+    """Run every check and report; returns a process exit code."""
     problems = find_missing_docstrings()
     for problem in problems:
         print(f"docstring: {problem}")
     failures = run_readme_snippets()
     for failure in failures:
         print(f"snippet: {failure}")
-    if problems or failures:
+    dangling = find_dangling_doc_references()
+    for reference in dangling:
+        print(f"reference: {reference}")
+    if problems or failures or dangling:
         print(f"FAILED: {len(problems)} docstring problem(s), "
-              f"{len(failures)} snippet failure(s)")
+              f"{len(failures)} snippet failure(s), "
+              f"{len(dangling)} dangling doc reference(s)")
         return 1
     print("docs checks passed")
     return 0
