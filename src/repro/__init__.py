@@ -4,13 +4,14 @@ Summarization" (ICDE 2025).
 The package provides:
 
 * :class:`repro.Higgs` — the paper's hierarchical graph stream summary,
-* the baselines it is evaluated against (TCM, GSS, Auxo, PGSS, Horae,
-  Horae-cpt, AuxoTime, AuxoTime-cpt) under :mod:`repro.baselines`,
+* the baselines it is evaluated against (PGSS, Horae, Horae-cpt, AuxoTime,
+  AuxoTime-cpt, and the Auxo that AuxoTime builds on) under
+  :mod:`repro.baselines`,
 * the sharded scale-out engine (:class:`repro.ShardedSummary`) under
   :mod:`repro.sharding`,
 * the concurrent serving engine (:class:`repro.ServingEngine`) under
   :mod:`repro.serving`,
-* graph stream substrates (synthetic datasets, generators, readers) under
+* graph stream substrates (synthetic datasets and generators) under
   :mod:`repro.streams`,
 * query workloads and accuracy metrics under :mod:`repro.queries` and
   :mod:`repro.metrics`, and

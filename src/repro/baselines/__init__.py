@@ -1,17 +1,14 @@
-"""Baseline summaries and substrates the paper evaluates HIGGS against.
+"""Baseline summaries the paper evaluates HIGGS against.
 
 Temporal-range-query (TRQ) baselines implement the same
 :class:`~repro.summary.TemporalGraphSummary` interface as HIGGS:
 :class:`PGSS`, :class:`Horae`, :class:`HoraeCompact`, :class:`AuxoTime`,
 :class:`AuxoTimeCompact`, plus the loss-less :class:`ExactTemporalGraph`
-ground truth.  The non-temporal substrates they build on — :class:`CountMinSketch`,
-:class:`TCM`, :class:`GSS`, :class:`Auxo` — are exported as well.
+ground truth.  :class:`Auxo`, the non-temporal summary AuxoTime builds on,
+is exported as well.
 """
 
 from .exact import ExactTemporalGraph
-from .countmin import CountMinSketch
-from .tcm import TCM
-from .gss import GSS
 from .auxo import Auxo
 from .pgss import PGSS
 from .horae import Horae, HoraeCompact
@@ -20,7 +17,7 @@ from .dyadic import (compact_levels, dyadic_intervals, interval_bounds,
                      levels_for_span)
 
 __all__ = [
-    "ExactTemporalGraph", "CountMinSketch", "TCM", "GSS", "Auxo",
+    "ExactTemporalGraph", "Auxo",
     "PGSS", "Horae", "HoraeCompact", "AuxoTime", "AuxoTimeCompact",
     "compact_levels", "dyadic_intervals", "interval_bounds", "levels_for_span",
 ]

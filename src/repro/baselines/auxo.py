@@ -35,7 +35,7 @@ class Auxo:
         Fingerprint length at the root level; each deeper level embeds one
         more leading bit into the routing and stores one bit less.
     bucket_entries, num_probes:
-        Matrix bucket parameters (same semantics as GSS / HIGGS leaves).
+        Matrix bucket parameters (same semantics as HIGGS leaves).
     max_levels:
         Safety bound on tree depth.
     """

@@ -1,11 +1,12 @@
 """PGSS — persistent graph stream summarization (WWW'23).
 
-PGSS extends TCM for temporal range queries: every matrix bucket holds an
-array of counters, one per *time granularity* (the dyadic levels of the
-stream's lifetime).  Inserting an edge updates, in every hash matrix, the
-bucket's counter for each granularity at the prefix ``t >> level``; a range
-query decomposes the range into canonical dyadic intervals, reads one counter
-per interval, and returns the minimum over the hash matrices.
+PGSS adds temporal range queries to a count-matrix graph sketch: every
+matrix bucket holds an array of counters, one per *time granularity* (the
+dyadic levels of the stream's lifetime).  Inserting an edge updates, in
+every hash matrix, the bucket's counter for each granularity at the prefix
+``t >> level``; a range query decomposes the range into canonical dyadic
+intervals, reads one counter per interval, and returns the minimum over the
+hash matrices.
 
 PGSS keeps no fingerprints, so distinct edges hashing to the same bucket are
 merged — its queries are fast but comparatively inaccurate, and the
@@ -26,7 +27,7 @@ from .dyadic import dyadic_intervals, levels_for_span
 
 
 class PGSS(TemporalGraphSummary):
-    """Persistent TCM-style sketch with per-granularity counters.
+    """Persistent count-matrix sketch with per-granularity counters.
 
     Parameters
     ----------

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 
 def _format_value(value: object) -> str:
@@ -64,24 +64,3 @@ def save_rows(rows: Sequence[Mapping[str, object]], path: str | Path, *,
                          encoding="utf-8")
     return path
 
-
-def pivot(rows: Sequence[Mapping[str, object]], *, index: str, column: str,
-          value: str) -> List[Dict[str, object]]:
-    """Pivot long-format rows into one row per ``index`` with one column per ``column``.
-
-    This converts e.g. (dataset, method, metric) rows into the per-figure
-    series layout the paper plots (one line per method).
-    """
-    ordered_index: List[object] = []
-    ordered_columns: List[object] = []
-    table: Dict[object, Dict[str, object]] = {}
-    for row in rows:
-        idx = row[index]
-        col = row[column]
-        if idx not in table:
-            table[idx] = {index: idx}
-            ordered_index.append(idx)
-        if col not in ordered_columns:
-            ordered_columns.append(col)
-        table[idx][str(col)] = row[value]
-    return [table[idx] for idx in ordered_index]

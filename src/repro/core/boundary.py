@@ -105,13 +105,6 @@ def boundary_search(tree: HiggsTree, t_start: int, t_end: int) -> RangeDecomposi
     return result
 
 
-def decompose_range(tree: HiggsTree, t_start: int, t_end: int
-                    ) -> Tuple[List[InternalNode], List[LeafNode]]:
-    """Convenience wrapper returning ``(aggregated_nodes, boundary_leaves)``."""
-    decomposition = boundary_search(tree, t_start, t_end)
-    return decomposition.aggregated_nodes, decomposition.boundary_leaves
-
-
 class QueryPlanCache:
     """LRU memo of :func:`boundary_search` results, keyed by query range.
 
@@ -149,10 +142,6 @@ class QueryPlanCache:
         if len(self._plans) > self.maxsize:
             self._plans.popitem(last=False)
         return plan
-
-    def clear(self) -> None:
-        """Drop every cached plan (hit/miss counters are kept)."""
-        self._plans.clear()
 
     def stats(self) -> Dict[str, int]:
         """Hit/miss/size counters for benchmarks and tests."""

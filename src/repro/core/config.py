@@ -195,16 +195,13 @@ class SnapshotConfig:
         snapshot when one exists, empty otherwise — before the failure is
         re-raised to the caller.  The failed operation itself is never
         silently retried; only the engine's subsequent operations benefit.
-    verify_checksums:
-        When ``True`` (default), every payload read during restore is
-        verified against the manifest's SHA-256 before being deserialized;
-        disabling this trades torn-snapshot detection for restore speed and
-        is only intended for trusted, locally produced snapshots.
+
+    Restore and crash recovery always verify the manifest and every payload
+    against their SHA-256 checksums before deserializing anything.
     """
 
     directory: Optional[str] = None
     auto_recover: bool = True
-    verify_checksums: bool = True
 
     def __post_init__(self) -> None:
         if self.directory is not None and not str(self.directory).strip():

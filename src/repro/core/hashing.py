@@ -19,7 +19,7 @@ introducing extra error.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
 from ..errors import ConfigurationError
 
@@ -56,15 +56,6 @@ def hash64(key: object, seed: int = 0) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return (z ^ (z >> 31)) & _MASK64
-
-
-def hash_pair(key: object, salt: int, seed: int = 0) -> int:
-    """Hash a ``(key, salt)`` pair — used by baselines that embed time prefixes."""
-    base = hash64(key, seed)
-    mixed = (base ^ ((salt + 0x9E3779B97F4A7C15) * 0xC2B2AE3D27D4EB4F)) & _MASK64
-    z = mixed
-    z = ((z ^ (z >> 29)) * 0xBF58476D1CE4E5B9) & _MASK64
-    return (z ^ (z >> 32)) & _MASK64
 
 
 def shard_of(key: object, num_shards: int, seed: int = 0) -> int:
@@ -114,11 +105,6 @@ def probe_address(base: int, index: int, fingerprint: int, size: int) -> int:
     ``index == 0`` is the canonical address ``base`` itself.
     """
     return (base + index * probe_step(fingerprint)) % size
-
-
-def recover_base(probed: int, index: int, fingerprint: int, size: int) -> int:
-    """Invert :func:`probe_address`: recover the canonical address."""
-    return (probed - index * probe_step(fingerprint)) % size
 
 
 def lift_address(fingerprint: int, address: int, fingerprint_bits: int,
@@ -174,23 +160,9 @@ class VertexHasher:
         """Return the raw 64-bit hash ``H(v)``."""
         return hash64(vertex, self.seed)
 
-    def fingerprint(self, vertex: object) -> int:
-        """Return ``f(v) = H(v) & (2^F1 - 1)``."""
-        return self.raw(vertex) & ((1 << self.fingerprint_bits) - 1)
-
-    def address(self, vertex: object) -> int:
-        """Return ``h(v) = (H(v) >> F1) % d1``."""
-        return (self.raw(vertex) >> self.fingerprint_bits) % self.matrix_size
-
     def split(self, vertex: object) -> Tuple[int, int]:
         """Return ``(fingerprint, address)`` with a single hash computation."""
         h = self.raw(vertex)
         fingerprint = h & ((1 << self.fingerprint_bits) - 1)
         address = (h >> self.fingerprint_bits) % self.matrix_size
         return fingerprint, address
-
-    def probe_sequence(self, vertex: object, num_probes: int) -> List[int]:
-        """Return the first ``num_probes`` candidate addresses for ``vertex``."""
-        fingerprint, base = self.split(vertex)
-        return [probe_address(base, i, fingerprint, self.matrix_size)
-                for i in range(num_probes)]

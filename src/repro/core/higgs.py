@@ -35,7 +35,7 @@ from ..streams.edge import StreamEdge, Vertex
 from ..summary import TemporalGraphSummary
 from . import vectorized
 from .aggregation import lift_coordinates
-from .boundary import QueryPlanCache, RangeDecomposition, boundary_search
+from .boundary import QueryPlanCache
 from .config import HiggsConfig
 from .hashing import VertexHasher
 from .tree import HiggsTree
@@ -311,15 +311,6 @@ class Higgs(TemporalGraphSummary):
     # ------------------------------------------------------------------ #
     # introspection
     # ------------------------------------------------------------------ #
-
-    def decompose(self, t_start: int, t_end: int) -> RangeDecomposition:
-        """Expose the boundary-search decomposition (useful for analysis/tests).
-
-        Always performs a fresh walk so the reported ``nodes_visited`` is the
-        true per-query cost, independent of the plan cache.
-        """
-        self.check_range(t_start, t_end)
-        return boundary_search(self._tree, t_start, t_end)
 
     @property
     def plan_cache(self) -> QueryPlanCache:

@@ -114,11 +114,6 @@ class CompressedMatrix:
         """Number of occupied entry slots."""
         return self._entry_count
 
-    @property
-    def utilization(self) -> float:
-        """Fraction of the allocated capacity currently occupied."""
-        return self._entry_count / self.capacity if self.capacity else 0.0
-
     def memory_bytes(self) -> int:
         """Analytic memory of the fully allocated matrix (see module docstring)."""
         return self.capacity * self.entry_bytes

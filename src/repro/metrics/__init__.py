@@ -1,13 +1,5 @@
-"""Evaluation metrics: accuracy (AAE / ARE) and timing (throughput / latency)."""
+"""Evaluation metrics: accuracy (AAE / ARE) of a query batch."""
 
-from .accuracy import (AccuracyReport, accuracy_report, average_absolute_error,
-                       average_relative_error)
-from .timing import (ThroughputResult, Timer, average_latency_micros,
-                     measure_latencies, measure_throughput)
+from .accuracy import AccuracyReport, accuracy_report, average_relative_error
 
-__all__ = [
-    "AccuracyReport", "accuracy_report", "average_absolute_error",
-    "average_relative_error",
-    "ThroughputResult", "Timer", "average_latency_micros",
-    "measure_latencies", "measure_throughput",
-]
+__all__ = ["AccuracyReport", "accuracy_report", "average_relative_error"]

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
+from typing import List, Sequence
 
 from ..errors import BenchmarkError
 
@@ -30,20 +30,6 @@ class AccuracyReport:
     exact_fraction: float
     count: int
     underestimates: int
-
-    def is_one_sided(self, tolerance: float = 1e-9) -> bool:
-        """True if no query underestimated the truth (within tolerance)."""
-        return self.underestimates == 0
-
-
-def average_absolute_error(truths: Sequence[float],
-                           estimates: Sequence[float]) -> float:
-    """AAE over paired true values and estimates."""
-    _check_lengths(truths, estimates)
-    if not truths:
-        return 0.0
-    return sum(abs(t - e)
-               for t, e in zip(truths, estimates, strict=True)) / len(truths)
 
 
 def average_relative_error(truths: Sequence[float],

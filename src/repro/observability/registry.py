@@ -222,10 +222,6 @@ class Gauge(_MetricFamily):
             self._functions.pop(key, None)
             self._values[key] = self._values.get(key, 0.0) + amount
 
-    def dec(self, amount: float = 1.0, **labels: str) -> None:
-        """Subtract ``amount`` from the child named by ``labels``."""
-        self.inc(-amount, **labels)
-
     def set_max(self, value: float, **labels: str) -> None:
         """Raise the child to ``value`` if it is currently lower.
 

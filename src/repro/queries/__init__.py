@@ -2,10 +2,10 @@
 
 from .types import EdgeQuery, PathQuery, Query, SubgraphQuery, VertexQuery
 from .workload import QueryWorkloadGenerator, WorkloadConfig
-from .evaluation import EvaluationResult, evaluate_methods, evaluate_queries
+from .evaluation import EvaluationResult, evaluate_queries
 
 __all__ = [
     "EdgeQuery", "PathQuery", "Query", "SubgraphQuery", "VertexQuery",
     "QueryWorkloadGenerator", "WorkloadConfig",
-    "EvaluationResult", "evaluate_methods", "evaluate_queries",
+    "EvaluationResult", "evaluate_queries",
 ]

@@ -69,9 +69,3 @@ def evaluate_queries(summary: TemporalGraphSummary, queries: Sequence[Query],
                             average_latency_micros=average_latency,
                             total_queries=len(queries))
 
-
-def evaluate_methods(summaries: Sequence[TemporalGraphSummary],
-                     queries: Sequence[Query],
-                     truth: ExactTemporalGraph) -> List[EvaluationResult]:
-    """Evaluate the same workload on several summaries (one result per method)."""
-    return [evaluate_queries(summary, queries, truth) for summary in summaries]

@@ -12,15 +12,6 @@ Workloads are generated from the *stream itself* so that a controlled
 fraction of the queried items actually exists (queries over never-seen edges
 have a true value of zero, which makes ARE undefined; the paper's ARE plots
 imply mostly-existing queries).
-
-Batched workloads
------------------
-The throughput experiments drive summaries through the bulk
-``query_batch`` API, so the generator can also emit *batched* workloads:
-:meth:`QueryWorkloadGenerator.batched` chunks any query list, and
-:meth:`QueryWorkloadGenerator.repeated_range_edge_queries` draws the query
-ranges from a small set of distinct ranges — the repeated-range shape of the
-paper's Figs. 10-13 sweeps that query-plan caches exploit.
 """
 
 from __future__ import annotations
@@ -28,7 +19,7 @@ from __future__ import annotations
 import random
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..errors import ConfigurationError
 from ..streams.edge import GraphStream, Vertex
@@ -96,44 +87,6 @@ class QueryWorkloadGenerator:
             queries.append(EdgeQuery(source, destination, t_start, t_end))
         return queries
 
-    @staticmethod
-    def batched(queries: Sequence, batch_size: int) -> List[List]:
-        """Chunk any query list into batches of at most ``batch_size``."""
-        if batch_size < 1:
-            raise ConfigurationError("batch_size must be >= 1")
-        return [list(queries[i:i + batch_size])
-                for i in range(0, len(queries), batch_size)]
-
-    def edge_query_batches(self, count: int, range_length: int,
-                           batch_size: int) -> List[List[EdgeQuery]]:
-        """``count`` edge queries chunked into batches of ``batch_size``."""
-        return self.batched(self.edge_queries(count, range_length), batch_size)
-
-    def vertex_query_batches(self, count: int, range_length: int,
-                             batch_size: int,
-                             direction: str = "out") -> List[List[VertexQuery]]:
-        """``count`` vertex queries chunked into batches of ``batch_size``."""
-        return self.batched(self.vertex_queries(count, range_length,
-                                                direction=direction), batch_size)
-
-    def repeated_range_edge_queries(self, count: int, range_length: int,
-                                    distinct_ranges: int) -> List[EdgeQuery]:
-        """``count`` edge queries whose ranges repeat from a small pool.
-
-        Draws ``distinct_ranges`` random ranges of ``range_length`` units and
-        assigns each query one of them round-robin — the repeated-range
-        workload shape that exercises query-plan caching.
-        """
-        if distinct_ranges < 1:
-            raise ConfigurationError("distinct_ranges must be >= 1")
-        ranges = [self._random_range(range_length) for _ in range(distinct_ranges)]
-        queries = []
-        for i in range(count):
-            source, destination = self._pick_edge()
-            t_start, t_end = ranges[i % distinct_ranges]
-            queries.append(EdgeQuery(source, destination, t_start, t_end))
-        return queries
-
     def vertex_queries(self, count: int, range_length: int,
                        direction: str = "out") -> List[VertexQuery]:
         """``count`` vertex queries with temporal ranges of ``range_length`` units."""
@@ -179,6 +132,12 @@ class QueryWorkloadGenerator:
         """
         if size < 1:
             raise ConfigurationError("subgraph queries need at least one edge")
+        # Every chosen edge is a pair of stream vertices, so a larger size
+        # could never be reached.
+        if size > len(self._vertices) ** 2:
+            raise ConfigurationError(
+                f"subgraph size {size} exceeds the {len(self._vertices) ** 2} "
+                f"vertex pairs of the stream")
         by_source: Dict[Vertex, List[Tuple[Vertex, Vertex]]] = defaultdict(list)
         for edge in self._edges:
             by_source[edge[0]].append(edge)

@@ -833,8 +833,7 @@ class ShardedSummary(TemporalGraphSummary):
         executor:
             Executor-mode override; defaults to the snapshot's mode.
         snapshot:
-            Snapshot / recovery policy of the restored engine; its
-            ``verify_checksums`` also governs this restore.
+            Snapshot / recovery policy of the restored engine.
 
         Raises
         ------
@@ -845,16 +844,14 @@ class ShardedSummary(TemporalGraphSummary):
             override is given.
         """
         policy = snapshot if snapshot is not None else SnapshotConfig()
-        body = snapshot_format.read_manifest(
-            path, verify=policy.verify_checksums)
+        body = snapshot_format.read_manifest(path)
         recorded = body.get("executor")
         if executor is None and recorded not in SHARD_EXECUTORS:
             raise SnapshotError(
                 f"snapshot at {path!r} records executor {recorded!r}, "
                 f"which is not one of {SHARD_EXECUTORS}; pass executor=")
         if factory is None:
-            factory = snapshot_format.read_factory(
-                path, body, verify=policy.verify_checksums)
+            factory = snapshot_format.read_factory(path, body)
         if factory is None:
             raise SnapshotError(
                 f"snapshot at {path!r} does not embed its shard factory "
@@ -875,56 +872,12 @@ class ShardedSummary(TemporalGraphSummary):
             raise
         return engine
 
-    def load_snapshot(self, path: str) -> None:
-        """Replace this engine's state with a snapshot's, in place.
-
-        Unlike :meth:`restore` this keeps the existing workers (and their
-        executor mode) and therefore demands **configuration
-        compatibility**: the snapshot's shard count, partition mode, and
-        hash seed must match this engine's, otherwise every key would
-        silently route to the wrong shard.  Incompatibility raises
-        :class:`~repro.errors.ShardingError` — e.g. loading a 4-shard
-        snapshot into an 8-shard engine (or vice versa) refuses instead of
-        mis-partitioning.
-
-        Raises
-        ------
-        ShardingError
-            On configuration mismatch, an unresolved async batch, or a
-            shard that fails to load.
-        SnapshotError
-            On a missing, torn, or corrupt snapshot.
-        """
-        self._assert_no_pending_async()
-        path = str(path)
-        body = snapshot_format.read_manifest(
-            path, verify=self._snapshot_config.verify_checksums)
-        mismatches = []
-        if body["num_shards"] != self.num_shards:
-            mismatches.append(
-                f"num_shards {body['num_shards']} != {self.num_shards}")
-        if body["partition_by"] != self.config.partition_by:
-            mismatches.append(
-                f"partition_by {body['partition_by']!r} != "
-                f"{self.config.partition_by!r}")
-        if body["hash_seed"] != self.config.hash_seed:
-            mismatches.append(
-                f"hash_seed {body['hash_seed']} != {self.config.hash_seed}")
-        if mismatches:
-            raise ShardingError(
-                f"snapshot at {path!r} is incompatible with this engine: "
-                + "; ".join(mismatches))
-        self.quiesce()
-        self._load_snapshot_payloads(path, body)
-
     def _load_snapshot_payloads(self, path: str, body: Dict[str, Any]) -> None:
         """Load partitioner state and every shard payload from a snapshot."""
-        verify = self._snapshot_config.verify_checksums
-        state = snapshot_format.read_partitioner_state(path, body, verify=verify)
+        state = snapshot_format.read_partitioner_state(path, body)
         calls: Dict[int, Tuple[str, Tuple]] = {
             shard: (LOAD_OP,
-                    (snapshot_format.read_shard_payload(path, body, shard,
-                                                        verify=verify),))
+                    (snapshot_format.read_shard_payload(path, body, shard),))
             for shard in range(self.num_shards)}
         results = self._scatter(calls)
         self._raise_scatter_failure("restore", results)
@@ -1070,9 +1023,7 @@ class ShardedSummary(TemporalGraphSummary):
             return []
         body = None
         if self._last_snapshot_path is not None:
-            body = snapshot_format.read_manifest(
-                self._last_snapshot_path,
-                verify=self._snapshot_config.verify_checksums)
+            body = snapshot_format.read_manifest(self._last_snapshot_path)
         for shard in dead:
             # The worker is already dead; close only reaps its remains.
             # repro-lint: ok EXC001 - reaping must not abort the recovery
@@ -1082,8 +1033,7 @@ class ShardedSummary(TemporalGraphSummary):
                                             name=f"shard-{shard}")
             if body is not None:
                 payload = snapshot_format.read_shard_payload(
-                    self._last_snapshot_path, body, shard,
-                    verify=self._snapshot_config.verify_checksums)
+                    self._last_snapshot_path, body, shard)
                 loaded = replacement.call(LOAD_OP, payload)
                 if not loaded.ok:
                     # Discard the half-built replacement.

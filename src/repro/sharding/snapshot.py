@@ -75,15 +75,14 @@ def _write_payload(directory: str, name: str, data: bytes) -> Dict[str, Any]:
     return {"file": name, "sha256": _sha256(data), "bytes": len(data)}
 
 
-def _read_payload(directory: str, entry: Dict[str, Any], *, what: str,
-                  verify: bool = True) -> bytes:
+def _read_payload(directory: str, entry: Dict[str, Any], *, what: str) -> bytes:
     """Read one payload named by a manifest ``entry`` and verify its hash.
 
     Raises
     ------
     SnapshotError
-        When the file is missing or, with ``verify``, its SHA-256 does not
-        match the manifest; the message names ``what`` (e.g. ``"shard 2"``).
+        When the file is missing or its SHA-256 does not match the
+        manifest; the message names ``what`` (e.g. ``"shard 2"``).
     """
     path = os.path.join(directory, str(entry["file"]))
     try:
@@ -93,7 +92,7 @@ def _read_payload(directory: str, entry: Dict[str, Any], *, what: str,
         raise SnapshotError(
             f"snapshot payload for {what} is missing or unreadable: "
             f"{path} ({exc})") from exc
-    if verify and _sha256(data) != entry["sha256"]:
+    if _sha256(data) != entry["sha256"]:
         raise SnapshotError(
             f"snapshot payload for {what} is corrupt: checksum mismatch on "
             f"{path} (expected {entry['sha256'][:12]}…, "
@@ -177,17 +176,17 @@ def write_snapshot(directory: str, *, config: ShardingConfig,
     return body
 
 
-def read_manifest(directory: str, *, verify: bool = True) -> Dict[str, Any]:
+def read_manifest(directory: str) -> Dict[str, Any]:
     """Read, validate, and return the manifest body of a snapshot.
 
     Raises
     ------
     SnapshotError
         When the manifest is missing, torn (invalid JSON, missing keys,
-        malformed integer fields, an unknown ``partition_by``), from an
-        unknown format version, or — with ``verify`` — when the body's
-        checksum does not match (a torn or tampered manifest).  The recorded
-        ``executor`` is not checked here: only
+        malformed or out-of-range integer fields, an unknown
+        ``partition_by``), from an unknown format version, or when the
+        body's checksum does not match (a torn or tampered manifest).  The
+        recorded ``executor`` is not checked here: only
         :meth:`~repro.sharding.ShardedSummary.restore` uses it, and a caller
         may override it there.
     """
@@ -207,7 +206,7 @@ def read_manifest(directory: str, *, verify: bool = True) -> Dict[str, Any]:
         raise SnapshotError(
             f"snapshot manifest at {path} is torn: missing body/checksum")
     body = manifest["body"]
-    if verify and _body_checksum(body) != manifest["checksum"]:
+    if _body_checksum(body) != manifest["checksum"]:
         raise SnapshotError(
             f"snapshot manifest at {path} is corrupt: body checksum mismatch")
     if body.get("format_version") != FORMAT_VERSION:
@@ -224,13 +223,19 @@ def read_manifest(directory: str, *, verify: bool = True) -> Dict[str, Any]:
     # Schema validation: the engine consumes these fields without further
     # coercion, so a checksummed-but-malformed manifest (hand-edited, or
     # written by a skewed version) must die here as SnapshotError instead
-    # of surfacing as ValueError/TypeError from the engine (ERR002).
+    # of surfacing from the engine as ValueError/TypeError (ERR002) or as
+    # ConfigurationError, or restoring with wrong loss accounting.
     for field in ("num_shards", "batch_size", "hash_seed"):
         if not isinstance(body.get(field), int) or \
                 isinstance(body.get(field), bool):
             raise SnapshotError(
                 f"snapshot manifest at {path} is torn: {field!r} is "
                 f"{body.get(field)!r}, expected an integer")
+    for field in ("num_shards", "batch_size"):
+        if body[field] < 1:
+            raise SnapshotError(
+                f"snapshot manifest at {path} is torn: {field!r} is "
+                f"{body[field]!r}, expected at least 1")
     if body.get("partition_by") not in SHARD_PARTITION_MODES:
         raise SnapshotError(
             f"snapshot manifest at {path} is torn: 'partition_by' is "
@@ -238,16 +243,15 @@ def read_manifest(directory: str, *, verify: bool = True) -> Dict[str, Any]:
             f"{SHARD_PARTITION_MODES}")
     for shard, entry in enumerate(shards):
         items = entry.get("items") if isinstance(entry, dict) else None
-        if not isinstance(items, int) or isinstance(items, bool):
+        if not isinstance(items, int) or isinstance(items, bool) or items < 0:
             raise SnapshotError(
                 f"snapshot manifest at {path} is torn: shard {shard} has "
-                f"items count {items!r}, expected an integer")
+                f"items count {items!r}, expected a non-negative integer")
     return body
 
 
-def read_shard_payload(directory: str, body: Dict[str, Any], shard: int, *,
-                       verify: bool = True) -> bytes:
-    """Read and (optionally) checksum-verify one shard's pickled payload.
+def read_shard_payload(directory: str, body: Dict[str, Any], shard: int) -> bytes:
+    """Read and checksum-verify one shard's pickled payload.
 
     Raises
     ------
@@ -255,11 +259,10 @@ def read_shard_payload(directory: str, body: Dict[str, Any], shard: int, *,
         When the payload is missing or corrupt; the message names the shard.
     """
     return _read_payload(directory, body["shards"][shard],
-                         what=f"shard {shard}", verify=verify)
+                         what=f"shard {shard}")
 
 
-def read_partitioner_state(directory: str, body: Dict[str, Any], *,
-                           verify: bool = True) -> Dict[str, Any]:
+def read_partitioner_state(directory: str, body: Dict[str, Any]) -> Dict[str, Any]:
     """Read the pickled partitioner-state dict of a snapshot.
 
     Raises
@@ -268,7 +271,7 @@ def read_partitioner_state(directory: str, body: Dict[str, Any], *,
         When the file is missing, corrupt, or not a pickled dict.
     """
     blob = _read_payload(directory, body["partition"],
-                         what="the partitioner", verify=verify)
+                         what="the partitioner")
     try:
         state = pickle.loads(blob)
     except Exception as exc:  # noqa: BLE001 - re-typed as SnapshotError
@@ -281,8 +284,7 @@ def read_partitioner_state(directory: str, body: Dict[str, Any], *,
     return state
 
 
-def read_factory(directory: str, body: Dict[str, Any], *,
-                 verify: bool = True) -> Optional[Callable[[], Any]]:
+def read_factory(directory: str, body: Dict[str, Any]) -> Optional[Callable[[], Any]]:
     """Read the pickled shard factory, or ``None`` if none was stored.
 
     Raises
@@ -294,8 +296,7 @@ def read_factory(directory: str, body: Dict[str, Any], *,
     entry = body.get("factory")
     if entry is None:
         return None
-    blob = _read_payload(directory, entry, what="the shard factory",
-                         verify=verify)
+    blob = _read_payload(directory, entry, what="the shard factory")
     try:
         return pickle.loads(blob)
     except Exception as exc:  # noqa: BLE001 - re-typed as SnapshotError

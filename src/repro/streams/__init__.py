@@ -1,23 +1,19 @@
-"""Graph stream substrate: edge model, synthetic generators, dataset analogues,
-file readers, and descriptive statistics."""
+"""Graph stream substrate: edge model, synthetic generators, dataset analogues
+and descriptive statistics."""
 
 from .edge import GraphStream, StreamEdge
 from .generators import (MixedWorkloadSpec, ServingOp, StreamSpec,
                          generate_mixed_workload, generate_stream,
-                         generate_skewness_suite, generate_variance_suite,
                          reskew_to_shards)
 from .datasets import (DATASETS, DATASET_ORDER, DatasetDescriptor,
-                       dataset_names, load_dataset, table2_rows)
-from .readers import read_stream, write_stream, iter_edges_from_text
+                       load_dataset, table2_rows)
 from . import analysis
 
 __all__ = [
     "GraphStream", "StreamEdge",
-    "StreamSpec", "generate_stream", "generate_skewness_suite",
-    "generate_variance_suite", "reskew_to_shards",
+    "StreamSpec", "generate_stream", "reskew_to_shards",
     "MixedWorkloadSpec", "ServingOp", "generate_mixed_workload",
-    "DATASETS", "DATASET_ORDER", "DatasetDescriptor", "dataset_names",
+    "DATASETS", "DATASET_ORDER", "DatasetDescriptor",
     "load_dataset", "table2_rows",
-    "read_stream", "write_stream", "iter_edges_from_text",
     "analysis",
 ]

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -120,18 +120,3 @@ def arrival_variance(stream: GraphStream, *, num_bins: int = 50) -> float:
     counts = np.array([c for _, c in hist], dtype=np.float64)
     return float(counts.var())
 
-
-def summarize(stream: GraphStream) -> Dict[str, object]:
-    """Return a one-row summary of the stream (used by Table II reporting)."""
-    t_min, t_max = stream.time_span
-    stats = degree_stats(stream)
-    return {
-        "name": stream.name,
-        "edges": len(stream),
-        "vertices": len(stream.vertices()),
-        "distinct_edges": len(stream.distinct_edges()),
-        "time_span": t_max - t_min + 1,
-        "max_out_degree": stats.max_degree,
-        "degree_gini": round(stats.gini, 4),
-        "arrival_variance": round(arrival_variance(stream), 2),
-    }

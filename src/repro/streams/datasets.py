@@ -73,11 +73,6 @@ DATASETS: Dict[str, DatasetDescriptor] = {
 DATASET_ORDER: List[str] = ["lkml", "wiki_talk", "stackoverflow"]
 
 
-def dataset_names() -> List[str]:
-    """Return the dataset keys in canonical (paper) order."""
-    return list(DATASET_ORDER)
-
-
 def load_dataset(key: str, *, scale: float = 1.0) -> GraphStream:
     """Generate the synthetic analogue of a paper dataset.
 

@@ -37,14 +37,6 @@ class StreamEdge:
     weight: float
     timestamp: int
 
-    def as_tuple(self) -> EdgeTuple:
-        """Return the item as a plain ``(s, d, w, t)`` tuple."""
-        return (self.source, self.destination, self.weight, self.timestamp)
-
-    def reversed(self) -> "StreamEdge":
-        """Return the same item with source and destination swapped."""
-        return StreamEdge(self.destination, self.source, self.weight, self.timestamp)
-
 
 class GraphStream:
     """An in-memory, ordered sequence of :class:`StreamEdge` items.
@@ -111,15 +103,6 @@ class GraphStream:
     def distinct_edges(self) -> set:
         """Return the set of distinct ``(source, destination)`` pairs."""
         return {(e.source, e.destination) for e in self._edges}
-
-    def slice(self, t_start: int, t_end: int) -> "GraphStream":
-        """Return a new stream restricted to items with ``t_start <= t <= t_end``."""
-        subset = [e for e in self._edges if t_start <= e.timestamp <= t_end]
-        return GraphStream(subset, name=f"{self.name}[{t_start},{t_end}]")
-
-    def total_weight(self) -> float:
-        """Return the sum of all item weights in the stream."""
-        return sum(e.weight for e in self._edges)
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (f"GraphStream(name={self.name!r}, edges={len(self._edges)}, "

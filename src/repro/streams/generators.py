@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
@@ -152,25 +152,6 @@ def generate_stream(spec: StreamSpec) -> GraphStream:
         for i in order
     ]
     return GraphStream(edges, name=spec.name)
-
-
-def generate_skewness_suite(num_vertices: int = 2_000, num_edges: int = 20_000,
-                            exponents: Sequence[float] = (1.5, 1.8, 2.1, 2.4, 2.7, 3.0),
-                            seed: int = 11) -> List[GraphStream]:
-    """Generate the skewness sweep used by the paper's Fig. 14.
-
-    The paper uses 100 K nodes / 5 M edges per dataset; the defaults here are
-    scaled down ~250x so the full sweep runs quickly in pure Python (see
-    "Paper substitutions" in docs/ARCHITECTURE.md).
-    """
-    streams = []
-    for i, exponent in enumerate(exponents):
-        spec = StreamSpec(num_vertices=num_vertices, num_edges=num_edges,
-                          skewness=exponent, time_span=max(1000, num_edges // 2),
-                          arrival_variance=0.0, seed=seed + i,
-                          name=f"skew-{exponent:.1f}")
-        streams.append(generate_stream(spec))
-    return streams
 
 
 def reskew_to_shards(stream: GraphStream, *, num_shards: int,
@@ -431,16 +412,3 @@ def generate_mixed_workload(stream: GraphStream,
             ops.append(ServingOp("write", edges=chunk, arrival_s=arrival))
     return ops
 
-
-def generate_variance_suite(num_vertices: int = 2_000, num_edges: int = 20_000,
-                            variances: Sequence[float] = (600, 800, 1000, 1200, 1400, 1600),
-                            seed: int = 13) -> List[GraphStream]:
-    """Generate the arrival-variance sweep used by the paper's Fig. 15."""
-    streams = []
-    for i, variance in enumerate(variances):
-        spec = StreamSpec(num_vertices=num_vertices, num_edges=num_edges,
-                          skewness=2.0, time_span=max(1000, num_edges // 2),
-                          arrival_variance=float(variance), seed=seed + i,
-                          name=f"var-{int(variance)}")
-        streams.append(generate_stream(spec))
-    return streams

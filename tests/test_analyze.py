@@ -17,6 +17,7 @@ import pytest
 
 from tools.analyze import REPO_ROOT, analyze_source, main
 from tools.analyze.callgraph import build_package_graph
+from tools.analyze.deadcode import USE_DIRS, find_dead_definitions
 from tools.analyze.driver import (BaselineError, apply_baseline,
                                   emit_baseline, load_baseline,
                                   load_or_build_graph, render_counts)
@@ -470,15 +471,32 @@ class TestDriver:
 
     def test_repo_src_baseline_is_inventoried_rules_only(self):
         """The committed baseline must contain nothing but the HOT001
-        vectorization inventory and the two justified ERR002 entries for
-        runtime-guarded internal metric paths — every other concurrency/
-        error finding gets fixed, not baselined."""
+        vectorization inventory, the two justified ERR002 entries for
+        runtime-guarded internal metric paths, and the DEAD001 keep-list of
+        oracles, observability and planned hooks — every other concurrency/
+        error finding gets fixed, and other dead code deleted, not
+        baselined."""
         entries = load_baseline(REPO_ROOT / "tools" / "analyze" / "baseline.json")
         assert entries, "committed baseline missing"
-        assert {entry["rule"] for entry in entries} == {"HOT001", "ERR002"}
+        assert {entry["rule"] for entry in entries} == {
+            "HOT001", "ERR002", "DEAD001"}
         err002 = [e for e in entries if e["rule"] == "ERR002"]
         assert {e["symbol"] for e in err002} == {
             "ServingEngine.latency_percentiles", "ServingEngine.stats"}
+        dead001 = {e["symbol"] for e in entries if e["rule"] == "DEAD001"}
+        assert dead001 == {
+            "ShardedSummary.shard_summaries", "ShardedSummary.snapshot_items",
+            "HiggsTree.internal_levels", "ShardPartitioner.has_reassignments",
+            "ExactTemporalGraph.item_count", "interval_bounds",
+            "RangeDecomposition.matrices_accessed", "Horae.num_layers",
+            "AuxoTime.num_layers", "PGSS.num_granularities",
+            "Auxo.node_count", "Higgs.plan_cache",
+            "ServingEngine.run_maintenance", "ServingEngine.epoch",
+            "ServingEngine.render_prometheus",
+            "ServingEngine.latency_percentiles",
+            "AdaptiveEpochController.adjustments", "SnapshotEmitter",
+            "SnapshotEmitter.emitted", "SnapshotEmitter.sink_errors",
+            "clear_context_cache"}
 
 
 # --------------------------------------------------------------------- #
@@ -961,7 +979,88 @@ class TestPickleSafety:
 
 
 # --------------------------------------------------------------------- #
-# driver integration: interprocedural rules, cache, --ci, counts
+# DEAD001 — package definition nothing outside tests/ names
+# --------------------------------------------------------------------- #
+
+class TestDeadDefinitions:
+    """DEAD001 over a temporary repository: a package under ``src/pkg``,
+    the directories whose names count as uses, and a ``tests/`` whose
+    names do not."""
+
+    def _dead(self, root: Path, files: dict):
+        for rel, source in files.items():
+            path = root / rel
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(textwrap.dedent(source))
+        findings = find_dead_definitions(root / "src" / "pkg",
+                                         [root / name for name in USE_DIRS])
+        return {finding.symbol for finding in findings}
+
+    def test_definition_named_only_in_tests_is_flagged(self, tmp_path):
+        assert self._dead(tmp_path, {
+            "src/pkg/mod.py": """
+                def helper():
+                    return 1
+
+                def used():
+                    return 2
+            """,
+            "examples/demo.py": """
+                from pkg.mod import used
+
+                print(used())
+            """,
+            "tests/test_mod.py": """
+                from pkg.mod import helper
+
+                assert helper() == 1
+            """}) == {"helper"}
+
+    def test_worker_op_string_is_a_use(self, tmp_path):
+        assert self._dead(tmp_path, {
+            "src/pkg/shard.py": """
+                class Summary:
+                    def merge_counts(self):
+                        return 0
+
+                def fan_out(worker):
+                    return worker.call("merge_counts")
+            """,
+            "tools/drive.py": """
+                from pkg.shard import Summary, fan_out
+
+                fan_out(Summary())
+            """}) == set()
+
+    def test_reexport_alone_is_still_flagged(self, tmp_path):
+        # An import alias, an __all__ entry, a comment and a docstring that
+        # all spell the name are none of them uses.
+        assert self._dead(tmp_path, {
+            "src/pkg/__init__.py": """
+                from .mod import orphan  # orphan
+
+                __all__ = ["orphan"]
+            """,
+            "src/pkg/mod.py": """
+                def orphan():
+                    "orphan"
+                    return 1
+            """}) == {"orphan"}
+
+    def test_self_reference_is_still_flagged(self, tmp_path):
+        assert self._dead(tmp_path, {
+            "src/pkg/mod.py": """
+                def countdown(n):
+                    return countdown(n - 1) if n else 0
+
+                class Node:
+                    def walk(self):
+                        return [Node, self.walk]
+            """}) == {"countdown", "Node", "Node.walk"}
+
+
+# --------------------------------------------------------------------- #
+# driver integration: whole-package rules, cache, --ci, counts
 # --------------------------------------------------------------------- #
 
 CONC004_SEED = {"mod.py": """
@@ -1008,11 +1107,13 @@ PICK001_SEED = {"work.py": """
 class TestDriverInterprocedural:
     def _run_on(self, monkeypatch, tmp_path, files, extra_args=()):
         """Run the full driver CLI over a seeded mini package, with the
-        interprocedural package root pointed at it (as CI does for
-        ``src/repro``); no baseline so seeds surface directly."""
+        whole-package rules pointed at it (as CI does for ``src/repro``)
+        and no use roots beyond the package itself; no baseline so seeds
+        surface directly."""
         import tools.analyze.driver as driver
         pkg = make_package(tmp_path, files)
         monkeypatch.setattr(driver, "PACKAGE_ROOT", pkg)
+        monkeypatch.setattr(driver, "USE_ROOTS", ())
         return main([str(pkg), "--no-baseline", *extra_args])
 
     def test_seeded_conc004_fails_the_build(self, monkeypatch, tmp_path,
@@ -1030,10 +1131,20 @@ class TestDriverInterprocedural:
         assert self._run_on(monkeypatch, tmp_path, PICK001_SEED) == 1
         assert "PICK001" in capsys.readouterr().out
 
+    def test_seeded_dead001_fails_the_build(self, monkeypatch, tmp_path,
+                                            capsys):
+        assert self._run_on(monkeypatch, tmp_path, {"mod.py": """
+            def fine():
+                return 1
+        """}) == 1
+        assert "DEAD001 [fine]" in capsys.readouterr().out
+
     def test_clean_package_passes(self, monkeypatch, tmp_path):
         assert self._run_on(monkeypatch, tmp_path, {"mod.py": """
             def fine():
                 return 1
+
+            ANSWER = fine()
         """}) == 0
 
     def test_no_interprocedural_flag_skips_the_rules(self, monkeypatch,
@@ -1045,7 +1156,8 @@ class TestDriverInterprocedural:
             self, monkeypatch, tmp_path):
         files = {"mod.py": CONC004_SEED["mod.py"].replace(
             "return self._drain()",
-            "return self._drain()  # repro-lint: ok CONC004 - bounded")}
+            "return self._drain()  # repro-lint: ok CONC004 - bounded"),
+            "app.py": "from .mod import Engine\n\nEngine().bad()\n"}
         assert self._run_on(monkeypatch, tmp_path, files) == 0
 
     def test_ci_promotes_stale_baseline_to_exit_2(self, tmp_path, capsys):
@@ -1081,7 +1193,8 @@ class TestDriverInterprocedural:
 
     def test_render_counts_table_covers_every_rule(self, tmp_path):
         table = render_counts([], [], [])
-        for rule in ("CONC001", "CONC004", "ERR002", "PICK001", "HOT001"):
+        for rule in ("CONC001", "CONC004", "ERR002", "PICK001", "HOT001",
+                     "DEAD001"):
             assert rule in table
 
     def test_run_interprocedural_sorts_like_the_driver(self, tmp_path):

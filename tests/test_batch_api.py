@@ -14,9 +14,7 @@ from repro import Higgs, HiggsConfig
 from repro.baselines import (AuxoTime, AuxoTimeCompact, Horae, HoraeCompact,
                              PGSS)
 from repro.baselines.auxo import Auxo
-from repro.baselines.countmin import CountMinSketch
 from repro.baselines.exact import ExactTemporalGraph
-from repro.baselines.tcm import TCM
 from repro.bench.methods import make_methods
 from repro.errors import InsertionError, ShardingError
 from repro.queries.workload import QueryWorkloadGenerator, WorkloadConfig
@@ -86,24 +84,14 @@ class TestInsertBatchEquivalence:
     def test_non_temporal_batch_helpers(self):
         items = [(f"s{i % 7}", f"d{i % 5}", float(i % 3 + 1))
                  for i in range(200)]
-        for factory in (lambda: TCM(width=16, depth=2),
-                        lambda: Auxo(matrix_size=8, fingerprint_bits=10)):
-            a, b = factory(), factory()
-            for source, destination, weight in items:
-                a.insert(source, destination, weight)
-            assert b.insert_batch(items) == len(items)
-            for source, destination, _w in items[:50]:
-                assert a.edge_query(source, destination) == \
-                    b.edge_query(source, destination)
-
-    def test_countmin_update_batch(self):
-        items = [(f"k{i % 11}", float(i % 4 + 1)) for i in range(100)]
-        a, b = CountMinSketch(64, depth=3), CountMinSketch(64, depth=3)
-        for item, weight in items:
-            a.update(item, weight)
-        assert b.update_batch(items) == len(items)
-        for item, _w in items[:20]:
-            assert a.estimate(item) == b.estimate(item)
+        a = Auxo(matrix_size=8, fingerprint_bits=10)
+        b = Auxo(matrix_size=8, fingerprint_bits=10)
+        for source, destination, weight in items:
+            a.insert(source, destination, weight)
+        assert b.insert_batch(items) == len(items)
+        for source, destination, _w in items[:50]:
+            assert a.edge_query(source, destination) == \
+                b.edge_query(source, destination)
 
 
 class TestQueryBatchEquivalence:
@@ -256,24 +244,3 @@ class TestTimestampRange:
         finally:
             engine.close()
 
-
-class TestBatchedWorkloads:
-    def test_batched_chunks_preserve_order(self, small_stream):
-        generator = QueryWorkloadGenerator(small_stream)
-        queries = generator.edge_queries(25, 100)
-        batches = generator.batched(queries, 10)
-        assert [len(batch) for batch in batches] == [10, 10, 5]
-        assert [q for batch in batches for q in batch] == queries
-
-    def test_edge_query_batches(self, small_stream):
-        generator = QueryWorkloadGenerator(small_stream)
-        batches = generator.edge_query_batches(30, 100, batch_size=8)
-        assert sum(len(batch) for batch in batches) == 30
-
-    def test_repeated_range_edge_queries(self, small_stream):
-        generator = QueryWorkloadGenerator(small_stream)
-        queries = generator.repeated_range_edge_queries(40, 100,
-                                                        distinct_ranges=4)
-        assert len(queries) == 40
-        distinct = {(q.t_start, q.t_end) for q in queries}
-        assert len(distinct) <= 4

@@ -9,7 +9,7 @@ import pytest
 
 from repro.errors import BenchmarkError
 from repro.bench import (METHOD_ORDER, clear_context_cache, format_table,
-                         get_context, make_methods, pivot, save_rows,
+                         get_context, make_methods, save_rows,
                          scaled_higgs_config)
 from repro.bench import experiments
 from repro.streams.datasets import load_dataset
@@ -81,16 +81,6 @@ class TestReporting:
         assert path.exists()
         data = json.loads(path.with_suffix(".json").read_text())
         assert data[0]["method"] == "HIGGS"
-
-    def test_pivot_reshapes_long_rows(self):
-        rows = [
-            {"Lq": 10, "method": "HIGGS", "aae": 0.0},
-            {"Lq": 10, "method": "PGSS", "aae": 2.0},
-            {"Lq": 100, "method": "HIGGS", "aae": 0.1},
-        ]
-        wide = pivot(rows, index="Lq", column="method", value="aae")
-        assert wide[0] == {"Lq": 10, "HIGGS": 0.0, "PGSS": 2.0}
-        assert wide[1]["HIGGS"] == 0.1
 
 
 class TestExperimentSmokeRuns:

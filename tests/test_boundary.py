@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.boundary import boundary_search, decompose_range
+from repro.core.boundary import boundary_search
 from repro.core.config import HiggsConfig
 from repro.core.hashing import VertexHasher
 from repro.core.tree import HiggsTree
@@ -113,12 +113,6 @@ class TestBoundarySearch:
         real_nodes = loaded_tree.leaf_count + sum(
             len(nodes) for nodes in loaded_tree.internal_levels()) + 1
         assert result.nodes_visited <= real_nodes
-
-    def test_decompose_range_wrapper(self, loaded_tree):
-        nodes, leaves = decompose_range(loaded_tree, 0, 599)
-        result = boundary_search(loaded_tree, 0, 599)
-        assert len(nodes) == len(result.aggregated_nodes)
-        assert len(leaves) == len(result.boundary_leaves)
 
     def test_larger_ranges_do_not_explode_matrix_accesses(self, loaded_tree):
         small = boundary_search(loaded_tree, 290, 310)

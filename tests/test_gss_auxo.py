@@ -1,4 +1,4 @@
-"""Tests for the GSS and Auxo non-temporal graph summaries."""
+"""Tests for the Auxo non-temporal graph summary."""
 
 from __future__ import annotations
 
@@ -9,62 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.auxo import Auxo
-from repro.baselines.gss import GSS
 from repro.errors import ConfigurationError
-
-
-class TestGSS:
-    def test_invalid_parameters_rejected(self):
-        with pytest.raises(ConfigurationError):
-            GSS(width=0)
-        with pytest.raises(ConfigurationError):
-            GSS(width=8, fingerprint_bits=0)
-
-    def test_insert_then_query(self):
-        gss = GSS(width=64, fingerprint_bits=12)
-        gss.insert("a", "b", 2.0)
-        gss.insert("a", "b", 3.0)
-        assert gss.edge_query("a", "b") == pytest.approx(5.0)
-        assert gss.edge_query("b", "a") == 0.0
-
-    def test_one_sided_error_over_many_edges(self):
-        gss = GSS(width=32, fingerprint_bits=10, num_probes=2)
-        truth = defaultdict(float)
-        for i in range(500):
-            source, destination = f"s{i % 60}", f"d{i % 37}"
-            gss.insert(source, destination, 1.0)
-            truth[(source, destination)] += 1.0
-        for (source, destination), expected in truth.items():
-            assert gss.edge_query(source, destination) >= expected - 1e-9
-
-    def test_buffer_absorbs_overflow(self):
-        gss = GSS(width=2, fingerprint_bits=8, num_probes=1)
-        for i in range(100):
-            gss.insert(f"s{i}", f"d{i}", 1.0)
-        assert gss.buffer_size > 0
-        # Buffered edges are still answerable.
-        assert gss.edge_query("s50", "d50") >= 1.0
-
-    def test_vertex_query_directions(self):
-        gss = GSS(width=64, fingerprint_bits=12)
-        gss.insert("a", "b", 1.0)
-        gss.insert("a", "c", 2.0)
-        gss.insert("d", "a", 4.0)
-        assert gss.vertex_query("a") >= 3.0
-        assert gss.vertex_query("a", direction="in") >= 4.0
-
-    def test_delete_subtracts(self):
-        gss = GSS(width=64, fingerprint_bits=12)
-        gss.insert("a", "b", 5.0)
-        gss.delete("a", "b", 2.0)
-        assert gss.edge_query("a", "b") == pytest.approx(3.0)
-
-    def test_memory_counts_matrix_and_buffer(self):
-        gss = GSS(width=16, fingerprint_bits=8)
-        empty = gss.memory_bytes()
-        for i in range(300):
-            gss.insert(f"s{i}", f"d{i}", 1.0)
-        assert gss.memory_bytes() >= empty
 
 
 class TestAuxo:
@@ -123,13 +68,10 @@ class TestAuxo:
                           st.integers(1, 4)), min_size=1, max_size=120))
 @settings(max_examples=30, deadline=None)
 def test_property_gss_and_auxo_never_underestimate(items):
-    gss = GSS(width=16, fingerprint_bits=8, num_probes=2)
     auxo = Auxo(matrix_size=8, fingerprint_bits=10, bucket_entries=2, num_probes=1)
     truth = defaultdict(float)
     for source, destination, weight in items:
-        gss.insert(source, destination, float(weight))
         auxo.insert(source, destination, float(weight))
         truth[(source, destination)] += weight
     for (source, destination), expected in truth.items():
-        assert gss.edge_query(source, destination) >= expected - 1e-9
         assert auxo.edge_query(source, destination) >= expected - 1e-9

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.hashing import (VertexHasher, hash64, hash_pair, lift_address,
-                                probe_address, probe_step, recover_base)
+from repro.core.hashing import (VertexHasher, hash64, lift_address,
+                                probe_address, probe_step)
 from repro.errors import ConfigurationError
 
 
@@ -39,14 +39,6 @@ class TestHash64:
         assert hash64(key) == hash64(key)
 
 
-class TestHashPair:
-    def test_salt_changes_value(self):
-        assert hash_pair("v", 1) != hash_pair("v", 2)
-
-    def test_same_inputs_same_value(self):
-        assert hash_pair("v", 7, seed=3) == hash_pair("v", 7, seed=3)
-
-
 class TestProbeSequence:
     def test_probe_zero_is_base(self):
         assert probe_address(5, 0, 13, 16) == 5
@@ -54,16 +46,6 @@ class TestProbeSequence:
     def test_probe_step_is_odd(self):
         for fingerprint in range(20):
             assert probe_step(fingerprint) % 2 == 1
-
-    @given(st.integers(min_value=0, max_value=63),
-           st.integers(min_value=0, max_value=7),
-           st.integers(min_value=0, max_value=1023),
-           st.sampled_from([4, 8, 16, 32, 64]))
-    @settings(max_examples=200)
-    def test_recover_base_inverts_probe(self, base, index, fingerprint, size):
-        base %= size
-        probed = probe_address(base, index, fingerprint, size)
-        assert recover_base(probed, index, fingerprint, size) == base
 
 
 class TestLiftAddress:
@@ -102,15 +84,6 @@ class TestVertexHasher:
         fingerprint, address = hasher.split("alice")
         assert fingerprint == raw & ((1 << 10) - 1)
         assert address == (raw >> 10) % 16
-        assert hasher.fingerprint("alice") == fingerprint
-        assert hasher.address("alice") == address
-
-    def test_probe_sequence_length_and_range(self):
-        hasher = VertexHasher(fingerprint_bits=8, matrix_size=32)
-        probes = hasher.probe_sequence("bob", 4)
-        assert len(probes) == 4
-        assert all(0 <= p < 32 for p in probes)
-        assert probes[0] == hasher.address("bob")
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ConfigurationError):

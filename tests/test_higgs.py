@@ -129,13 +129,6 @@ class TestIntrospection:
         assert summary.height >= 1
         assert "Higgs" in repr(summary)
 
-    def test_decompose_exposed(self, small_stream):
-        summary = Higgs()
-        summary.insert_stream(small_stream)
-        t_min, t_max = small_stream.time_span
-        decomposition = summary.decompose(t_min, t_max)
-        assert decomposition.matrices_accessed > 0
-
     def test_timestamps_are_coerced_to_int(self, higgs):
         higgs.insert("a", "b", 1.0, 3.0)
         assert higgs.edge_query("a", "b", 0, 10) == 1.0

@@ -40,7 +40,6 @@ class TestConstruction:
         assert matrix.capacity == 4 * 4 * 3
         assert matrix.memory_bytes() == matrix.capacity * 10
         assert matrix.entry_count == 0
-        assert matrix.utilization == 0.0
 
 
 class TestInsertAndEdgeQuery:

@@ -1,26 +1,22 @@
-"""Tests for the accuracy and timing metrics."""
+"""Tests for the accuracy metrics."""
 
 from __future__ import annotations
 
 import math
-import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import BenchmarkError
-from repro.metrics import (ThroughputResult, Timer, accuracy_report,
-                           average_absolute_error, average_latency_micros,
-                           average_relative_error, measure_latencies,
-                           measure_throughput)
+from repro.metrics import accuracy_report, average_relative_error
 
 
 class TestAccuracyMetrics:
     def test_aae_matches_paper_formula(self):
         truths = [10.0, 20.0, 0.0]
         estimates = [12.0, 20.0, 3.0]
-        assert average_absolute_error(truths, estimates) == pytest.approx(5.0 / 3)
+        assert accuracy_report(truths, estimates).aae == pytest.approx(5.0 / 3)
 
     def test_are_skips_zero_truth_terms(self):
         truths = [10.0, 0.0, 5.0]
@@ -32,15 +28,15 @@ class TestAccuracyMetrics:
         assert math.isinf(average_relative_error([0.0], [1.0]))
 
     def test_empty_batches(self):
-        assert average_absolute_error([], []) == 0.0
         assert average_relative_error([], []) == 0.0
         report = accuracy_report([], [])
+        assert report.aae == 0.0
         assert report.count == 0
         assert report.exact_fraction == 1.0
 
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(BenchmarkError):
-            average_absolute_error([1.0], [1.0, 2.0])
+            average_relative_error([1.0], [1.0, 2.0])
         with pytest.raises(BenchmarkError):
             accuracy_report([1.0, 2.0], [1.0])
 
@@ -53,50 +49,16 @@ class TestAccuracyMetrics:
         assert report.max_absolute_error == pytest.approx(2.0)
         assert report.exact_fraction == pytest.approx(0.5)
         assert report.underestimates == 1
-        assert not report.is_one_sided()
 
     def test_one_sided_report(self):
         report = accuracy_report([1.0, 2.0], [1.0, 2.5])
         assert report.underestimates == 0
-        assert report.is_one_sided()
 
     @given(st.lists(st.floats(min_value=0, max_value=1e6, allow_nan=False),
                     min_size=1, max_size=30))
     @settings(max_examples=50)
     def test_property_identical_vectors_have_zero_error(self, values):
-        assert average_absolute_error(values, values) == 0.0
         report = accuracy_report(values, values)
         assert report.aae == 0.0
         assert report.exact_fraction == 1.0
 
-
-class TestTimingMetrics:
-    def test_throughput_result_properties(self):
-        result = ThroughputResult(operations=100, elapsed_seconds=2.0)
-        assert result.throughput == pytest.approx(50.0)
-        assert result.latency_seconds == pytest.approx(0.02)
-        assert result.latency_micros == pytest.approx(20_000.0)
-
-    def test_zero_operations_and_zero_elapsed(self):
-        assert ThroughputResult(0, 0.0).throughput == 0.0
-        assert ThroughputResult(0, 1.0).latency_seconds == 0.0
-        assert ThroughputResult(5, 0.0).throughput == 5.0
-
-    def test_timer_measures_elapsed_time(self):
-        with Timer() as timer:
-            time.sleep(0.01)
-        assert timer.elapsed >= 0.005
-
-    def test_measure_throughput_counts_operations(self):
-        result = measure_throughput(lambda: time.sleep(0.01), operations=10)
-        assert result.operations == 10
-        assert result.elapsed_seconds > 0
-        assert result.throughput > 0
-
-    def test_measure_latencies_and_average(self):
-        calls = [lambda: None] * 5
-        latencies = measure_latencies(calls)
-        assert len(latencies) == 5
-        assert all(latency >= 0 for latency in latencies)
-        assert average_latency_micros(calls) >= 0.0
-        assert average_latency_micros([]) == 0.0

@@ -47,7 +47,7 @@ class TestGauge:
         gauge = Gauge("depth")
         gauge.set(10)
         gauge.inc(5)
-        gauge.dec(3)
+        gauge.inc(-3)
         assert gauge.value() == 12.0
 
     def test_set_max_is_a_watermark(self):

@@ -26,6 +26,7 @@ class TestPublicApi:
     @pytest.mark.parametrize("module", [
         "repro.core", "repro.baselines", "repro.streams", "repro.queries",
         "repro.metrics", "repro.bench", "repro.bench.experiments",
+        "repro.sharding", "repro.serving", "repro.observability",
     ])
     def test_subpackages_importable(self, module):
         imported = importlib.import_module(module)
@@ -34,7 +35,8 @@ class TestPublicApi:
     def test_all_exports_resolve(self):
         for module_name in ("repro", "repro.core", "repro.baselines",
                             "repro.streams", "repro.queries", "repro.metrics",
-                            "repro.bench"):
+                            "repro.bench", "repro.sharding", "repro.serving",
+                            "repro.observability"):
             module = importlib.import_module(module_name)
             for name in getattr(module, "__all__", []):
                 assert hasattr(module, name), f"{module_name}.{name} missing"

@@ -9,7 +9,7 @@ from repro.baselines.exact import ExactTemporalGraph
 from repro.errors import ConfigurationError
 from repro.queries import (EdgeQuery, PathQuery, QueryWorkloadGenerator,
                            SubgraphQuery, VertexQuery, WorkloadConfig,
-                           evaluate_methods, evaluate_queries)
+                           evaluate_queries)
 from repro.streams.edge import GraphStream
 
 
@@ -82,6 +82,10 @@ class TestWorkloadGenerator:
             assert all(q.size == size for q in queries)
         with pytest.raises(ConfigurationError):
             generator.subgraph_queries(1, size=0, range_length=10)
+        # Two vertices form only four pairs, so five edges are unreachable.
+        pair = QueryWorkloadGenerator(GraphStream([("a", "b", 1, 1)]))
+        with pytest.raises(ConfigurationError):
+            pair.subgraph_queries(1, size=5, range_length=10)
 
 
 class TestEvaluation:
@@ -103,12 +107,3 @@ class TestEvaluation:
         result = evaluate_queries(summary, queries, small_truth)
         assert result.accuracy.underestimates == 0
         assert result.method == "HIGGS"
-
-    def test_evaluate_methods_returns_one_result_per_summary(self, small_stream,
-                                                             small_truth):
-        summaries = [small_truth]
-        generator = QueryWorkloadGenerator(small_stream)
-        queries = generator.edge_queries(5, 100)
-        results = evaluate_methods(summaries, queries, small_truth)
-        assert len(results) == 1
-        assert results[0].total_queries == 5

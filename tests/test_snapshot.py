@@ -7,9 +7,8 @@ The contract under test (ARCHITECTURE.md, "Elastic sharding & recovery"):
   both partition modes, including after further inserts post-restore;
 * a snapshot that was tampered with (or torn) refuses to load with a typed
   :class:`~repro.errors.SnapshotError` naming the offending shard / file;
-* a snapshot is only loadable into a **compatible** engine: shard count,
-  partition mode, and hash seed must match (both widening 4→8 and
-  narrowing 8→4 refuse), so a mismatch can never silently mis-partition.
+* a correctly checksummed manifest whose mode or integer field this build
+  cannot use refuses the same way, naming the field and its value.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from hypothesis import strategies as st
 from faultinject import corrupt_byte
 from repro import Higgs, HiggsConfig, HiggsShardFactory, ShardedSummary, SnapshotConfig
 from repro.baselines.exact import ExactTemporalGraph
-from repro.errors import ConfigurationError, ShardingError, SnapshotError
+from repro.errors import ConfigurationError, SnapshotError
 from repro.sharding import snapshot as snapshot_format
 from repro.streams.edge import StreamEdge
 
@@ -113,6 +112,17 @@ class TestRoundTripProperties:
             finally:
                 original.close()
                 restored.close()
+
+
+def _rewrite_manifest(path, edit):
+    """Apply ``edit`` to a snapshot's manifest body and re-checksum it."""
+    manifest_path = os.path.join(path, snapshot_format.MANIFEST_NAME)
+    with open(manifest_path, "r", encoding="utf-8") as handle:
+        manifest = json.load(handle)
+    edit(manifest["body"])
+    manifest["checksum"] = snapshot_format._body_checksum(manifest["body"])
+    with open(manifest_path, "w", encoding="utf-8") as handle:
+        json.dump(manifest, handle)
 
 
 @pytest.fixture()
@@ -220,96 +230,40 @@ class TestSnapshotFormat:
         engine, path = snapshot_dir
         message = (f"'partition_by' is {value!r}" if field == "partition_by"
                    else f"executor {value!r}")
-        manifest_path = os.path.join(path, snapshot_format.MANIFEST_NAME)
-        with open(manifest_path, "r", encoding="utf-8") as handle:
-            manifest = json.load(handle)
-        manifest["body"][field] = value
-        manifest["checksum"] = snapshot_format._body_checksum(manifest["body"])
-        with open(manifest_path, "w", encoding="utf-8") as handle:
-            json.dump(manifest, handle)
+        _rewrite_manifest(path, lambda body: body.update({field: value}))
         with pytest.raises(SnapshotError, match=re.escape(message)):
             ShardedSummary.restore(path)
         if field == "partition_by":
-            with pytest.raises(SnapshotError, match=re.escape(message)):
-                engine.load_snapshot(path)
             return
         # Shard state is executor-agnostic: an explicit executor reads the
-        # snapshot, and load_snapshot ignores the recorded one.
+        # snapshot.
         with ShardedSummary.restore(path, executor="serial") as restored:
             assert restored.shard_items() == engine.shard_items()
-        engine.load_snapshot(path)
 
-    def test_verify_checksums_false_skips_payload_hashing(self, snapshot_dir):
-        """Payload verification can be opted out (trusted local snapshots)."""
-        engine, path = snapshot_dir
-        # Rewrite shard 0's payload with different pickle bytes for the
-        # same content: restore with verification must refuse, without
-        # must succeed.
-        import pickle
-        payload_path = os.path.join(path, snapshot_format.shard_payload_name(0))
-        with open(payload_path, "rb") as handle:
-            target = pickle.loads(handle.read())
-        with open(payload_path, "wb") as handle:
-            handle.write(pickle.dumps(target, protocol=2))
-        with pytest.raises(SnapshotError, match="shard 0"):
+    @pytest.mark.parametrize("field, value", [
+        ("batch_size", 0), ("batch_size", -5), ("num_shards", 0),
+        ("items", -7), ("batch_size", "8"), ("hash_seed", True),
+    ])
+    def test_bad_integer_in_manifest_refuses(self, snapshot_dir, field,
+                                             value):
+        # A correctly checksummed manifest with a mistyped or out-of-range
+        # integer must not reach ShardingConfig (ConfigurationError) or
+        # restore a negative item count into the loss accounting.
+        _, path = snapshot_dir
+        message = (f"items count {value!r}" if field == "items"
+                   else f"{field!r} is {value!r}")
+
+        def edit(body):
+            if field == "items":
+                body["shards"][0]["items"] = value
+                return
+            body[field] = value
+            if field == "num_shards":
+                body["shards"] = []
+
+        _rewrite_manifest(path, edit)
+        with pytest.raises(SnapshotError, match=re.escape(message)):
             ShardedSummary.restore(path)
-        restored = ShardedSummary.restore(
-            path, snapshot=SnapshotConfig(verify_checksums=False))
-        assert restored.items_ingested == engine.items_ingested
-        restored.close()
-
-
-class TestConfigCompatibility:
-    """restore/load refuse incompatible engines instead of mis-partitioning."""
-
-    def test_load_4_shard_snapshot_into_8_shard_engine(self, snapshot_dir):
-        _, path = snapshot_dir
-        wider = ShardedSummary(ExactTemporalGraph, shards=8)
-        with pytest.raises(ShardingError, match="num_shards 4 != 8"):
-            wider.load_snapshot(path)
-        wider.close()
-
-    def test_load_8_shard_snapshot_into_4_shard_engine(self, small_stream):
-        with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, "snap")
-            engine = ShardedSummary(ExactTemporalGraph, shards=8)
-            engine.insert_stream(small_stream)
-            engine.snapshot(path)
-            engine.close()
-            narrower = ShardedSummary(ExactTemporalGraph, shards=4)
-            with pytest.raises(ShardingError, match="num_shards 8 != 4"):
-                narrower.load_snapshot(path)
-            narrower.close()
-
-    def test_load_refuses_partition_mode_mismatch(self, snapshot_dir):
-        _, path = snapshot_dir
-        other = ShardedSummary(ExactTemporalGraph, shards=4,
-                               partition_by="edge")
-        with pytest.raises(ShardingError, match="partition_by"):
-            other.load_snapshot(path)
-        other.close()
-
-    def test_load_refuses_hash_seed_mismatch(self, snapshot_dir):
-        from repro import ShardingConfig
-        _, path = snapshot_dir
-        other = ShardedSummary(ExactTemporalGraph,
-                               config=ShardingConfig(num_shards=4,
-                                                     hash_seed=99))
-        with pytest.raises(ShardingError, match="hash_seed"):
-            other.load_snapshot(path)
-        other.close()
-
-    def test_load_snapshot_into_compatible_engine_replaces_state(
-            self, snapshot_dir, small_stream):
-        engine, path = snapshot_dir
-        other = ShardedSummary(ExactTemporalGraph, shards=4)
-        other.insert(u"unrelated", u"edge", 5.0, 1)
-        other.load_snapshot(path)
-        assert other.shard_items() == engine.shard_items()
-        edge = next(iter(small_stream))
-        assert other.edge_query(edge.source, edge.destination, *FULL) == \
-            engine.edge_query(edge.source, edge.destination, *FULL)
-        other.close()
 
 
 class TestExecutorsAndFactories:

@@ -44,6 +44,16 @@ raises, hot-path loop inventory).  Two halves:
             boundary
   ========  ==========================================================
 
+* **Dead-code rule** (:mod:`tools.analyze.deadcode`), run with the
+  interprocedural rules whenever ``src/repro`` is analyzed:
+
+  ========  ==========================================================
+  DEAD001   a ``def`` or ``class`` of ``src/repro`` that no ``.py`` file
+            under ``src/``, ``benchmarks/``, ``perfbench/``, ``tools/``
+            or ``examples/`` names outside its own body — code only
+            tests call
+  ========  ==========================================================
+
   Findings support inline ``# repro-lint: ok <RULE>`` suppressions and a
   committed baseline (``tools/analyze/baseline.json``) whose every entry
   carries a written justification, so only *new* findings fail the build::

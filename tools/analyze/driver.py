@@ -2,11 +2,13 @@
 
 The flow per file is parse → run every rule → drop findings covered by an
 inline ``# repro-lint: ok RULE`` suppression.  When the analyzed set
-touches ``src/repro``, the interprocedural rules (CONC004/ERR002/PICK001,
-:mod:`tools.analyze.propagate`) additionally run over the whole-package
-call graph (:mod:`tools.analyze.callgraph`) — optionally loaded from an
-on-disk cache keyed on the package's source fingerprint (``--cache``) —
-and their findings honor the same inline suppressions.  Across the run,
+touches ``src/repro``, the whole-package rules additionally run: the
+interprocedural ones (CONC004/ERR002/PICK001, :mod:`tools.analyze.propagate`)
+over the package call graph (:mod:`tools.analyze.callgraph`) — optionally
+loaded from an on-disk cache keyed on the package's source fingerprint
+(``--cache``) — and DEAD001 (:mod:`tools.analyze.deadcode`), which parses
+the package and the directories outside it afresh on every run.  Their
+findings honor the same inline suppressions.  Across the run,
 findings that match a justified entry in the committed baseline
 (``tools/analyze/baseline.json``) are accepted; everything else fails the
 build.  Baseline entries match on ``(rule, path, symbol)`` — symbol is the
@@ -30,12 +32,16 @@ import tokenize
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+from .deadcode import RULE as DEAD_RULE, USE_DIRS, find_dead_definitions
 from .rules import RULES, Finding, _Context
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
-#: Package the interprocedural rules run over.
+#: Package the whole-package rules run over.
 PACKAGE_ROOT = REPO_ROOT / "src" / "repro"
+
+#: Directories whose names count as uses of package definitions (DEAD001).
+USE_ROOTS = tuple(REPO_ROOT / name for name in USE_DIRS)
 
 #: Default committed baseline of accepted findings.
 DEFAULT_BASELINE = Path(__file__).resolve().parent / "baseline.json"
@@ -167,14 +173,15 @@ def interprocedural_findings(analyzed: Set[str], *,
                              cache_path: Optional[Path] = None,
                              suppressed: Optional[List[Finding]] = None
                              ) -> List[Finding]:
-    """Run CONC004/ERR002/PICK001 when ``analyzed`` touches ``src/repro``.
+    """Run CONC004/ERR002/PICK001 and DEAD001 when ``analyzed`` touches
+    ``src/repro``.
 
-    The graph always spans the whole package (the rules are interprocedural
-    — a single file in isolation has no call graph), but only findings
-    located in one of the ``analyzed`` repo-relative paths are returned, so
-    ``python -m tools.analyze src/repro/serving/engine.py`` reports that
-    file's chains only.  Inline suppressions on the finding line apply
-    exactly as for the per-file rules.
+    The rules always span the whole package (a single file in isolation has
+    no call graph, and no view of who names its definitions), but only
+    findings located in one of the ``analyzed`` repo-relative paths are
+    returned, so ``python -m tools.analyze src/repro/serving/engine.py``
+    reports that file's findings only.  Inline suppressions on the finding
+    line apply exactly as for the per-file rules.
     """
     from .propagate import run_interprocedural
 
@@ -191,7 +198,8 @@ def interprocedural_findings(analyzed: Set[str], *,
     graph, _ = load_or_build_graph(cache_path=cache_path)
     kept: List[Finding] = []
     covered_by_path: Dict[str, Dict[int, set]] = {}
-    for finding in run_interprocedural(graph):
+    for finding in run_interprocedural(graph) + find_dead_definitions(
+            PACKAGE_ROOT, USE_ROOTS, _relative):
         if finding.path not in in_package:
             continue
         if finding.path not in covered_by_path:
@@ -288,7 +296,7 @@ def render_counts(new: Sequence[Finding], suppressed: Sequence[Finding],
     from .propagate import INTER_RULES
     new_c, sup_c, base_c = (_rule_counts(f) for f in
                             (new, suppressed, baselined))
-    rules = sorted(set(RULES) | set(INTER_RULES)
+    rules = sorted(set(RULES) | set(INTER_RULES) | {DEAD_RULE}
                    | set(new_c) | set(sup_c) | set(base_c))
     lines = ["rule      new  suppressed  baselined"]
     for rule in rules:
@@ -329,8 +337,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="print a per-rule finding/suppression/baseline "
                              "count table after the findings")
     parser.add_argument("--no-interprocedural", action="store_true",
-                        help="skip the call-graph rules "
-                             "(CONC004/ERR002/PICK001)")
+                        help="skip the whole-package rules "
+                             "(CONC004/ERR002/PICK001/DEAD001)")
     args = parser.parse_args(argv)
 
     paths = [Path(p) for p in args.paths]
