@@ -20,8 +20,8 @@ from typing import Dict, List, Optional, Tuple
 
 from ..errors import ConfigurationError
 from ..core.hashing import hash64
-from ..core.matrix import CompressedMatrix
 from ..streams.edge import Vertex
+from .matrix import CompressedMatrix
 
 
 class Auxo:
@@ -90,7 +90,6 @@ class Auxo:
         if matrix is None and create:
             matrix = CompressedMatrix(self.matrix_size, self.bucket_entries,
                                       num_probes=self.num_probes,
-                                      store_timestamps=False,
                                       entry_bytes=self._entry_bytes)
             nodes[prefix] = matrix
         return matrix

@@ -22,10 +22,10 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError
 from ..core.hashing import hash64
-from ..core.matrix import CompressedMatrix
 from ..streams.edge import Vertex
 from ..summary import TemporalGraphSummary
 from .dyadic import compact_levels, dyadic_intervals, levels_for_span
+from .matrix import CompressedMatrix
 
 
 class _Layer:
@@ -38,7 +38,6 @@ class _Layer:
         self.level = level
         self.matrix = CompressedMatrix(width, bucket_entries,
                                        num_probes=num_probes,
-                                       store_timestamps=False,
                                        entry_bytes=entry_bytes)
         self.overflow: Dict[Tuple[int, int, int, int], float] = {}
 

@@ -1,11 +1,10 @@
-"""HIGGS core: hashing, compressed matrices, the aggregated B-tree, and the
+"""HIGGS core: hashing, packed-key tree nodes, the aggregated B-tree, and the
 public :class:`Higgs` summary."""
 
 from .config import HiggsConfig, ServingConfig, ShardingConfig, SnapshotConfig
 from .executor import (InlineShardWorker, ProcessShardWorker, ShardResult,
                        ShardWorker, make_shard_worker)
 from .hashing import VertexHasher, hash64, lift_address, shard_of
-from .matrix import CompressedMatrix, MatrixEntry
 from .node import InternalNode, LeafNode
 from .tree import HiggsTree
 from .boundary import RangeDecomposition, boundary_search
@@ -16,7 +15,7 @@ __all__ = [
     "HiggsConfig", "ServingConfig", "ShardingConfig", "SnapshotConfig",
     "VertexHasher",
     "hash64", "lift_address", "shard_of",
-    "CompressedMatrix", "MatrixEntry", "InternalNode", "LeafNode",
+    "InternalNode", "LeafNode",
     "HiggsTree", "RangeDecomposition", "boundary_search",
     "aggregate_internal", "aggregate_leaves", "lift_coordinates",
     "Higgs", "ShardResult", "ShardWorker", "InlineShardWorker",

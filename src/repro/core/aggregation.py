@@ -13,6 +13,10 @@ an :class:`~repro.core.node.InternalNode` keeps exact maps instead of the
 matrix.  The build still simulates Algorithm 2's bucket placement, over
 distinct keys and by bucket occupancy alone, because placement decides which
 keys spill (charged by the memory model) and the order keys pass upward.
+Leaves hand their keys up in the same order, block by block: a packed key is
+the same integer at every layer, so nothing is lifted on the way.
+:func:`lift_coordinates` stays as the paper's lift, the oracle the tests
+check packed keys against.
 """
 
 from __future__ import annotations
@@ -24,8 +28,8 @@ import numpy as np
 from . import vectorized
 from .config import HiggsConfig
 from .hashing import lift_address
-from .node import (InternalNode, LeafNode, pack_edge, pack_vertex,
-                   unpack_edge, unpack_vertex, vertex_bits)
+from .node import (InternalNode, LeafNode, unpack_edge, unpack_vertex,
+                   vertex_bits)
 
 
 # hot-path
@@ -48,18 +52,6 @@ def lift_coordinates(fingerprint: int, address: int, from_level: int,
     return current_fp, current_addr
 
 
-def _new_node(level: int, index: int, keys: List[int], t_min: int,
-              t_max: int, config: HiggsConfig) -> InternalNode:
-    return InternalNode(level, index, keys, t_min, t_max,
-                        fingerprint_bits=config.fingerprint_bits_at(level),
-                        vertex_bits=vertex_bits(config))
-
-
-def _key_dtype(config: HiggsConfig):
-    """``int64`` when a packed edge key fits in it, else Python ints."""
-    return np.int64 if 2 * vertex_bits(config) < 64 else object
-
-
 # hot-path
 def _first_fit(cells: List[int], width: int, capacity: int) -> List[int]:
     """Algorithm 2's bucket choice for each distinct key, by occupancy alone.
@@ -68,11 +60,9 @@ def _first_fit(cells: List[int], width: int, capacity: int) -> List[int]:
     probe-scan order, and the keys come in first-occurrence order.  A key
     takes the first of its cells that holds fewer than ``capacity`` keys;
     the result is that cell, or ``-1`` when all are full and the key
-    spills.  This is the placement scan of
-    :meth:`~repro.core.matrix.CompressedMatrix.insert_probed` without its
-    search for a matching entry: a distinct key never matches one, since a
-    match in the same cell at the same probe position has the same
-    fingerprints and so the same canonical addresses.
+    spills.  This is the leaf's first fit (:meth:`LeafNode._fit
+    <repro.core.node.LeafNode._fit>`) over a whole node at once: every key
+    here is distinct, so none is already held.
     """
     occupancy: Dict[int, int] = {}
     occupied = occupancy.get
@@ -116,9 +106,10 @@ def _aggregate(node: InternalNode, keys, weights,
     distinct = distinct[by_first]
 
     size = config.matrix_size_at(node.level)
-    sources, destinations = unpack_edge(distinct, node.vertex_bits)
-    src_fps, src_addrs = unpack_vertex(sources, node.fingerprint_bits)
-    dst_fps, dst_addrs = unpack_vertex(destinations, node.fingerprint_bits)
+    fingerprint_bits = config.fingerprint_bits_at(node.level)
+    sources, destinations = unpack_edge(distinct, vertex_bits(config))
+    src_fps, src_addrs = unpack_vertex(sources, fingerprint_bits)
+    dst_fps, dst_addrs = unpack_vertex(destinations, fingerprint_bits)
     cells = vectorized.candidate_cells_array(
         vectorized.probe_rows_array(src_fps, src_addrs, config.num_probes,
                                     size),
@@ -129,19 +120,35 @@ def _aggregate(node: InternalNode, keys, weights,
                                    cells.shape[1], config.bucket_entries),
                         dtype=np.int64)
 
-    # Hand-up order: placed keys by their bucket's first use, then in
-    # placement order; spilled keys after them, in spill order.
+    # Spilled keys follow the placed ones, in spill order.
     placed = np.flatnonzero(chosen >= 0)
-    _, first_use, bucket = np.unique(chosen[placed], return_index=True,
-                                     return_inverse=True)
-    order = np.concatenate([
-        placed[np.argsort(first_use[bucket], kind="stable")],
-        np.flatnonzero(chosen < 0)])
+    order = np.concatenate([placed[_hand_up_order(chosen[placed])],
+                            np.flatnonzero(chosen < 0)])
     node.weights = dict(zip(distinct[order].tolist(), sums[order].tolist(),
                             strict=True))
     node.placed = len(placed)
     node.out_weights = _vertex_sums(sources, sums)
     node.in_weights = _vertex_sums(destinations, sums)
+
+
+def _hand_up_order(cells) -> "np.ndarray":
+    """Positions of placed keys in the order a node hands them up: grouped
+    by bucket in order of the bucket's first use, in placement order within
+    a bucket (the order a compressed matrix iterates its buckets)."""
+    _, first_use, bucket = np.unique(cells, return_index=True,
+                                     return_inverse=True)
+    return np.argsort(first_use[bucket], kind="stable")
+
+
+def leaf_blocks(leaf: LeafNode) -> List[List[int]]:
+    """A leaf's item keys block by block, each in hand-up order."""
+    blocks: List[List[int]] = []
+    for placement in leaf.placements:
+        keys = list(placement)
+        order = _hand_up_order(np.fromiter(placement.values(), np.int64,
+                                           len(placement)))
+        blocks.append([keys[i] for i in order.tolist()])
+    return blocks
 
 
 def _vertex_sums(vertices, sums) -> Dict[int, float]:
@@ -164,19 +171,15 @@ def aggregate_leaves(parent_index: int, leaves: List[LeafNode],
     t_min = min(t_mins) if t_mins else 0
     t_max = max(t_maxs) if t_maxs else 0
     keys = [leaf.t_min for leaf in leaves[1:] if leaf.t_min is not None]
-    node = _new_node(2, parent_index, keys, t_min, t_max, config)
-
-    parts = [child_matrix.canonical_entries_arrays()
-             for leaf in leaves for child_matrix in leaf.matrices()]
-    src_fps, dst_fps, src_addrs, dst_addrs, weights = (
-        np.concatenate([arrays[i] for arrays in parts]) for i in range(5))
-    dtype = _key_dtype(config)
-    sources = pack_vertex(src_fps.astype(dtype), src_addrs.astype(dtype),
-                          config.fingerprint_bits)
-    destinations = pack_vertex(dst_fps.astype(dtype), dst_addrs.astype(dtype),
-                               config.fingerprint_bits)
-    _aggregate(node, pack_edge(sources, destinations, node.vertex_bits),
-               weights, config)
+    node = InternalNode(2, parent_index, keys, t_min, t_max)
+    edges: List[int] = []
+    weights: List[float] = []
+    for leaf in leaves:
+        for block in leaf_blocks(leaf):
+            edges += [key >> 64 for key in block]
+            weights += [leaf.weights[key] for key in block]
+    _aggregate(node, np.array(edges, dtype=vectorized.key_dtype(config)),
+               np.array(weights, dtype=np.float64), config)
     return node
 
 
@@ -190,9 +193,9 @@ def aggregate_internal(parent_index: int, children: List[InternalNode],
     t_min = min(child.t_min for child in children)
     t_max = max(child.t_max for child in children)
     keys = [child.t_min for child in children[1:]]
-    node = _new_node(children[0].level + 1, parent_index, keys, t_min, t_max,
-                     config)
-    dtype = _key_dtype(config)
+    node = InternalNode(children[0].level + 1, parent_index, keys, t_min,
+                        t_max)
+    dtype = vectorized.key_dtype(config)
     _aggregate(node,
                np.concatenate([np.fromiter(child.weights, dtype,
                                            len(child.weights))

@@ -2,11 +2,11 @@
 
 Given a query range ``[t_start, t_end]``, the boundary search selects
 
-* the highest materialized (complete) internal nodes whose entire time span
-  lies inside the range — their exact, timestamp-free aggregates answer
-  their whole subtree in one lookup, and
-* the leaf nodes that only partially overlap the range boundaries — those are
-  answered with per-entry timestamp filtering.
+* the highest materialized internal nodes whose entire time span lies
+  inside the range — their exact, timestamp-free aggregates answer their
+  whole subtree in one lookup, and
+* the leaf nodes that only partially overlap the range boundaries — those
+  filter the queried edge's or vertex's items by timestamp.
 
 The selection is equivalent to the paper's two-phase boundary search (fully
 covered children first, then a descent along the two boundary paths); the
@@ -45,7 +45,7 @@ class RangeDecomposition:
         Internal nodes whose whole subtree lies inside the query range.
     boundary_leaves:
         Leaves overlapping the range that are not covered by any node in
-        ``aggregated_nodes``; their entries are filtered by timestamp.
+        ``aggregated_nodes``; their items are filtered by timestamp.
     nodes_visited:
         Number of tree nodes inspected (reported by the efficiency analysis).
     """
@@ -56,8 +56,11 @@ class RangeDecomposition:
 
     @property
     def matrices_accessed(self) -> int:
-        """Number of compressed matrices a query over this decomposition touches."""
-        leaf_matrices = sum(len(leaf.matrices()) for leaf in self.boundary_leaves)
+        """Number of compressed matrices a query over this decomposition
+        touches in the paper's layout: one per aggregated node, and a leaf
+        matrix plus its overflow blocks per boundary leaf."""
+        leaf_matrices = sum(1 + leaf.overflow_blocks
+                            for leaf in self.boundary_leaves)
         return len(self.aggregated_nodes) + leaf_matrices
 
 
@@ -91,7 +94,7 @@ def boundary_search(tree: HiggsTree, t_start: int, t_end: int) -> RangeDecomposi
                 result.boundary_leaves.append(leaf)
             return
         node = tree.internal_node(level, index)
-        if node is not None and node.complete:
+        if node is not None:
             if not node.overlaps(t_start, t_end):
                 return
             if node.covered_by(t_start, t_end):

@@ -1,14 +1,16 @@
 """HIGGS: the hierarchy-guided graph stream summary (the paper's contribution).
 
 :class:`Higgs` is the public entry point of this library.  It owns the vertex
-hasher, the aggregated B-tree of compressed matrices, and implements the
+hasher and the aggregated B-tree, and implements the
 :class:`~repro.summary.TemporalGraphSummary` interface: stream items are
 inserted one at a time (or in bulk via :meth:`Higgs.insert_batch`, which
 hashes the batch's distinct vertices in one vectorized pass and defers
 upward aggregation to the end of the batch), and edge / vertex / path /
 subgraph queries can be answered over any temporal range — individually or
-in bulk via :meth:`Higgs.query_batch`.  Range decompositions are memoized in
-a :class:`~repro.core.boundary.QueryPlanCache` keyed by
+in bulk via :meth:`Higgs.query_batch`.  A query packs each endpoint once;
+the packed key is the same integer at every tree layer.  Range
+decompositions are memoized in a
+:class:`~repro.core.boundary.QueryPlanCache` keyed by
 ``(t_start, t_end, tree.version)``, so repeated-range workloads skip the
 boundary search after the first query.
 
@@ -34,10 +36,10 @@ from ..errors import InsertionError, QueryError
 from ..streams.edge import StreamEdge, Vertex
 from ..summary import TemporalGraphSummary
 from . import vectorized
-from .aggregation import lift_coordinates
 from .boundary import QueryPlanCache
 from .config import HiggsConfig
 from .hashing import VertexHasher
+from .node import pack_edge, pack_vertex, vertex_bits
 from .tree import HiggsTree
 
 _INT64_MIN = -(1 << 63)
@@ -95,7 +97,7 @@ class Higgs(TemporalGraphSummary):
         The batch's distinct vertices are indexed once and hashed in one
         vectorized pass, their leaf-level probe-address sequences computed
         as arrays, and the pre-hashed batch applied by
-        :meth:`HiggsTree.insert_hashed_batch`, which defers upward
+        :meth:`HiggsTree.insert_hashed_batch_arrays`, which defers upward
         aggregation to the end of the batch.  The resulting structure is
         identical to per-item insertion.  Batches exposing pre-packed
         arrays (``packed_arrays()``, e.g. shared-memory batches from
@@ -173,8 +175,8 @@ class Higgs(TemporalGraphSummary):
                timestamp: int) -> None:
         """Remove ``weight`` from a previously inserted item.
 
-        The matching leaf entry and every materialized ancestor aggregate are
-        decremented; if no leaf entry matches (the item was never inserted)
+        The matching leaf item and every materialized ancestor aggregate are
+        decremented; if no leaf item matches (the item was never inserted)
         the summary is left unchanged.
         """
         src_fingerprint, src_address = self._hasher.split(source)
@@ -186,62 +188,39 @@ class Higgs(TemporalGraphSummary):
     # temporal range queries
     # ------------------------------------------------------------------ #
 
-    def _lifted(self, fingerprint: int, address: int, level: int,
-                cache: Dict[Tuple[int, int, int], Tuple[int, int]]
-                ) -> Tuple[int, int]:
-        key = (fingerprint, address, level)
-        lifted = cache.get(key)
-        if lifted is None:
-            lifted = lift_coordinates(fingerprint, address, 1, level, self.config)
-            cache[key] = lifted
-        return lifted
+    def _pack(self, vertex: Vertex) -> int:
+        """A vertex's packed key, the same integer at every tree layer."""
+        fingerprint, address = self._hasher.split(vertex)
+        return pack_vertex(fingerprint, address, self.config.fingerprint_bits)
 
-    def _edge_query_hashed(self, src_fingerprint: int, src_address: int,
-                           dst_fingerprint: int, dst_address: int,
-                           t_start: int, t_end: int,
-                           cache: Dict[Tuple[int, int, int], Tuple[int, int]]
-                           ) -> float:
+    def _edge_query_packed(self, source: int, destination: int,
+                           t_start: int, t_end: int) -> float:
+        edge = pack_edge(source, destination, vertex_bits(self.config))
         decomposition = self._plan_cache.lookup(self._tree, t_start, t_end)
         total = 0.0
         for node in decomposition.aggregated_nodes:
-            lifted_fs, lifted_hs = self._lifted(src_fingerprint, src_address,
-                                                node.level, cache)
-            lifted_fd, lifted_hd = self._lifted(dst_fingerprint, dst_address,
-                                                node.level, cache)
-            total += node.query_edge(lifted_fs, lifted_fd, lifted_hs, lifted_hd)
+            total += node.query_edge(edge)
         for leaf in decomposition.boundary_leaves:
-            for matrix in leaf.matrices():
-                total += matrix.query_edge(src_fingerprint, dst_fingerprint,
-                                           src_address, dst_address,
-                                           t_start, t_end)
+            total += leaf.query_edge(edge, t_start, t_end)
         return total
 
-    def _vertex_query_hashed(self, fingerprint: int, address: int,
-                             t_start: int, t_end: int, direction: str,
-                             cache: Dict[Tuple[int, int, int], Tuple[int, int]]
-                             ) -> float:
+    def _vertex_query_packed(self, vertex: int, t_start: int, t_end: int,
+                             direction: str) -> float:
         decomposition = self._plan_cache.lookup(self._tree, t_start, t_end)
         total = 0.0
         for node in decomposition.aggregated_nodes:
-            lifted_f, lifted_h = self._lifted(fingerprint, address,
-                                              node.level, cache)
-            total += node.query_vertex(lifted_f, lifted_h, direction=direction)
+            total += node.query_vertex(vertex, direction=direction)
         for leaf in decomposition.boundary_leaves:
-            for matrix in leaf.matrices():
-                total += matrix.query_vertex(fingerprint, address,
-                                             direction=direction,
-                                             t_start=t_start, t_end=t_end)
+            total += leaf.query_vertex(vertex, t_start, t_end,
+                                       direction=direction)
         return total
 
     def edge_query(self, source: Vertex, destination: Vertex,
                    t_start: int, t_end: int) -> float:
         """Estimated aggregated weight of ``source → destination`` in range."""
         self.check_range(t_start, t_end)
-        src_fingerprint, src_address = self._hasher.split(source)
-        dst_fingerprint, dst_address = self._hasher.split(destination)
-        return self._edge_query_hashed(src_fingerprint, src_address,
-                                       dst_fingerprint, dst_address,
-                                       t_start, t_end, {})
+        return self._edge_query_packed(self._pack(source),
+                                       self._pack(destination), t_start, t_end)
 
     def vertex_query(self, vertex: Vertex, t_start: int, t_end: int,
                      direction: str = "out") -> float:
@@ -249,23 +228,18 @@ class Higgs(TemporalGraphSummary):
         self.check_range(t_start, t_end)
         if direction not in ("out", "in"):
             raise QueryError("direction must be 'out' or 'in'")
-        fingerprint, address = self._hasher.split(vertex)
-        return self._vertex_query_hashed(fingerprint, address,
-                                         t_start, t_end, direction, {})
+        return self._vertex_query_packed(self._pack(vertex), t_start, t_end,
+                                         direction)
 
     def query_batch(self, queries: Sequence) -> List[float]:
         """Answer a batch of query objects with shared per-batch state.
 
-        Edge and vertex queries share one vertex-split memo and one
-        lifted-coordinate memo across the whole batch (both memoize pure
-        functions, so results are bit-identical to the per-item path);
-        composite queries fall back to their per-item evaluation, which still
-        benefits from the query-plan cache.
-
-        The batch's distinct edge/vertex-query endpoints are hashed in one
-        vectorized pass that fills the split memo; the per-query answers are
-        unchanged (the bulk hash is bit-identical to
-        :meth:`VertexHasher.split`).
+        The batch's distinct edge/vertex-query endpoints are hashed and
+        packed in one vectorized pass, bit-identical to the per-item
+        path's :meth:`VertexHasher.split` and :func:`pack_vertex`, and each
+        query then answers from its endpoints' packed keys at every layer.
+        Composite queries fall back to their per-item evaluation, which
+        still benefits from the query-plan cache.
         """
         distinct: Dict[Vertex, None] = {}
         for query in queries:
@@ -278,10 +252,8 @@ class Higgs(TemporalGraphSummary):
         fingerprints, addresses = vectorized.split_array(
             vectorized.hash64_array(vertices, self.config.hash_seed),
             self.config.fingerprint_bits, self.config.leaf_matrix_size)
-        split_memo = dict(zip(vertices, zip(fingerprints.tolist(),
-                                            addresses.tolist(), strict=True),
-                              strict=True))
-        lifted: Dict[Tuple[int, int, int], Tuple[int, int]] = {}
+        packed = dict(zip(vertices, vectorized.pack_vertex_array(
+            fingerprints, addresses, self.config).tolist(), strict=True))
 
         results: List[float] = []
         append = results.append
@@ -290,20 +262,17 @@ class Higgs(TemporalGraphSummary):
             # with :mod:`repro.queries.types`.
             if hasattr(query, "destination"):  # edge query
                 self.check_range(query.t_start, query.t_end)
-                src = split_memo[query.source]
-                dst = split_memo[query.destination]
-                append(self._edge_query_hashed(src[0], src[1], dst[0], dst[1],
-                                               query.t_start, query.t_end,
-                                               lifted))
+                append(self._edge_query_packed(packed[query.source],
+                                               packed[query.destination],
+                                               query.t_start, query.t_end))
             elif hasattr(query, "vertex"):  # vertex query
                 self.check_range(query.t_start, query.t_end)
                 direction = query.direction
                 if direction not in ("out", "in"):
                     raise QueryError("direction must be 'out' or 'in'")
-                fingerprint, address = split_memo[query.vertex]
-                append(self._vertex_query_hashed(fingerprint, address,
+                append(self._vertex_query_packed(packed[query.vertex],
                                                  query.t_start, query.t_end,
-                                                 direction, lifted))
+                                                 direction))
             else:  # composite (path / subgraph) — per-item evaluation
                 append(query.evaluate(self))
         return results

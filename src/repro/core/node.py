@@ -1,88 +1,27 @@
 """Tree nodes of the HIGGS hierarchy.
 
 The HIGGS structure is an aggregated B-tree (paper Section IV-A): all leaves
-sit on the bottom layer and hold timestamped compressed matrices built
-directly from the stream; non-leaf nodes hold timestamp keys separating their
-children plus the exact aggregate (no timestamps) of the whole subtree.
+sit on the bottom layer and hold the timestamped items of the stream;
+non-leaf nodes hold timestamp keys separating their children plus the exact
+aggregate (no timestamps) of the whole subtree.  Both keep their answers in
+maps over the packed integer keys below, and a vertex packs to the same
+integer at every layer, so one key answers a query or a delete from leaf to
+root.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .config import HiggsConfig
-from .matrix import CompressedMatrix
-
-
-class LeafNode:
-    """A leaf of the HIGGS tree: one timestamped compressed matrix plus any
-    overflow blocks chained to it.
-
-    Overflow blocks (paper Section IV-C) absorb edges that overflow the leaf
-    matrix while carrying the same timestamp as the leaf's latest item, so the
-    parent's timestamp keys stay discriminative.
-    """
-
-    __slots__ = ("index", "matrix", "overflow_blocks", "closed")
-
-    def __init__(self, index: int, config: HiggsConfig) -> None:
-        self.index = index
-        self.matrix = CompressedMatrix(
-            config.leaf_matrix_size, config.bucket_entries,
-            num_probes=config.num_probes, store_timestamps=True,
-            entry_bytes=config.leaf_entry_bytes())
-        self.overflow_blocks: List[CompressedMatrix] = []
-        self.closed = False
-
-    # -- time range -------------------------------------------------------
-
-    @property
-    def t_min(self) -> Optional[int]:
-        """Earliest timestamp stored in this leaf (matrix or overflow blocks)."""
-        candidates = [m.start_time for m in self._all_matrices()
-                      if m.start_time is not None]
-        return min(candidates) if candidates else None
-
-    @property
-    def t_max(self) -> Optional[int]:
-        """Latest timestamp stored in this leaf."""
-        candidates = [m.end_time for m in self._all_matrices()
-                      if m.end_time is not None]
-        return max(candidates) if candidates else None
-
-    def _all_matrices(self) -> List[CompressedMatrix]:
-        return [self.matrix, *self.overflow_blocks]
-
-    def matrices(self) -> List[CompressedMatrix]:
-        """The leaf matrix followed by its overflow blocks, in creation order."""
-        return self._all_matrices()
-
-    def overlaps(self, t_start: int, t_end: int) -> bool:
-        """True if the leaf stores any item whose timestamp may fall in range."""
-        t_min, t_max = self.t_min, self.t_max
-        if t_min is None or t_max is None:
-            return False
-        return not (t_max < t_start or t_min > t_end)
-
-    # -- accounting ---------------------------------------------------------
-
-    def entry_count(self) -> int:
-        """Number of occupied entries across the leaf matrix and overflow blocks."""
-        return sum(m.entry_count for m in self._all_matrices())
-
-    def memory_bytes(self, config: HiggsConfig) -> int:
-        """Analytic footprint: allocated matrices plus one parent pointer."""
-        return sum(m.memory_bytes() for m in self._all_matrices()) + config.pointer_bytes
-
-    def __repr__(self) -> str:  # pragma: no cover - debug helper
-        return (f"LeafNode(index={self.index}, entries={self.entry_count()}, "
-                f"overflow_blocks={len(self.overflow_blocks)}, closed={self.closed})")
-
 
 # -- packed keys --------------------------------------------------------------
 #
-# The key format of InternalNode's maps.  Each helper works on Python ints
-# and on numpy integer arrays alike.
+# Each helper works on Python ints and on numpy integer arrays alike.
+
+#: An item key stores its timestamp biased by ``2 ** 63`` in its low 64 bits.
+_TIME_BIAS = 1 << 63
+_TIME_MASK = (1 << 64) - 1
 
 
 def vertex_bits(config: HiggsConfig) -> int:
@@ -117,6 +56,196 @@ def unpack_edge(key, vertex_bits: int):
     return key >> vertex_bits, key & ((1 << vertex_bits) - 1)
 
 
+def pack_item(edge: int, timestamp: int) -> int:
+    """A leaf item's key: its packed edge above its biased timestamp, so
+    ``key >> 64`` is the edge.
+
+    Distinct ``(edge, timestamp)`` pairs get distinct keys only while the
+    timestamp lies in the ``int64`` range.
+    """
+    return (edge << 64) | (timestamp + _TIME_BIAS)
+
+
+class LeafNode:
+    """A leaf of the HIGGS tree: the items of one stretch of the stream.
+
+    In the paper a leaf is a ``d1 × d1`` compressed matrix filled by
+    Algorithm 1, plus overflow blocks (Section IV-C) that absorb items
+    overflowing the matrix while carrying the leaf's latest timestamp, so
+    the parent's timestamp keys stay discriminative.  Every item, a
+    distinct (edge, timestamp) pair, lands in exactly one entry with its
+    summed weight, so the leaf keeps the answers in exact maps and keeps of
+    each matrix only what decides when the leaf refuses an item: which
+    bucket each key took.
+
+    * ``placements`` / ``occupancy`` — one per block, block 0 being the
+      leaf matrix and the overflow blocks following in creation order:
+      item key → bucket (``row * d1 + column``), in placement order, and
+      bucket → number of keys placed in it;
+    * ``weights`` — item key → summed weight;
+    * ``edges`` / ``sources`` / ``destinations`` — packed edge / source /
+      destination vertex → tuple of its item keys, in arrival order.
+
+    Keys are packed by :func:`pack_vertex`, :func:`pack_edge` and
+    :func:`pack_item`.  An item key is unique only for ``int64``
+    timestamps: both insert paths reject others, and a delete outside the
+    range finds no candidate leaf, but a direct :meth:`decrement` at
+    ``2 ** 63`` would hit the key of ``(edge + 1, -2 ** 63)``.  The maps
+    hold only ints, floats and tuples of ints, so after a full collection
+    the cyclic garbage collector tracks none of them.
+    """
+
+    __slots__ = ("index", "config", "closed", "t_min", "t_max", "placements",
+                 "occupancy", "weights", "edges", "sources", "destinations")
+
+    def __init__(self, index: int, config: HiggsConfig) -> None:
+        self.index = index
+        self.config = config
+        self.closed = False
+        #: Earliest / latest timestamp stored; ``None`` while empty.
+        self.t_min: Optional[int] = None
+        self.t_max: Optional[int] = None
+        self.placements: List[Dict[int, int]] = [{}]
+        self.occupancy: List[Dict[int, int]] = [{}]
+        self.weights: Dict[int, float] = {}
+        self.edges: Dict[int, Tuple[int, ...]] = {}
+        self.sources: Dict[int, Tuple[int, ...]] = {}
+        self.destinations: Dict[int, Tuple[int, ...]] = {}
+
+    # -- Algorithm 1 ----------------------------------------------------------
+
+    # hot-path
+    def insert(self, edge: int, source: int, destination: int,
+               src_rows: Sequence[int], dst_cols: Sequence[int],
+               weight: float, timestamp: int) -> bool:
+        """Insert (or accumulate) one item; False when the leaf refuses it.
+
+        ``src_rows`` / ``dst_cols`` are the endpoints' ``r`` candidate
+        addresses at the leaf dimension, in probe order.  A key the leaf
+        matrix holds accumulates; otherwise the matrix takes it by first
+        fit.  Failing that, and only when overflow blocks are enabled and
+        the timestamp equals ``t_max``, the block holding the key
+        accumulates it, or the first block with room takes it, or a new
+        block opens.  Otherwise the leaf refuses the item (so does a key an
+        overflow block holds that re-arrives after ``t_max`` moved on) and
+        the tree closes the leaf.
+        """
+        key = pack_item(edge, timestamp)
+        weights = self.weights
+        if key in self.placements[0]:
+            weights[key] += weight
+            return True
+        config = self.config
+        if not self._fit(0, config.bucket_entries, key, src_rows, dst_cols):
+            if not (config.enable_overflow_blocks and timestamp == self.t_max):
+                return False
+            if key in weights:
+                weights[key] += weight
+                return True
+            capacity = config.overflow_block_entries
+            for block in range(1, len(self.placements)):
+                if self._fit(block, capacity, key, src_rows, dst_cols):
+                    break
+            else:
+                self.placements.append({})
+                self.occupancy.append({})
+                self._fit(len(self.placements) - 1, capacity, key,
+                          src_rows, dst_cols)
+        weights[key] = weight
+        self.edges[edge] = self.edges.get(edge, ()) + (key,)
+        self.sources[source] = self.sources.get(source, ()) + (key,)
+        self.destinations[destination] = \
+            self.destinations.get(destination, ()) + (key,)
+        if self.t_min is None or timestamp < self.t_min:
+            self.t_min = timestamp
+        if self.t_max is None or timestamp > self.t_max:
+            self.t_max = timestamp
+        return True
+
+    # hot-path
+    def _fit(self, block: int, capacity: int, key: int,
+             src_rows: Sequence[int], dst_cols: Sequence[int]) -> bool:
+        """Place ``key`` in the first of its ``r²`` candidate buckets of
+        ``block``, in probe-scan order, that holds fewer than ``capacity``
+        keys; False when all are full."""
+        occupancy = self.occupancy[block]
+        size = self.config.leaf_matrix_size
+        for row in src_rows:
+            base = row * size
+            for col in dst_cols:
+                cell = base + col
+                used = occupancy.get(cell, 0)
+                if used < capacity:
+                    occupancy[cell] = used + 1
+                    self.placements[block][key] = cell
+                    return True
+        return False
+
+    def decrement(self, edge: int, timestamp: int, weight: float) -> bool:
+        """Subtract ``weight`` from one item (deletion support).
+
+        Returns False, changing nothing, when the leaf holds no such item.
+        """
+        key = pack_item(edge, timestamp)
+        if key not in self.weights:
+            return False
+        self.weights[key] -= weight
+        return True
+
+    # -- queries --------------------------------------------------------------
+
+    def query_edge(self, edge: int, t_start: int, t_end: int) -> float:
+        """Weight of one edge's items with a timestamp in ``[t_start, t_end]``."""
+        return self._sum(self.edges.get(edge, ()), t_start, t_end)
+
+    def query_vertex(self, vertex: int, t_start: int, t_end: int, *,
+                     direction: str = "out") -> float:
+        """Weight of a vertex's outgoing (``out``) or incoming (``in``)
+        items with a timestamp in ``[t_start, t_end]``."""
+        index = self.sources if direction == "out" else self.destinations
+        return self._sum(index.get(vertex, ()), t_start, t_end)
+
+    def _sum(self, keys: Tuple[int, ...], t_start: int, t_end: int) -> float:
+        low, high = t_start + _TIME_BIAS, t_end + _TIME_BIAS
+        return sum((self.weights[key] for key in keys
+                    if low <= key & _TIME_MASK <= high), 0.0)
+
+    # -- time range -------------------------------------------------------
+
+    def overlaps(self, t_start: int, t_end: int) -> bool:
+        """True if the leaf stores any item whose timestamp may fall in range."""
+        if self.t_min is None or self.t_max is None:
+            return False
+        return not (self.t_max < t_start or self.t_min > t_end)
+
+    # -- accounting ---------------------------------------------------------
+
+    @property
+    def overflow_blocks(self) -> int:
+        """Number of overflow blocks chained to the leaf matrix."""
+        return len(self.placements) - 1
+
+    def entry_count(self) -> int:
+        """Number of occupied entries across the leaf matrix and overflow blocks."""
+        return len(self.weights)
+
+    def capacity(self) -> int:
+        """Entry slots of the leaf matrix and its overflow blocks."""
+        config = self.config
+        return config.leaf_matrix_size ** 2 * (
+            config.bucket_entries
+            + self.overflow_blocks * config.overflow_block_entries)
+
+    def memory_bytes(self, config: HiggsConfig) -> int:
+        """Analytic footprint: fully allocated ``d1² · b`` matrix and
+        ``d1² · b_o`` overflow blocks, plus one parent pointer."""
+        return self.capacity() * config.leaf_entry_bytes() + config.pointer_bytes
+
+    def __repr__(self) -> str:  # pragma: no cover - debug helper
+        return (f"LeafNode(index={self.index}, entries={self.entry_count()}, "
+                f"overflow_blocks={self.overflow_blocks}, closed={self.closed})")
+
+
 class InternalNode:
     """A non-leaf node: the exact aggregate of its ``θ`` children.
 
@@ -130,37 +259,29 @@ class InternalNode:
     entries.  So the node keeps those answers directly, in three exact maps
     over packed integer keys (:mod:`repro.core.aggregation` builds them):
 
-    * ``weights`` — lifted edge key → summed weight, in the order the node
-      hands its keys to its parent: the first ``placed`` keys are the ones
+    * ``weights`` — edge key → summed weight, in the order the node hands
+      its keys to its parent: the first ``placed`` keys are the ones
       Algorithm 2 puts in the matrix (grouped by bucket in order of the
       bucket's first use, in placement order within a bucket), the rest
       spilled (in spill order);
-    * ``out_weights`` / ``in_weights`` — lifted source / destination vertex
-      → summed weight of its edges.
+    * ``out_weights`` / ``in_weights`` — source / destination vertex key →
+      summed weight of its edges.
 
-    Keys are packed by :func:`pack_vertex` and :func:`pack_edge`, and a
-    vertex packs to the same integer at every layer.  The maps hold only
-    ints and floats, so they add no object the cyclic garbage collector
-    tracks.
+    The maps hold only ints and floats, so they add no object the cyclic
+    garbage collector tracks.
     """
 
-    __slots__ = ("level", "index", "keys", "t_min", "t_max", "complete",
-                 "fingerprint_bits", "vertex_bits", "weights", "placed",
-                 "out_weights", "in_weights")
+    __slots__ = ("level", "index", "keys", "t_min", "t_max", "weights",
+                 "placed", "out_weights", "in_weights")
 
     def __init__(self, level: int, index: int, keys: List[int], t_min: int,
-                 t_max: int, *, fingerprint_bits: int,
-                 vertex_bits: int) -> None:
+                 t_max: int) -> None:
         self.level = level
         self.index = index
         #: Timestamp keys separating the children (paper: k-1 keys for k children).
         self.keys = keys
         self.t_min = t_min
         self.t_max = t_max
-        self.complete = True
-        #: Fingerprint length at this layer and bits per packed vertex.
-        self.fingerprint_bits = fingerprint_bits
-        self.vertex_bits = vertex_bits
         self.weights: Dict[int, float] = {}
         #: How many leading keys of ``weights`` the aggregated matrix holds.
         self.placed = 0
@@ -177,36 +298,25 @@ class InternalNode:
 
     # -- queries on the aggregated data ------------------------------------
 
-    def query_edge(self, src_fingerprint: int, dst_fingerprint: int,
-                   src_address: int, dst_address: int) -> float:
+    def query_edge(self, edge: int) -> float:
         """Aggregated weight of one edge over this node's whole subtree."""
-        fingerprint_bits = self.fingerprint_bits
-        return self.weights.get(pack_edge(
-            pack_vertex(src_fingerprint, src_address, fingerprint_bits),
-            pack_vertex(dst_fingerprint, dst_address, fingerprint_bits),
-            self.vertex_bits), 0.0)
+        return self.weights.get(edge, 0.0)
 
-    def query_vertex(self, fingerprint: int, address: int, *,
-                     direction: str = "out") -> float:
+    def query_vertex(self, vertex: int, *, direction: str = "out") -> float:
         """Aggregated weight of a vertex's incident edges over the subtree."""
         weights = self.out_weights if direction == "out" else self.in_weights
-        return weights.get(
-            pack_vertex(fingerprint, address, self.fingerprint_bits), 0.0)
+        return weights.get(vertex, 0.0)
 
-    def decrement(self, src_fingerprint: int, dst_fingerprint: int,
-                  src_address: int, dst_address: int, weight: float) -> bool:
+    def decrement(self, edge: int, source: int, destination: int,
+                  weight: float) -> bool:
         """Subtract weight from the aggregated view (deletion support).
 
+        ``source`` and ``destination`` are the endpoints packed in ``edge``.
         Returns False, changing nothing, when the node holds no such key.
         """
-        source = pack_vertex(src_fingerprint, src_address,
-                             self.fingerprint_bits)
-        destination = pack_vertex(dst_fingerprint, dst_address,
-                                  self.fingerprint_bits)
-        key = pack_edge(source, destination, self.vertex_bits)
-        if key not in self.weights:
+        if edge not in self.weights:
             return False
-        self.weights[key] -= weight
+        self.weights[edge] -= weight
         self.out_weights[source] -= weight
         self.in_weights[destination] -= weight
         return True

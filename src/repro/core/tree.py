@@ -1,13 +1,13 @@
-"""The HIGGS tree — an append-only, bottom-up aggregated B-tree of matrices.
+"""The HIGGS tree — an append-only, bottom-up aggregated B-tree.
 
-This module implements the paper's central data structure.  Leaves hold
-timestamped compressed matrices built directly from the arriving stream;
-whenever a group of ``θ`` consecutive nodes at one layer is complete, an
-aggregated parent node is materialized one layer up (Algorithm 1 + 2).  The
-tree operates on *hashed* items throughout: the public
-:class:`~repro.core.higgs.Higgs` class owns the vertex hasher and passes
-fingerprint/address pairs down, which keeps the structural code independent
-of vertex identifier types.
+This module implements the paper's central data structure.  Leaves hold the
+timestamped items of the arriving stream (Algorithm 1); whenever a group of
+``θ`` consecutive nodes at one layer is complete, an aggregated parent node
+is materialized one layer up (Algorithm 2).  The tree operates on *hashed*
+items throughout: the public :class:`~repro.core.higgs.Higgs` class owns the
+vertex hasher and passes fingerprint/address pairs down, and the tree packs
+them into the integer keys every node uses (:mod:`repro.core.node`), which
+keeps the structural code independent of vertex identifier types.
 
 Timestamps are expected to be non-decreasing across inserts (the natural
 order of a stream replay).  Out-of-order inserts are still stored correctly —
@@ -15,29 +15,30 @@ every leaf tracks its exact time range — but the structure notes the
 violation and the range decomposition then relies only on per-node ranges,
 never on positional assumptions.
 
-Batch insertion
----------------
-:meth:`HiggsTree.insert_hashed_batch` is the bulk counterpart of
-:meth:`HiggsTree.insert_hashed`: it applies a pre-hashed batch in one tight
-loop and *defers the upward aggregation* of leaf groups that complete
-mid-batch to the end of the batch.  Deferral is sound because a completed
-group's leaves are closed — no later item of the batch can change them — so
-aggregating at batch end builds byte-identical internal nodes.  The tree also
-carries a monotonically increasing :attr:`version`, bumped by every mutation,
-which query-plan caches use as their invalidation key.
+Insertion
+---------
+:meth:`HiggsTree.insert_hashed` packs one item with the scalar kernels and
+:meth:`HiggsTree.insert_hashed_batch_arrays` packs a batch with the
+vectorized ones; both then run one loop, which *defers the upward
+aggregation* of leaf groups that complete mid-loop to its end.  Deferral is
+sound because a completed group's leaves are closed — no later item can
+change them — so aggregating at the end builds byte-identical internal
+nodes.  The tree also carries a monotonically increasing :attr:`version`,
+bumped by every mutation, which query-plan caches use as their invalidation
+key.
 """
 
 from __future__ import annotations
 
 import bisect
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional
 
 from ..errors import InsertionError
 from . import vectorized
-from .aggregation import aggregate_internal, aggregate_leaves, lift_coordinates
+from .aggregation import aggregate_internal, aggregate_leaves
 from .config import HiggsConfig
-from .matrix import CompressedMatrix, MatrixEntry
-from .node import InternalNode, LeafNode
+from .hashing import probe_address
+from .node import InternalNode, LeafNode, pack_edge, pack_vertex, vertex_bits
 
 
 class HiggsTree:
@@ -48,8 +49,6 @@ class HiggsTree:
         self.leaves: List[LeafNode] = []
         #: ``self._internal[k]`` holds the nodes of tree layer ``k + 2``.
         self._internal: List[List[InternalNode]] = []
-        #: First timestamp inserted into each leaf (for delete-time lookup).
-        self._leaf_first_ts: List[Optional[int]] = []
         self._last_timestamp: Optional[int] = None
         self._monotonic = True
         self._items_inserted = 0
@@ -101,246 +100,118 @@ class HiggsTree:
     # insertion
     # ------------------------------------------------------------------ #
 
-    def _current_leaf(self) -> LeafNode:
-        if not self.leaves:
-            self._open_leaf()
-        return self.leaves[-1]
-
-    def _open_leaf(self) -> LeafNode:
-        leaf = LeafNode(len(self.leaves), self.config)
-        self.leaves.append(leaf)
-        self._leaf_first_ts.append(None)
-        return leaf
-
     def insert_hashed(self, src_fingerprint: int, dst_fingerprint: int,
                       src_address: int, dst_address: int, weight: float,
                       timestamp: int) -> None:
-        """Insert one hashed stream item, opening new leaves / overflow blocks
-        and triggering upward aggregation as needed (Algorithm 1)."""
-        self._version += 1
-        if self._last_timestamp is not None and timestamp < self._last_timestamp:
-            self._monotonic = False
-        self._last_timestamp = (timestamp if self._last_timestamp is None
-                                else max(self._last_timestamp, timestamp))
+        """Insert one hashed stream item (Algorithm 1).
 
-        leaf = self._current_leaf()
-        if leaf.matrix.insert(src_fingerprint, dst_fingerprint,
-                              src_address, dst_address, weight, timestamp):
-            self._note_insert(leaf, timestamp)
-            return
-
-        if (self.config.enable_overflow_blocks
-                and leaf.t_max is not None and timestamp == leaf.t_max):
-            self._insert_into_overflow(leaf, src_fingerprint, dst_fingerprint,
-                                       src_address, dst_address, weight, timestamp)
-            self._note_insert(leaf, timestamp)
-            return
-
-        self._close_leaf(leaf)
-        new_leaf = self._open_leaf()
-        if not new_leaf.matrix.insert(src_fingerprint, dst_fingerprint,
-                                      src_address, dst_address, weight, timestamp):
-            raise InsertionError("insertion into a freshly opened leaf matrix failed; "
-                                 "this indicates an invalid configuration")
-        self._note_insert(new_leaf, timestamp)
-
-    def _note_insert(self, leaf: LeafNode, timestamp: int) -> None:
-        if self._leaf_first_ts[leaf.index] is None:
-            self._leaf_first_ts[leaf.index] = timestamp
-        self._items_inserted += 1
-
-    def insert_hashed_batch(self, items: Iterable[Tuple[int, int,
-                                                        Sequence[int],
-                                                        Sequence[int],
-                                                        float, int]]) -> int:
-        """Insert a batch of pre-hashed items with precomputed probe rows.
-
-        Each item is ``(f(s), f(d), src_probe_rows, dst_probe_rows, w, t)``
-        where the probe rows come from
-        :meth:`~repro.core.matrix.CompressedMatrix.probe_rows` at the leaf
-        dimension (overflow blocks and fresh leaves share that dimension, so
-        one sequence per vertex serves the whole batch; reusing one tuple
-        per distinct vertex maximizes the placement memo's hit rate, but
-        fresh tuples per item are also safe).  Applies
-        the same per-item logic as :meth:`insert_hashed` but defers the
-        upward aggregation of leaf groups completed during the batch to the
-        end, so the leaf-insert loop runs without interleaved aggregation
-        work.  The final structure is identical to per-item insertion.
-        Returns the number of items inserted.
+        Packs the item with the scalar kernels, then runs the loop batch
+        ingest runs, so its leaf closing and upward aggregation are the
+        batch's.
         """
         config = self.config
-        enable_overflow = config.enable_overflow_blocks
+        probes = range(config.num_probes)
+        size = config.leaf_matrix_size
+        fingerprint_bits = config.fingerprint_bits
+        self._insert_packed(
+            [pack_vertex(src_fingerprint, src_address, fingerprint_bits),
+             pack_vertex(dst_fingerprint, dst_address, fingerprint_bits)],
+            [[probe_address(src_address, i, src_fingerprint, size)
+              for i in probes],
+             [probe_address(dst_address, i, dst_fingerprint, size)
+              for i in probes]],
+            [0], [1], [weight], [timestamp])
+
+    # hot-path
+    def insert_hashed_batch_arrays(self, fingerprints, addresses,
+                                   src_idx, dst_idx,
+                                   weights, timestamps) -> int:
+        """Insert a pre-hashed batch; returns the number of items inserted.
+
+        ``fingerprints`` / ``addresses`` are per-*distinct-vertex* ``int64``
+        arrays (the caller hashed the batch's distinct vertices in one
+        vectorized pass, see :meth:`Higgs._hash_indexed`); ``src_idx`` /
+        ``dst_idx`` map each batch item to its endpoints' rows.  Each
+        distinct vertex is packed and probed vectorized, once, and the
+        items then flow through the loop :meth:`insert_hashed` runs, so the
+        result is bit-identical to per-item insertion.
+        """
+        config = self.config
+        return self._insert_packed(
+            vectorized.pack_vertex_array(fingerprints, addresses,
+                                         config).tolist(),
+            vectorized.probe_rows_array(fingerprints, addresses,
+                                        config.num_probes,
+                                        config.leaf_matrix_size).tolist(),
+            src_idx.tolist(), dst_idx.tolist(), weights.tolist(),
+            timestamps.tolist())
+
+    def _insert_packed(self, vertices: List[int], rows: List[List[int]],
+                       src_idx: List[int], dst_idx: List[int],
+                       weights: List[float], timestamps: List[int]) -> int:
+        """The insert loop of both paths.
+
+        ``vertices`` / ``rows`` hold each distinct vertex's packed key and
+        leaf-level probe addresses; ``src_idx`` / ``dst_idx`` index them
+        per item.  A leaf that refuses an item is closed and a new leaf
+        takes it.  The upward aggregation of leaf groups completed in the
+        loop is deferred to its end: a completed group's leaves are closed,
+        so no later item can change them, and aggregating at the end builds
+        byte-identical internal nodes.
+        """
+        if not src_idx:
+            return 0
+        config = self.config
+        vbits = vertex_bits(config)
         last_ts = self._last_timestamp
         monotonic = self._monotonic
         pending_groups: List[int] = []
-        leaf = self._current_leaf()
-        matrix_insert = leaf.matrix.insert_probed
-        leaf_first_ts = self._leaf_first_ts
-        # Placement memo for the *current leaf matrix*: item key → the
-        # MatrixEntry holding it.  A repeated key accumulates directly into
-        # its entry — bit-identical to the scan, which would find exactly
-        # that entry (a matrix holds at most one entry per key).  Probe-row
-        # tuples are identified by ``id``; ``memo_alive`` pins every
-        # memoized tuple so its id cannot be recycled while the memo lives,
-        # which makes id-keying safe even for callers that build fresh
-        # tuples per item (distinct live objects always have distinct ids).
-        # The memo dies with the leaf: overflow-block placements are never
-        # memoized (a later identical item may close the leaf instead once
-        # ``t_max`` advances).
-        entry_memo: Dict[Tuple[int, int, int], object] = {}
-        memo_get = entry_memo.get
-        memo_alive: List[object] = []
-        leaf_has_first = leaf_first_ts[leaf.index] is not None
+        if not self.leaves:
+            self.leaves.append(LeafNode(0, config))
+        leaf = self.leaves[-1]
         count = 0
         try:
-            for fs, fd, src_rows, dst_cols, weight, timestamp in items:
+            for s, d, weight, timestamp in zip(src_idx, dst_idx, weights,
+                                               timestamps, strict=True):
                 if last_ts is None:
                     last_ts = timestamp
                 elif timestamp < last_ts:
                     monotonic = False
                 elif timestamp > last_ts:
                     last_ts = timestamp
-                key = (id(src_rows), id(dst_cols), timestamp)
-                entry = memo_get(key)
-                if entry is not None:
-                    entry.weight += weight
-                    count += 1
-                    continue
-                entry = matrix_insert(fs, fd, src_rows, dst_cols,
-                                      weight, timestamp)
-                if entry is not None:
-                    entry_memo[key] = entry
-                    memo_alive.append(src_rows)
-                    memo_alive.append(dst_cols)
-                    if not leaf_has_first:
-                        leaf_first_ts[leaf.index] = timestamp
-                        leaf_has_first = True
-                    count += 1
-                    continue
-                if (enable_overflow
-                        and leaf.t_max is not None and timestamp == leaf.t_max):
-                    self._insert_into_overflow_probed(leaf, fs, fd, src_rows,
-                                                      dst_cols, weight,
-                                                      timestamp)
-                    count += 1
-                    continue
-                leaf.closed = True
-                pending_groups.append(leaf.index)
-                leaf = self._open_leaf()
-                leaf_first_ts = self._leaf_first_ts
-                matrix_insert = leaf.matrix.insert_probed
-                entry_memo.clear()
-                memo_get = entry_memo.get
-                memo_alive.clear()
-                entry = matrix_insert(fs, fd, src_rows, dst_cols,
-                                      weight, timestamp)
-                if entry is None:
-                    raise InsertionError(
-                        "insertion into a freshly opened leaf matrix failed; "
-                        "this indicates an invalid configuration")
-                entry_memo[key] = entry
-                memo_alive.append(src_rows)
-                memo_alive.append(dst_cols)
-                leaf_first_ts[leaf.index] = timestamp
-                leaf_has_first = True
+                source = vertices[s]
+                destination = vertices[d]
+                edge = (source << vbits) | destination
+                if not leaf.insert(edge, source, destination, rows[s],
+                                   rows[d], weight, timestamp):
+                    leaf.closed = True
+                    pending_groups.append(leaf.index)
+                    leaf = LeafNode(len(self.leaves), config)
+                    self.leaves.append(leaf)
+                    # An empty leaf matrix takes any item.
+                    leaf.insert(edge, source, destination, rows[s], rows[d],
+                                weight, timestamp)
                 count += 1
         finally:
-            # Runs even when `items` (a caller's generator) or an insert
-            # raises mid-batch: account exactly the items applied and
-            # aggregate every group completed so far, so the tree stays
-            # consistent and query-plan caches invalidate.
+            # Runs even when an insert raises mid-batch: account exactly
+            # the items applied and aggregate every group completed so far,
+            # so the tree stays consistent and query-plan caches invalidate.
             self._last_timestamp = last_ts
             self._monotonic = monotonic
             self._items_inserted += count
             if count or pending_groups:
-                # +1 covers a failed item that already mutated the structure
-                # (closed a leaf) before raising; version only needs to grow
-                # on mutation, not match the per-item count.
+                # +1 covers a failed item that already closed a leaf; the
+                # version only needs to grow on mutation.
                 self._version += count + 1
-            # Deferred upward aggregation: closed-leaf groups are aggregated
-            # in leaf order so internal nodes materialize in the same order
-            # as the per-item path (``_append_internal`` enforces this).
+            # Groups aggregate in leaf order, so internal nodes materialize
+            # in order (``_append_internal`` enforces this).
             for index in pending_groups:
                 self._aggregate_if_group_complete(index)
         return count
 
-    # hot-path
-    def insert_hashed_batch_arrays(self, fingerprints, addresses,
-                                   src_idx, dst_idx,
-                                   weights, timestamps) -> int:
-        """Array front-end of :meth:`insert_hashed_batch`.
-
-        ``fingerprints`` / ``addresses`` are per-*distinct-vertex* ``int64``
-        arrays (the caller hashed the batch's distinct vertices in one
-        vectorized pass, see :meth:`Higgs._hash_indexed`); ``src_idx`` /
-        ``dst_idx`` map each batch item to its endpoints' rows.  The
-        leaf-level probe sequences are computed vectorized, once per
-        distinct vertex, and one probe tuple is shared by every item
-        touching a vertex, which maximizes the placement memo's hit rate
-        downstream.  The prepared items then flow through the sequential
-        batch loop, whose placement memo, overflow handling, exception
-        contract and accounting make the result bit-identical to per-item
-        insertion.
-        """
-        config = self.config
-        rows = [tuple(row) for row in vectorized.probe_rows_array(
-            fingerprints, addresses, config.num_probes,
-            config.leaf_matrix_size).tolist()]
-        fps = fingerprints.tolist()
-        return self.insert_hashed_batch(
-            [(fps[s], fps[d], rows[s], rows[d], weight, ts)
-             for s, d, weight, ts in zip(
-                 src_idx.tolist(), dst_idx.tolist(),
-                 weights.tolist(), timestamps.tolist())])
-
-    def _insert_into_overflow(self, leaf: LeafNode, src_fingerprint: int,
-                              dst_fingerprint: int, src_address: int,
-                              dst_address: int, weight: float,
-                              timestamp: int) -> None:
-        """Place an item into the leaf's overflow-block chain, growing it if needed."""
-        for block in leaf.overflow_blocks:
-            if block.insert(src_fingerprint, dst_fingerprint,
-                            src_address, dst_address, weight, timestamp):
-                return
-        # Overflow blocks share the leaf matrix dimension so their entries'
-        # canonical addresses lift to parent levels exactly like leaf entries;
-        # the smaller per-bucket capacity keeps each block lightweight.
-        block = CompressedMatrix(
-            self.config.leaf_matrix_size, self.config.overflow_block_entries,
-            num_probes=self.config.num_probes, store_timestamps=True,
-            entry_bytes=self.config.leaf_entry_bytes())
-        leaf.overflow_blocks.append(block)
-        if not block.insert(src_fingerprint, dst_fingerprint,
-                            src_address, dst_address, weight, timestamp):
-            raise InsertionError("insertion into a fresh overflow block failed")
-
-    def _insert_into_overflow_probed(self, leaf: LeafNode, src_fingerprint: int,
-                                     dst_fingerprint: int,
-                                     src_rows: Sequence[int],
-                                     dst_cols: Sequence[int], weight: float,
-                                     timestamp: int) -> None:
-        """Probed-path twin of :meth:`_insert_into_overflow` (overflow blocks
-        share the leaf matrix dimension, so the probe rows carry over)."""
-        for block in leaf.overflow_blocks:
-            if block.insert_probed(src_fingerprint, dst_fingerprint,
-                                   src_rows, dst_cols, weight, timestamp):
-                return
-        block = CompressedMatrix(
-            self.config.leaf_matrix_size, self.config.overflow_block_entries,
-            num_probes=self.config.num_probes, store_timestamps=True,
-            entry_bytes=self.config.leaf_entry_bytes())
-        leaf.overflow_blocks.append(block)
-        if not block.insert_probed(src_fingerprint, dst_fingerprint,
-                                   src_rows, dst_cols, weight, timestamp):
-            raise InsertionError("insertion into a fresh overflow block failed")
-
     # ------------------------------------------------------------------ #
-    # leaf closing and upward aggregation
+    # upward aggregation
     # ------------------------------------------------------------------ #
-
-    def _close_leaf(self, leaf: LeafNode) -> None:
-        leaf.closed = True
-        self._aggregate_if_group_complete(leaf.index)
 
     def _aggregate_if_group_complete(self, leaf_index: int) -> None:
         """Materialize the parent of the leaf group ending at ``leaf_index``
@@ -386,65 +257,42 @@ class HiggsTree:
     def delete_hashed(self, src_fingerprint: int, dst_fingerprint: int,
                       src_address: int, dst_address: int, weight: float,
                       timestamp: int) -> bool:
-        """Subtract ``weight`` from the matching leaf entry and every
-        materialized ancestor aggregate.  Returns True if a leaf entry matched."""
-        leaf = self._find_leaf_for_delete(src_fingerprint, dst_fingerprint,
-                                          src_address, dst_address, weight,
-                                          timestamp)
-        if leaf is None:
+        """Subtract ``weight`` from the matching leaf item and every
+        materialized ancestor aggregate, all under the same packed keys.
+        Returns True if a leaf item matched."""
+        fingerprint_bits = self.config.fingerprint_bits
+        source = pack_vertex(src_fingerprint, src_address, fingerprint_bits)
+        destination = pack_vertex(dst_fingerprint, dst_address,
+                                  fingerprint_bits)
+        edge = pack_edge(source, destination, vertex_bits(self.config))
+        for index in self._candidate_leaf_indices(timestamp):
+            if self.leaves[index].decrement(edge, timestamp, weight):
+                break
+        else:
             return False
         self._version += 1
-        self._decrement_ancestors(leaf.index, src_fingerprint, dst_fingerprint,
-                                  src_address, dst_address, weight)
+        for nodes in self._internal:
+            index //= self.config.fanout
+            if index >= len(nodes):
+                break
+            nodes[index].decrement(edge, source, destination, weight)
         return True
 
     def _candidate_leaf_indices(self, timestamp: int) -> List[int]:
         """Leaf indices whose time range may contain ``timestamp``."""
-        n = len(self.leaves)
-        if n == 0:
-            return []
         if not self._monotonic:
             return [i for i, leaf in enumerate(self.leaves)
                     if leaf.overlaps(timestamp, timestamp)]
-        starts = [ts if ts is not None else timestamp for ts in self._leaf_first_ts]
-        hi = bisect.bisect_right(starts, timestamp)
+        # A monotonic stream fills leaves in time order, so their ``t_min``
+        # values are sorted.
+        starts = [timestamp if leaf.t_min is None else leaf.t_min
+                  for leaf in self.leaves]
+        index = bisect.bisect_right(starts, timestamp) - 1
         candidates = []
-        index = hi - 1
-        while index >= 0:
-            leaf = self.leaves[index]
-            if leaf.t_max is not None and leaf.t_max < timestamp:
-                break
+        while index >= 0 and self.leaves[index].overlaps(timestamp, timestamp):
             candidates.append(index)
             index -= 1
         return candidates
-
-    def _find_leaf_for_delete(self, src_fingerprint: int, dst_fingerprint: int,
-                              src_address: int, dst_address: int, weight: float,
-                              timestamp: int) -> Optional[LeafNode]:
-        for index in self._candidate_leaf_indices(timestamp):
-            leaf = self.leaves[index]
-            for matrix in leaf.matrices():
-                if matrix.decrement(src_fingerprint, dst_fingerprint,
-                                    src_address, dst_address, weight, timestamp):
-                    return leaf
-        return None
-
-    def _decrement_ancestors(self, leaf_index: int, src_fingerprint: int,
-                             dst_fingerprint: int, src_address: int,
-                             dst_address: int, weight: float) -> None:
-        fanout = self.config.fanout
-        group = leaf_index
-        for slot, nodes in enumerate(self._internal):
-            level = slot + 2
-            group //= fanout
-            if group >= len(nodes):
-                break
-            node = nodes[group]
-            lifted_fs, lifted_hs = lift_coordinates(src_fingerprint, src_address,
-                                                    1, level, self.config)
-            lifted_fd, lifted_hd = lift_coordinates(dst_fingerprint, dst_address,
-                                                    1, level, self.config)
-            node.decrement(lifted_fs, lifted_fd, lifted_hs, lifted_hd, weight)
 
     # ------------------------------------------------------------------ #
     # accounting
@@ -460,9 +308,8 @@ class HiggsTree:
     def stats(self) -> Dict[str, object]:
         """Structural statistics used by benchmarks and debugging."""
         leaf_entries = sum(leaf.entry_count() for leaf in self.leaves)
-        leaf_capacity = sum(
-            sum(m.capacity for m in leaf.matrices()) for leaf in self.leaves)
-        overflow_blocks = sum(len(leaf.overflow_blocks) for leaf in self.leaves)
+        leaf_capacity = sum(leaf.capacity() for leaf in self.leaves)
+        overflow_blocks = sum(leaf.overflow_blocks for leaf in self.leaves)
         return {
             "leaf_count": self.leaf_count,
             "height": self.height,

@@ -1,12 +1,13 @@
 """Array (numpy) forms of the scalar hot-path kernels.
 
 Every function in this module reproduces a scalar kernel from
-:mod:`repro.core.hashing` / :mod:`repro.core.matrix` **bit-identically**
+:mod:`repro.core.hashing` / :mod:`repro.core.node` **bit-identically**
 over whole arrays: the same FNV-1a/splitmix64 constants, the same modular
-probe arithmetic.  The batch paths (batch ingest, Algorithm 2 aggregation,
-``query_batch`` endpoint hashing) run on these; the scalar
-kernels serve the per-item paths (``Higgs.insert``, point queries,
-deletion) and are the reference the property tests compare against.
+probe arithmetic, the same packed keys.  The batch paths (batch ingest,
+Algorithm 2 aggregation, ``query_batch`` endpoint hashing and packing) run
+on these; the scalar kernels serve the per-item paths (``Higgs.insert``,
+point queries, deletion) and are the reference the property tests compare
+against.
 
 The arithmetic is arranged so every intermediate fits in ``int64``/
 ``uint64`` for the full supported parameter range (fingerprints up to 56
@@ -22,7 +23,9 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from .config import HiggsConfig
 from .hashing import hash64
+from .node import pack_vertex, vertex_bits
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -127,9 +130,24 @@ def split_array(hashes: "np.ndarray", fingerprint_bits: int,
     return fingerprints, addresses
 
 
+def key_dtype(config: HiggsConfig):
+    """``int64`` when a packed edge key fits in it, else Python ints."""
+    return np.int64 if 2 * vertex_bits(config) < 64 else object
+
+
+def pack_vertex_array(fingerprints: "np.ndarray", addresses: "np.ndarray",
+                      config: HiggsConfig) -> "np.ndarray":
+    """Vectorized :func:`~repro.core.node.pack_vertex` of leaf-level
+    ``(fingerprint, address)`` arrays, in :func:`key_dtype`."""
+    dtype = key_dtype(config)
+    return pack_vertex(fingerprints.astype(dtype), addresses.astype(dtype),
+                       config.fingerprint_bits)
+
+
 def probe_rows_array(fingerprints: "np.ndarray", addresses: "np.ndarray",
                      num_probes: int, size: int) -> "np.ndarray":
-    """Vectorized :meth:`~repro.core.matrix.CompressedMatrix.probe_rows`.
+    """Vectorized :func:`~repro.core.hashing.probe_address` over probe
+    indices ``0 .. num_probes - 1``.
 
     Returns an ``(n, num_probes)`` ``int64`` matrix of candidate addresses.
     The linear-congruential step is reduced mod ``size`` before the
@@ -147,10 +165,9 @@ def candidate_cells_array(src_rows: "np.ndarray",
     """Flat candidate-bucket indices per item, in probe-scan order.
 
     ``cells[k, i*r + j] = src_rows[k, i] * size + dst_cols[k, j]`` — exactly
-    the ``(i, j)``-ordered scan of
-    :meth:`~repro.core.matrix.CompressedMatrix.insert_probed`, precomputed
-    for the whole batch so the aggregation's placement loop only counts
-    bucket occupancy.
+    the ``(i, j)``-ordered scan of a leaf's first fit
+    (:meth:`~repro.core.node.LeafNode._fit`), precomputed for the whole
+    batch so the aggregation's placement loop only counts bucket occupancy.
     """
     count = src_rows.shape[0]
     return (src_rows[:, :, None] * size

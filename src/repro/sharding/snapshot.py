@@ -49,7 +49,9 @@ FACTORY_NAME = "factory.pkl"
 
 #: Current snapshot format version; bumped on incompatible layout changes.
 #: Version 2: HIGGS internal nodes pickle exact key maps, not a matrix.
-FORMAT_VERSION = 2
+#: Version 3: HIGGS leaves pickle exact key maps too, and internal nodes
+#: drop their fingerprint and vertex widths.
+FORMAT_VERSION = 3
 
 
 def shard_payload_name(shard: int) -> str:

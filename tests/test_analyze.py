@@ -496,7 +496,7 @@ class TestDriver:
             "ServingEngine.latency_percentiles",
             "AdaptiveEpochController.adjustments", "SnapshotEmitter",
             "SnapshotEmitter.emitted", "SnapshotEmitter.sink_errors",
-            "clear_context_cache"}
+            "clear_context_cache", "lift_coordinates"}
 
 
 # --------------------------------------------------------------------- #

@@ -159,36 +159,6 @@ class TestBatchExceptionSafety:
         assert summary.height >= 3
         assert summary.edge_query("s10", "d10", 0, 1_000) >= 1.0
 
-    def test_fresh_probe_tuples_per_item_are_safe(self):
-        """insert_hashed_batch must not mis-accumulate when the caller builds
-        new probe-row tuples for every item (ids must not be recycled)."""
-        per_item = Higgs(HiggsConfig(**self._CONFIG))
-        batched = Higgs(HiggsConfig(**self._CONFIG))
-        edges = [(f"v{i % 9}", f"w{(i * 5) % 7}", 1.0, i % 40)
-                 for i in range(800)]
-        for source, destination, weight, ts in edges:
-            per_item.insert(source, destination, weight, ts)
-
-        hasher = batched._hasher
-        size = batched.config.leaf_matrix_size
-
-        def fresh_items():
-            for source, destination, weight, ts in edges:
-                fs, hs = hasher.split(source)
-                fd, hd = hasher.split(destination)
-                yield (fs, fd,
-                       tuple([(hs + i * (2 * fs + 1)) % size
-                              for i in range(batched.config.num_probes)]),
-                       tuple([(hd + i * (2 * fd + 1)) % size
-                              for i in range(batched.config.num_probes)]),
-                       weight, ts)
-
-        assert batched.tree.insert_hashed_batch(fresh_items()) == len(edges)
-        assert per_item.stats() == batched.stats()
-        for source, destination, _w, _t in edges[:100]:
-            assert per_item.edge_query(source, destination, 0, 50) == \
-                batched.edge_query(source, destination, 0, 50)
-
 
 class TestTimestampRange:
     """Per-item and batch ingest agree on timestamps outside ``int64``: both

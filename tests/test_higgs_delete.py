@@ -17,6 +17,7 @@ import pytest
 
 from repro import Higgs, HiggsConfig
 from repro.core.aggregation import lift_coordinates
+from repro.core.node import pack_edge, pack_vertex, vertex_bits
 
 
 def _small_config() -> HiggsConfig:
@@ -54,18 +55,23 @@ class TestDeleteNeverInserted:
 
 
 def _ancestors(summary: Higgs, source: str, destination: str):
-    """``(node, lifted source, lifted destination)`` for every materialized
-    ancestor of leaf 0, bottom-up."""
+    """``(node, source key, destination key)`` for every materialized
+    ancestor of leaf 0, bottom-up, each key packed from the endpoint's
+    coordinates lifted to the node's level."""
     tree = summary.tree
+    config = summary.config
     src_fp, src_addr = summary._hasher.split(source)
     dst_fp, dst_addr = summary._hasher.split(destination)
     ancestors = []
     level = 2
     while tree.internal_node(level, 0) is not None:
+        bits = config.fingerprint_bits_at(level)
         ancestors.append((
             tree.internal_node(level, 0),
-            lift_coordinates(src_fp, src_addr, 1, level, summary.config),
-            lift_coordinates(dst_fp, dst_addr, 1, level, summary.config)))
+            pack_vertex(*lift_coordinates(src_fp, src_addr, 1, level, config),
+                        bits),
+            pack_vertex(*lift_coordinates(dst_fp, dst_addr, 1, level, config),
+                        bits)))
         level += 1
     return ancestors
 
@@ -81,10 +87,11 @@ class TestDeleteAfterAggregation:
         ancestors = _ancestors(summary, source, destination)
         assert len(ancestors) >= 2
 
-        before = [node.query_edge(src[0], dst[0], src[1], dst[1])
+        bits = vertex_bits(summary.config)
+        before = [node.query_edge(pack_edge(src, dst, bits))
                   for node, src, dst in ancestors]
         summary.delete(source, destination, weight, timestamp)
-        after = [node.query_edge(src[0], dst[0], src[1], dst[1])
+        after = [node.query_edge(pack_edge(src, dst, bits))
                  for node, src, dst in ancestors]
         for value_before, value_after in zip(before, after, strict=True):
             assert value_after == pytest.approx(value_before - weight)
@@ -102,8 +109,8 @@ class TestDeleteAfterAggregation:
             sums = [summary.vertex_query(source, 0, 1_000, "out"),
                     summary.vertex_query(destination, 0, 1_000, "in")]
             for node, src, dst in ancestors:
-                sums.append(node.query_vertex(*src, direction="out"))
-                sums.append(node.query_vertex(*dst, direction="in"))
+                sums.append(node.query_vertex(src, direction="out"))
+                sums.append(node.query_vertex(dst, direction="in"))
             return sums
 
         before = vertex_sums()

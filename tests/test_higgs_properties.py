@@ -82,18 +82,31 @@ def test_generous_fingerprints_give_exact_estimates(items, time_range):
         assert abs(estimate - expected) < 1e-9
 
 
-@given(items=_items)
+# A 2 x 2 leaf of one-entry buckets: the closing burst of 13 items at one
+# timestamp chains overflow blocks.
+_CHAINED = HiggsConfig(leaf_matrix_size=2, bucket_entries=1,
+                       fingerprint_bits=26, num_probes=1,
+                       overflow_block_entries=1)
+_BURST = [(f"v{i}", f"v{(i * 5) % 13}", 1, 300) for i in range(13)]
+
+
+@given(items=_items, config=st.sampled_from([
+    HiggsConfig(leaf_matrix_size=8, fingerprint_bits=26, num_probes=4),
+    _CHAINED]))
 @settings(max_examples=30, deadline=None)
-def test_insert_then_delete_everything_returns_to_zero(items):
-    summary = Higgs(HiggsConfig(leaf_matrix_size=8, fingerprint_bits=26,
-                                num_probes=4))
-    ordered = _sorted_stream(items)
+def test_insert_then_delete_everything_returns_to_zero(items, config):
+    summary = Higgs(config)
+    ordered = _sorted_stream(items) + _BURST
     for source, destination, weight, timestamp in ordered:
         summary.insert(source, destination, float(weight), timestamp)
+    if config is _CHAINED:
+        assert any(leaf.overflow_blocks > 1 for leaf in summary.tree.leaves)
     for source, destination, weight, timestamp in ordered:
         summary.delete(source, destination, float(weight), timestamp)
     for source, destination, _weight, _timestamp in ordered:
         assert summary.edge_query(source, destination, 0, 300) <= 1e-9
+        assert summary.vertex_query(source, 0, 300, "out") <= 1e-9
+        assert summary.vertex_query(destination, 0, 300, "in") <= 1e-9
 
 
 @given(items=_items)

@@ -200,21 +200,23 @@ class TestSnapshotFormat:
         with pytest.raises(SnapshotError, match="checksum"):
             ShardedSummary.restore(path)
 
-    def test_old_format_version_refuses(self, snapshot_dir):
-        # A correctly checksummed manifest from format version 1, whose
-        # HIGGS payloads pickle the old node layout, must not load.
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_old_format_version_refuses(self, snapshot_dir, version):
+        # A correctly checksummed manifest from an older format version,
+        # whose HIGGS payloads pickle an old node layout, must not load.
         _, path = snapshot_dir
         manifest_path = os.path.join(path, snapshot_format.MANIFEST_NAME)
         with open(manifest_path, "r", encoding="utf-8") as handle:
             manifest = json.load(handle)
-        manifest["format_version"] = manifest["body"]["format_version"] = 1
+        manifest["format_version"] = manifest["body"]["format_version"] = \
+            version
         manifest["checksum"] = snapshot_format._body_checksum(manifest["body"])
         with open(manifest_path, "w", encoding="utf-8") as handle:
             json.dump(manifest, handle)
-        assert snapshot_format.FORMAT_VERSION == 2
+        assert snapshot_format.FORMAT_VERSION == 3
         with pytest.raises(SnapshotError,
-                           match="format version 1; this build reads "
-                                 "version 2"):
+                           match=f"format version {version}; this build "
+                                 "reads version 3"):
             ShardedSummary.restore(path)
 
     @pytest.mark.parametrize("field, value", [

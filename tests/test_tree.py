@@ -2,11 +2,18 @@
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
+from repro import Higgs
+from repro.bench import scaled_higgs_config
+from repro.core.aggregation import lift_coordinates
 from repro.core.config import HiggsConfig
 from repro.core.hashing import VertexHasher
+from repro.core.node import pack_edge, pack_vertex, vertex_bits
 from repro.core.tree import HiggsTree
+from repro.streams.generators import StreamSpec, generate_stream
 
 
 @pytest.fixture()
@@ -26,6 +33,15 @@ def _insert(tree: HiggsTree, hasher: VertexHasher, source, destination,
     fs, hs = hasher.split(source)
     fd, hd = hasher.split(destination)
     tree.insert_hashed(fs, fd, hs, hd, weight, timestamp)
+
+
+def _edge(hasher: VertexHasher, config: HiggsConfig, source,
+          destination) -> int:
+    fs, hs = hasher.split(source)
+    fd, hd = hasher.split(destination)
+    return pack_edge(pack_vertex(fs, hs, config.fingerprint_bits),
+                     pack_vertex(fd, hd, config.fingerprint_bits),
+                     vertex_bits(config))
 
 
 def _fill(tree: HiggsTree, hasher: VertexHasher, count: int,
@@ -62,7 +78,6 @@ class TestGrowth:
         for index, node in enumerate(level2):
             assert node.index == index
             assert node.level == 2
-            assert node.complete
 
     def test_height_grows_logarithmically(self, config, hasher):
         tree = HiggsTree(config)
@@ -110,7 +125,7 @@ class TestOverflowBlocks:
         for i in range(120):
             _insert(tree, hasher, f"s{i}", f"d{i}", 1.0, 7)
         assert tree.leaf_count == 1
-        assert len(tree.leaves[0].overflow_blocks) > 0
+        assert tree.leaves[0].overflow_blocks > 0
 
     def test_disabled_overflow_blocks_open_new_leaves(self, config, hasher):
         tree = HiggsTree(config)
@@ -126,10 +141,10 @@ class TestDeletion:
         fs, hs = hasher.split("s10")
         fd, hd = hasher.split("d10")
         assert tree.delete_hashed(fs, fd, hs, hd, 1.0, 10)
-        # The entry is now zero-weighted.
+        # The item is now zero-weighted.
+        edge = _edge(hasher, config, "s10", "d10")
         for leaf in tree.leaves:
-            weight = sum(m.query_edge(fs, fd, hs, hd) for m in leaf.matrices())
-            assert weight <= 0.0 + 1e-9
+            assert leaf.query_edge(edge, 0, 1_000) <= 0.0 + 1e-9
 
     def test_delete_missing_item_returns_false(self, config, hasher):
         tree = HiggsTree(config)
@@ -139,7 +154,6 @@ class TestDeletion:
         assert not tree.delete_hashed(fs, fd, hs, hd, 1.0, 5)
 
     def test_delete_updates_materialized_ancestors(self, config, hasher):
-        from repro.core.aggregation import lift_coordinates
         tree = HiggsTree(config)
         _fill(tree, hasher, 400)
         # Pick an item stored in the first (aggregated) leaf group.
@@ -147,12 +161,16 @@ class TestDeletion:
         fd, hd = hasher.split("d0")
         node = tree.internal_node(2, 0)
         assert node is not None
-        lifted_fs, lifted_hs = lift_coordinates(fs, hs, 1, 2, config)
-        lifted_fd, lifted_hd = lift_coordinates(fd, hd, 1, 2, config)
-        before = node.query_edge(lifted_fs, lifted_fd, lifted_hs, lifted_hd)
+        # The node's key for the edge packs its lifted coordinates.
+        bits = config.fingerprint_bits_at(2)
+        edge = pack_edge(
+            pack_vertex(*lift_coordinates(fs, hs, 1, 2, config), bits),
+            pack_vertex(*lift_coordinates(fd, hd, 1, 2, config), bits),
+            vertex_bits(config))
+        assert edge == _edge(hasher, config, "s0", "d0")
+        before = node.query_edge(edge)
         assert tree.delete_hashed(fs, fd, hs, hd, 1.0, 0)
-        after = node.query_edge(lifted_fs, lifted_fd, lifted_hs, lifted_hd)
-        assert after == pytest.approx(before - 1.0)
+        assert node.query_edge(edge) == pytest.approx(before - 1.0)
 
 
 class TestStatsAndMemory:
@@ -173,3 +191,23 @@ class TestStatsAndMemory:
         small = tree.memory_bytes()
         _fill(tree, hasher, 300, start_time=100)
         assert tree.memory_bytes() > small
+
+    def test_tree_holds_few_gc_tracked_objects(self):
+        # Nodes keep their answers in maps of ints, floats and tuples of
+        # ints, which a full collection untracks, so a gen-2 collection
+        # walks a few objects per node, not several per stored item.
+        stream = generate_stream(StreamSpec(num_vertices=2_000,
+                                            num_edges=20_000, seed=3))
+        summary = Higgs(scaled_higgs_config(len(stream)))
+        summary.insert_stream(stream)
+        gc.collect()
+        seen = set()
+        pending = [summary.tree]
+        while pending:
+            obj = pending.pop()
+            if (id(obj) in seen or isinstance(obj, type)
+                    or not gc.is_tracked(obj)):
+                continue
+            seen.add(id(obj))
+            pending.extend(gc.get_referents(obj))
+        assert len(seen) < 0.1 * len(stream)

@@ -3,8 +3,9 @@
 The array paths — batch ingest, Algorithm 2 aggregation, ``query_batch``
 endpoint hashing, the shared-memory packed batches — are *optimizations*,
 never a semantic change: they must produce byte-for-byte the same summary
-(leaf bucket contents, occupancy maps and time ranges; each internal
-node's ordered key map, spilled keys and vertex maps) and the
+(each leaf's per-block placements and occupancy, item weights, edge and
+vertex indexes and time range; each internal node's ordered key map,
+spilled keys and vertex maps) and the
 same query answers as per-item ``Higgs.insert`` and per-item queries, the
 scalar reference path.  These tests build the same stream both ways and
 compare deep structural digests plus every query type (edge, vertex in/out,
@@ -27,8 +28,7 @@ from hypothesis import strategies as st
 from repro import Higgs, HiggsConfig
 from repro.core import shm, vectorized
 from repro.core.aggregation import lift_coordinates
-from repro.core.hashing import VertexHasher, hash64
-from repro.core.matrix import CompressedMatrix
+from repro.core.hashing import VertexHasher, hash64, probe_address
 from repro.core.node import pack_vertex, unpack_vertex, vertex_bits
 from repro.queries.types import (EdgeQuery, PathQuery, SubgraphQuery,
                                  VertexQuery)
@@ -55,21 +55,17 @@ _keys = st.one_of(
     st.binary(max_size=24))
 
 
-def _matrix_digest(matrix: CompressedMatrix):
-    buckets = {
-        position: [(e.src_fingerprint, e.dst_fingerprint, e.src_probe,
-                    e.dst_probe, e.weight, e.timestamp) for e in bucket]
-        for position, bucket in matrix._buckets.items()}
-    rows = {row: sorted(cols) for row, cols in matrix._rows.items()}
-    cols = {col: sorted(rows) for col, rows in matrix._cols.items()}
-    return (buckets, rows, cols, matrix.start_time, matrix.end_time)
+def _leaf_digest(leaf):
+    return ([list(placement.items()) for placement in leaf.placements],
+            [list(occupancy.items()) for occupancy in leaf.occupancy],
+            list(leaf.weights.items()), list(leaf.edges.items()),
+            list(leaf.sources.items()), list(leaf.destinations.items()),
+            leaf.t_min, leaf.t_max, leaf.closed)
 
 
 def _tree_digest(summary: Higgs):
     tree = summary._tree
-    leaves = [
-        ([_matrix_digest(m) for m in leaf.matrices()], leaf.closed)
-        for leaf in tree.leaves]
+    leaves = [_leaf_digest(leaf) for leaf in tree.leaves]
     internal = [
         [(list(node.weights.items()), list(node.weights)[node.placed:],
           node.placed, node.out_weights, node.in_weights, node.keys,
@@ -139,13 +135,28 @@ def test_split_array_matches_vertex_hasher(keys, seed):
                       min_size=1, max_size=50))
 @settings(max_examples=40, deadline=None)
 def test_probe_rows_array_matches_scalar(items):
-    matrix = CompressedMatrix(size=16, bucket_entries=2, num_probes=4)
     fingerprints = np.asarray([fp for fp, _ in items], dtype=np.int64)
     addresses = np.asarray([addr for _, addr in items], dtype=np.int64)
-    bulk = vectorized.probe_rows_array(fingerprints, addresses,
-                                       matrix.num_probes, matrix.size)
+    bulk = vectorized.probe_rows_array(fingerprints, addresses, 4, 16)
     for row, (fp, addr) in zip(bulk.tolist(), items):
-        assert tuple(row) == matrix.probe_rows(fp, addr)
+        assert row == [probe_address(addr, i, fp, 16) for i in range(4)]
+
+
+@pytest.mark.parametrize("config", [
+    _MEDIUM, HiggsConfig(leaf_matrix_size=8, fingerprint_bits=40)],
+    ids=["int64", "wide"])
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_pack_vertex_array_matches_scalar(config, data):
+    items = data.draw(st.lists(
+        st.tuples(st.integers(0, 2 ** config.fingerprint_bits - 1),
+                  st.integers(0, config.leaf_matrix_size - 1)),
+        min_size=1, max_size=50))
+    fingerprints = np.asarray([fp for fp, _ in items], dtype=np.int64)
+    addresses = np.asarray([addr for _, addr in items], dtype=np.int64)
+    bulk = vectorized.pack_vertex_array(fingerprints, addresses, config)
+    assert bulk.tolist() == [pack_vertex(fp, addr, config.fingerprint_bits)
+                             for fp, addr in items]
 
 
 @given(fps=st.lists(st.integers(0, 2 ** 12 - 1), min_size=1, max_size=50),
