@@ -2,8 +2,8 @@
 
 The library is pure Python with one hard dependency, numpy: it runs the
 batch paths (vectorized hashing and probing, the Algorithm 2 aggregation,
-``query_batch`` endpoint hashing) and the packed-edge shared-memory
-transport for process shard workers.
+``query_batch`` endpoint hashing) and the packed edge batches sent to
+process shard workers.
 """
 
 from setuptools import find_packages, setup

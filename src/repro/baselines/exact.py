@@ -109,6 +109,7 @@ class ExactTemporalGraph(TemporalGraphSummary):
     def vertex_query(self, vertex: Vertex, t_start: int, t_end: int,
                      direction: str = "out") -> float:
         self.check_range(t_start, t_end)
+        self.check_direction(direction)
         table = self._out if direction == "out" else self._in
         series = table.get(vertex)
         return series.range_sum(t_start, t_end) if series is not None else 0.0

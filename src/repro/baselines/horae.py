@@ -186,6 +186,7 @@ class Horae(TemporalGraphSummary):
     def vertex_query(self, vertex: Vertex, t_start: int, t_end: int,
                      direction: str = "out") -> float:
         self.check_range(t_start, t_end)
+        self.check_direction(direction)
         total = 0.0
         for level, prefix in dyadic_intervals(t_start, t_end,
                                               allowed_levels=self._levels,

@@ -147,6 +147,7 @@ class PGSS(TemporalGraphSummary):
     def vertex_query(self, vertex: Vertex, t_start: int, t_end: int,
                      direction: str = "out") -> float:
         self.check_range(t_start, t_end)
+        self.check_direction(direction)
         estimates = []
         for row in range(self.depth):
             address = self._address(vertex, row)

@@ -38,8 +38,8 @@ imbalance erodes the projected speedup while wall-clock work barely moves.
 
 A third row group (``figure = "sharded-process"``) measures the projection
 directly: wall-clock ingest through the ``"process"`` executor (worker
-processes fed over the packed-edge shared-memory transport) at 1 shard and
-at the largest swept shard count.  Its ``wall_x`` is the *measured*
+processes fed packed edge batches through their pipes) at 1 shard and at
+the largest swept shard count.  Its ``wall_x`` is the *measured*
 parallel speedup; every row carries ``host_cores`` because the figure is
 meaningless without it — on a single-core host the measured speedup cannot
 exceed 1× no matter how well the engine scales.
@@ -183,8 +183,8 @@ def run_sharded_scaling(*, num_edges: int = 100_000, num_vertices: int = 2_000,
         })
 
     # Measured (not projected) parallel ingest: the process executor with
-    # the packed-edge shared-memory transport, 1 shard vs the largest swept
-    # shard count.  ``wall_x`` here is the *measured* wall-clock speedup —
+    # packed edge batches on its pipes, 1 shard vs the largest swept shard
+    # count.  ``wall_x`` here is the *measured* wall-clock speedup —
     # the figure the projection above promises; on a host with fewer cores
     # than shards it degrades toward 1× (plus IPC overhead), which is why
     # the perf gate only enforces it when ``host_cores`` suffices

@@ -11,20 +11,29 @@ Every shard worker tracks the cumulative wall-clock time it spent executing
 calls and the number of calls it executed (:meth:`ShardWorker.stats`), which
 the benchmark harness uses to report per-shard load balance and projected
 parallel ingest time.
+
+A process worker's calls and results are pickled through its pipe.  Large
+edge batches travel as :class:`PackedEdges` (a vertex table plus 24-byte
+records) instead of lists of edge objects, which pickle smaller and which
+:meth:`~repro.core.higgs.Higgs.insert_batch` ingests without building edge
+objects in the child.
 """
 
 from __future__ import annotations
 
 import contextlib
+import gc
 import multiprocessing
 import pickle
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..errors import ShardingError
-from . import shm
+from ..streams.edge import StreamEdge, Vertex
 
 #: Reserved method name: returns the worker's load counters —
 #: ``{"busy_seconds": float, "calls": int}`` — in one round trip instead of
@@ -55,6 +64,78 @@ LOAD_OP = "__load__"
 #: seconds.  Small enough that a dead child surfaces promptly; large enough
 #: that polling stays invisible next to real shard work.
 _COLLECT_POLL_SECONDS = 0.05
+
+#: Per-edge packed record: vertex-table indices, weight, timestamp.
+#: 24 bytes per edge, little-endian, alignment-free.
+EDGE_DTYPE = [("src", "<i4"), ("dst", "<i4"),
+              ("weight", "<f8"), ("timestamp", "<i8")]
+
+#: Bytes per packed edge record (fixed by :data:`EDGE_DTYPE`).
+RECORD_BYTES = 24
+
+#: Batches smaller than this are cheaper to pickle than to pack (the
+#: vertex-table indexing pass costs more than the pickle savings).
+MIN_PACK_EDGES = 32
+
+
+class PackedEdges:
+    """A batch of stream edges in packed (vertex table + records) form.
+
+    This is the form in which :class:`ProcessShardWorker` pickles large edge
+    batches to its child.  Iterating yields
+    :class:`~repro.streams.edge.StreamEdge` objects, so any summary accepts
+    a packed batch wherever it accepts an edge list; HIGGS skips that
+    entirely through :meth:`packed_arrays`, which is the duck-typed fast
+    path :meth:`repro.core.higgs.Higgs.insert_batch` probes for with
+    ``getattr``.
+    """
+
+    __slots__ = ("vertices", "records")
+
+    def __init__(self, vertices: Sequence[Vertex], records: "np.ndarray") -> None:
+        self.vertices = vertices
+        self.records = records
+
+    def __len__(self) -> int:
+        return len(self.records)
+
+    def __iter__(self) -> Iterator[StreamEdge]:
+        vertices = self.vertices
+        for src, dst, weight, timestamp in self.records.tolist():
+            yield StreamEdge(vertices[src], vertices[dst], weight, timestamp)
+
+    def packed_arrays(self) -> Tuple[Sequence[Vertex], "np.ndarray",
+                                     "np.ndarray", "np.ndarray", "np.ndarray"]:
+        """``(vertices, src_idx, dst_idx, weights, timestamps)`` arrays.
+
+        The contract of the bulk-insert fast path: vertex-table indices per
+        edge plus parallel weight/timestamp arrays, in batch order.
+        """
+        records = self.records
+        return (self.vertices, records["src"], records["dst"],
+                records["weight"], records["timestamp"])
+
+
+def pack_edges(edges: Sequence) -> PackedEdges:
+    """Pack an edge sequence into a :class:`PackedEdges` batch.
+
+    Raises whatever the edge attributes raise on conversion (``TypeError``
+    for unpackable weights, ``OverflowError`` for out-of-range timestamps,
+    ...); callers treat any failure as "send the list instead".
+    """
+    index: Dict[Vertex, int] = {}
+    setdefault = index.setdefault
+    records = np.empty(len(edges), dtype=EDGE_DTYPE)
+    src_col = records["src"]
+    dst_col = records["dst"]
+    weight_col = records["weight"]
+    ts_col = records["timestamp"]
+    for position, edge in enumerate(edges):
+        src_col[position] = setdefault(edge.source, len(index))
+        dst_col[position] = setdefault(edge.destination, len(index))
+        weight_col[position] = edge.weight
+        ts_col[position] = int(edge.timestamp)
+    return PackedEdges(list(index), records)
 
 
 @dataclass(slots=True)
@@ -156,8 +237,7 @@ class ShardWorker(ABC):
         with a wire); inline workers pass arguments by reference and report
         zeros, so pool-wide sweeps need no type dispatch.
         """
-        return {"packed_batches": 0, "packed_bytes": 0,
-                "fallback_batches": 0, "live_regions": 0}
+        return {"packed_batches": 0, "packed_bytes": 0, "fallback_batches": 0}
 
     def drain(self, timeout: Optional[float] = None) -> ShardResult:
         """Block until every previously submitted call has finished.
@@ -282,6 +362,9 @@ def _process_worker_main(factory: Callable[[], Any], conn) -> None:
     Exceptions are reduced to ``(type name, message)`` pairs because arbitrary
     exception objects may not pickle.
     """
+    # A forked child starts with a copy of the parent's whole heap.  Freeze
+    # it, so the worker's collections walk only the objects it creates.
+    gc.freeze()
     try:
         holder = _TargetHolder(factory())
     except BaseException as exc:  # noqa: BLE001 - reported to the parent
@@ -290,7 +373,6 @@ def _process_worker_main(factory: Callable[[], Any], conn) -> None:
         return
     conn.send(("ready", None))
     busy = [0.0, 0]
-    receiver = shm.ShmRingReceiver()
     try:
         while True:
             try:
@@ -309,19 +391,11 @@ def _process_worker_main(factory: Callable[[], Any], conn) -> None:
                     conn.send(("err", (type(error).__name__, str(error))))
                 continue
             try:
-                # Resolve packed-batch references inside the guarded block:
-                # a missing segment surfaces as a normal error result, never
-                # a dead worker.
-                if any(isinstance(arg, shm.PackedBatchRef) for arg in args):
-                    args = tuple(receiver.read(arg)
-                                 if isinstance(arg, shm.PackedBatchRef)
-                                 else arg for arg in args)
                 value = _timed_invoke(holder.target, method, args, kwargs, busy)
                 conn.send(("ok", value))
             except BaseException as exc:  # noqa: BLE001 - reported to the parent
                 conn.send(("err", (type(exc).__name__, str(exc))))
     finally:
-        receiver.close()
         conn.close()
 
 
@@ -364,16 +438,9 @@ class ProcessShardWorker(ShardWorker):
         #: calls.
         self._stale = 0  # guarded-by: owner=collect
         self._outstanding = 0  # guarded-by: owner=submit,collect
-        #: Shared-memory ring for packed edge batches, created lazily on the
-        #: first batch worth packing; ``None`` means every payload pickles.
-        self._transport: Optional[shm.ShmRingSender] = None
-        #: One flag per successfully piped call, in FIFO order: True when
-        #: the call shipped a ring region that must be freed when its result
-        #: arrives.  Results arrive in the same order (FIFO service), so
-        #: every pipe recv — including stale discards — pops exactly one.
-        # guarded-by: owner=submit,collect,_on_result_arrival,_destroy_transport
-        self._region_flags: List[bool] = []
-        #: Batches that fell back to the pickled path (counter for stats).
+        #: Counters reported by :meth:`transport_stats`.
+        self._packed_batches = 0
+        self._packed_bytes = 0
         self._fallback_batches = 0
         status, payload = self._conn.recv()
         if status != "ready":
@@ -387,76 +454,53 @@ class ProcessShardWorker(ShardWorker):
     def submit(self, method: str, args: Tuple = (), kwargs: Optional[dict] = None) -> None:
         if self._closed:
             raise ShardingError("submit on a closed shard worker")
-        args, shipped_region = self._maybe_pack(args)
         try:
-            self._conn.send((method, args, kwargs))
+            self._conn.send((method, self._maybe_pack(args), kwargs))
         except (BrokenPipeError, OSError):
             # A dead child must not leak a raw OSError out of submit (and
             # thereby desynchronize the caller's scatter loop); the failure
             # is delivered through the matching collect() instead.
-            if shipped_region and self._transport is not None:
-                # The ref never reached the child; reclaim its ring space
-                # immediately so a dead-then-rebuilt pipe cannot leak it.
-                self._transport.cancel_last()
             self._submit_markers.append("failed")
             self._outstanding += 1
             return
         self._submit_markers.append("sent")
-        self._region_flags.append(shipped_region)
         self._outstanding += 1
 
-    def _maybe_pack(self, args: Tuple) -> Tuple[Tuple, bool]:
-        """Swap a large edge-list argument for a shared-memory batch ref.
+    def _maybe_pack(self, args: Tuple) -> Tuple:
+        """Swap a large edge-list argument for its :class:`PackedEdges` form.
 
         Packing is attempted only when the call carries exactly one
         positional argument that is a list/tuple of at least
-        :data:`~repro.core.shm.MIN_PACK_EDGES` edge-shaped items, and the
-        ring has room; every other case — including a mid-pack conversion
-        error — falls back to the pickled payload untouched.
-        Returns ``(args, True)`` when a ring region was allocated.
+        :data:`MIN_PACK_EDGES` edge-shaped items; every other case —
+        including a mid-pack conversion error — sends the arguments
+        untouched.  The packed batch pickles with the call, and the child
+        hands it to the target as it arrives.
         """
         if len(args) != 1 or not isinstance(args[0], (list, tuple)):
-            return args, False
+            return args
         batch = args[0]
-        if len(batch) < shm.MIN_PACK_EDGES:
-            return args, False
+        if len(batch) < MIN_PACK_EDGES:
+            return args
         first = batch[0]
         if not (hasattr(first, "source") and hasattr(first, "destination")
                 and hasattr(first, "weight") and hasattr(first, "timestamp")):
-            return args, False
+            return args
         try:
-            packed = shm.pack_edges(batch)
+            packed = pack_edges(batch)
         except (TypeError, AttributeError, OverflowError, ValueError):
             self._fallback_batches += 1
-            return args, False
-        if self._transport is None:
-            try:
-                self._transport = shm.ShmRingSender(self.name)
-            except OSError:
-                self._fallback_batches += 1
-                return args, False
-        ref = self._transport.send(packed)
-        if ref is None:
-            self._fallback_batches += 1
-            return args, False
-        return (ref,), True
-
-    def _on_result_arrival(self) -> None:
-        """Bookkeeping for every result recv'd from the pipe (FIFO order):
-        free the ring region of the call the result answers, if it had one."""
-        if self._region_flags:
-            if self._region_flags.pop(0) and self._transport is not None:
-                self._transport.free_oldest()
+            return args
+        self._packed_batches += 1
+        self._packed_bytes += packed.records.nbytes
+        return (packed,)
 
     def transport_stats(self) -> dict:
-        """Shared-memory transport counters of this worker (parent side)."""
-        sender = self._transport
-        return {
-            "packed_batches": sender.packed_batches if sender else 0,
-            "packed_bytes": sender.packed_bytes if sender else 0,
-            "fallback_batches": self._fallback_batches,
-            "live_regions": sender.live_regions if sender else 0,
-        }
+        """Packed-batch counters of this worker (parent side): batches sent
+        packed, their record bytes, and batches sent as lists because
+        packing failed."""
+        return {"packed_batches": self._packed_batches,
+                "packed_bytes": self._packed_bytes,
+                "fallback_batches": self._fallback_batches}
 
     def collect(self, timeout: Optional[float] = None) -> ShardResult:
         self._outstanding = max(0, self._outstanding - 1)
@@ -473,7 +517,6 @@ class ProcessShardWorker(ShardWorker):
             try:
                 if self._conn.poll(_COLLECT_POLL_SECONDS):
                     status, payload = self._conn.recv()
-                    self._on_result_arrival()
                     if self._stale:
                         # A result owed to an earlier timed-out collect:
                         # discard it and keep waiting for this call's own.
@@ -488,7 +531,6 @@ class ProcessShardWorker(ShardWorker):
                 with contextlib.suppress(EOFError, OSError):
                     if self._conn.poll(0):
                         status, payload = self._conn.recv()
-                        self._on_result_arrival()
                         if self._stale:
                             self._stale -= 1
                             continue
@@ -510,29 +552,11 @@ class ProcessShardWorker(ShardWorker):
                                          f"{type_name}: {message}"))
 
     def alive(self) -> bool:
-        """Whether the child process is still serving calls.
-
-        Observing a dead child also tears down the shared-memory transport:
-        crash recovery polls this before rebuilding a shard, so the dead
-        worker's segment is unlinked before its replacement allocates one.
-        """
-        is_alive = not self._closed and self._process.is_alive()
-        if not is_alive:
-            self._destroy_transport()
-        return is_alive
-
-    def _destroy_transport(self) -> None:
-        """Unlink the shared-memory segment, dropping every in-flight region
-        (idempotent; only reached when the child is dead or closed, so no
-        live reader remains)."""
-        if self._transport is not None:
-            self._transport.destroy()
-            self._transport = None
-        self._region_flags.clear()
+        """Whether the child process is still serving calls."""
+        return not self._closed and self._process.is_alive()
 
     def _death_result(self) -> ShardResult:
         """Failed :class:`ShardResult` for a dead child, naming the shard."""
-        self._destroy_transport()
         exit_code = self._process.exitcode
         detail = f" (exit code {exit_code})" if exit_code is not None else ""
         return ShardResult(False, None, ShardingError(
@@ -550,7 +574,6 @@ class ProcessShardWorker(ShardWorker):
             self._process.terminate()
             self._process.join(timeout=5)
         self._conn.close()
-        self._destroy_transport()
 
 
 def make_shard_worker(mode: str, factory: Callable[[], Any], *,

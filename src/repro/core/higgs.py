@@ -32,7 +32,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..errors import InsertionError, QueryError
+from ..errors import InsertionError
 from ..streams.edge import StreamEdge, Vertex
 from ..summary import TemporalGraphSummary
 from . import vectorized
@@ -49,7 +49,7 @@ _INT64_MAX = (1 << 63) - 1
 def _timestamp_error(timestamp: int) -> InsertionError:
     return InsertionError(
         f"timestamp {timestamp} is outside the int64 range of the batch "
-        "and shared-memory wire formats")
+        "and packed-edge formats")
 
 
 class Higgs(TemporalGraphSummary):
@@ -100,8 +100,9 @@ class Higgs(TemporalGraphSummary):
         :meth:`HiggsTree.insert_hashed_batch_arrays`, which defers upward
         aggregation to the end of the batch.  The resulting structure is
         identical to per-item insertion.  Batches exposing pre-packed
-        arrays (``packed_arrays()``, e.g. shared-memory batches from
-        :mod:`repro.core.shm`) skip the packing pass entirely.
+        arrays (``packed_arrays()``, e.g. the
+        :class:`~repro.core.executor.PackedEdges` batches a process shard
+        worker receives) skip the packing pass entirely.
 
         Failures keep the per-item contract: the items before a failing
         one are applied.  An iterable that raises mid-batch re-raises its
@@ -226,8 +227,7 @@ class Higgs(TemporalGraphSummary):
                      direction: str = "out") -> float:
         """Estimated aggregated weight of a vertex's incident edges in range."""
         self.check_range(t_start, t_end)
-        if direction not in ("out", "in"):
-            raise QueryError("direction must be 'out' or 'in'")
+        self.check_direction(direction)
         return self._vertex_query_packed(self._pack(vertex), t_start, t_end,
                                          direction)
 
@@ -267,12 +267,10 @@ class Higgs(TemporalGraphSummary):
                                                query.t_start, query.t_end))
             elif hasattr(query, "vertex"):  # vertex query
                 self.check_range(query.t_start, query.t_end)
-                direction = query.direction
-                if direction not in ("out", "in"):
-                    raise QueryError("direction must be 'out' or 'in'")
+                self.check_direction(query.direction)
                 append(self._vertex_query_packed(packed[query.vertex],
                                                  query.t_start, query.t_end,
-                                                 direction))
+                                                 query.direction))
             else:  # composite (path / subgraph) — per-item evaluation
                 append(query.evaluate(self))
         return results

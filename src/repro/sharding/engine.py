@@ -274,14 +274,13 @@ class ShardedSummary(TemporalGraphSummary):
             "shard_stats sweep).", labelnames=("shard",))
         self._metric_packed = registry.gauge(
             "sharding_transport_packed_batches",
-            "Batches shipped to process workers over the shared-memory "
-            "packed-edge transport (parent-side counter; zero for the "
-            "serial executor).")
+            "Edge batches sent to process workers in packed form "
+            "(parent-side counter; zero for the serial executor).")
         self._metric_packed.set_function(
             lambda: float(self.transport_stats()["packed_batches"]))
         self._metric_packed_bytes = registry.gauge(
             "sharding_transport_packed_bytes",
-            "Payload bytes shipped over the shared-memory transport "
+            "Packed edge-record bytes sent to process workers "
             "(parent-side counter).")
         self._metric_packed_bytes.set_function(
             lambda: float(self.transport_stats()["packed_bytes"]))
@@ -543,8 +542,7 @@ class ShardedSummary(TemporalGraphSummary):
         malformed range or an unknown ``direction``.
         """
         self.check_range(t_start, t_end)
-        if direction not in ("out", "in"):
-            raise QueryError("direction must be 'out' or 'in'")
+        self.check_direction(direction)
         if self._vertex_routes_to_one_shard(direction):
             owners = self._partitioner.owners_of_vertex(vertex)
             if len(owners) == 1:
@@ -623,8 +621,7 @@ class ShardedSummary(TemporalGraphSummary):
                     per_shard.setdefault(shard, []).append((index, query))
             elif hasattr(query, "vertex"):  # vertex query
                 self.check_range(query.t_start, query.t_end)
-                if query.direction not in ("out", "in"):
-                    raise QueryError("direction must be 'out' or 'in'")
+                self.check_direction(query.direction)
                 if self._vertex_routes_to_one_shard(query.direction):
                     for shard in self._partitioner.owners_of_vertex(
                             query.vertex):
@@ -699,7 +696,7 @@ class ShardedSummary(TemporalGraphSummary):
         return stats
 
     def transport_stats(self) -> Dict[str, int]:
-        """Aggregate shared-memory transport counters across all workers.
+        """Aggregate packed-batch transport counters across all workers.
 
         Summed over each worker's parent-side
         :meth:`~repro.core.executor.ShardWorker.transport_stats` — a plain
@@ -708,7 +705,7 @@ class ShardedSummary(TemporalGraphSummary):
         executor, which never packs batches.
         """
         totals = {"packed_batches": 0, "packed_bytes": 0,
-                  "fallback_batches": 0, "live_regions": 0}
+                  "fallback_batches": 0}
         for index, worker in enumerate(self._workers):
             for key, value in worker.transport_stats().items():
                 try:

@@ -33,6 +33,7 @@ import hashlib
 import json
 import os
 import pickle
+import re
 from typing import Any, Callable, Dict, List, Optional
 
 from ..core.config import SHARD_PARTITION_MODES, ShardingConfig
@@ -52,6 +53,9 @@ FACTORY_NAME = "factory.pkl"
 #: Version 3: HIGGS leaves pickle exact key maps too, and internal nodes
 #: drop their fingerprint and vertex widths.
 FORMAT_VERSION = 3
+
+#: A payload checksum as the manifest records it (``hexdigest()`` form).
+_SHA256_HEX = re.compile(r"[0-9a-f]{64}")
 
 
 def shard_payload_name(shard: int) -> str:
@@ -86,7 +90,7 @@ def _read_payload(directory: str, entry: Dict[str, Any], *, what: str) -> bytes:
         When the file is missing or its SHA-256 does not match the
         manifest; the message names ``what`` (e.g. ``"shard 2"``).
     """
-    path = os.path.join(directory, str(entry["file"]))
+    path = os.path.join(directory, entry["file"])
     try:
         with open(path, "rb") as handle:
             data = handle.read()
@@ -178,19 +182,40 @@ def write_snapshot(directory: str, *, config: ShardingConfig,
     return body
 
 
+def _check_payload_entry(entry: Any, what: str, path: str) -> None:
+    """Raise :class:`SnapshotError` unless ``entry`` names one payload: a
+    plain file name inside the snapshot directory and its SHA-256 digest."""
+    if not isinstance(entry, dict):
+        raise SnapshotError(
+            f"snapshot manifest at {path} is torn: the entry for {what} is "
+            f"{entry!r}, expected an object")
+    name = entry.get("file")
+    if not isinstance(name, str) or name in ("", ".", "..") \
+            or os.path.basename(name) != name or "\0" in name:
+        raise SnapshotError(
+            f"snapshot manifest at {path} is torn: {what} names file "
+            f"{name!r}, expected a plain file name")
+    digest = entry.get("sha256")
+    if not isinstance(digest, str) or not _SHA256_HEX.fullmatch(digest):
+        raise SnapshotError(
+            f"snapshot manifest at {path} is torn: {what} has sha256 "
+            f"{digest!r}, expected 64 lowercase hex digits")
+
+
 def read_manifest(directory: str) -> Dict[str, Any]:
     """Read, validate, and return the manifest body of a snapshot.
 
     Raises
     ------
     SnapshotError
-        When the manifest is missing, torn (invalid JSON, missing keys,
-        malformed or out-of-range integer fields, an unknown
-        ``partition_by``), from an unknown format version, or when the
-        body's checksum does not match (a torn or tampered manifest).  The
-        recorded ``executor`` is not checked here: only
-        :meth:`~repro.sharding.ShardedSummary.restore` uses it, and a caller
-        may override it there.
+        When the manifest is missing, torn (invalid JSON, a body that is
+        not an object, missing keys, malformed or out-of-range integer
+        fields, an unknown ``partition_by``, a payload entry without a
+        plain file name and a SHA-256 digest), from an unknown format
+        version, or when the body's checksum does not match (a torn or
+        tampered manifest).  The recorded ``executor`` is not checked
+        here: only :meth:`~repro.sharding.ShardedSummary.restore` uses it,
+        and a caller may override it there.
     """
     path = os.path.join(directory, MANIFEST_NAME)
     try:
@@ -208,6 +233,10 @@ def read_manifest(directory: str) -> Dict[str, Any]:
         raise SnapshotError(
             f"snapshot manifest at {path} is torn: missing body/checksum")
     body = manifest["body"]
+    if not isinstance(body, dict):
+        raise SnapshotError(
+            f"snapshot manifest at {path} is torn: its body is not an "
+            f"object ({type(body).__name__})")
     if _body_checksum(body) != manifest["checksum"]:
         raise SnapshotError(
             f"snapshot manifest at {path} is corrupt: body checksum mismatch")
@@ -244,11 +273,15 @@ def read_manifest(directory: str) -> Dict[str, Any]:
             f"{body.get('partition_by')!r}, expected one of "
             f"{SHARD_PARTITION_MODES}")
     for shard, entry in enumerate(shards):
-        items = entry.get("items") if isinstance(entry, dict) else None
+        _check_payload_entry(entry, f"shard {shard}", path)
+        items = entry.get("items")
         if not isinstance(items, int) or isinstance(items, bool) or items < 0:
             raise SnapshotError(
                 f"snapshot manifest at {path} is torn: shard {shard} has "
                 f"items count {items!r}, expected a non-negative integer")
+    _check_payload_entry(body.get("partition"), "the partitioner", path)
+    if body.get("factory") is not None:
+        _check_payload_entry(body["factory"], "the shard factory", path)
     return body
 
 

@@ -186,9 +186,9 @@ class TemporalGraphSummary(ABC):
         Raises
         ------
         QueryError
-            On an inverted range or negative timestamps.
-        ValueError
-            On a ``direction`` other than ``"out"`` or ``"in"``.
+            On an inverted range, negative timestamps, or a ``direction``
+            other than ``"out"`` or ``"in"`` (see :meth:`check_range` and
+            :meth:`check_direction`).
         """
 
     def query_batch(self, queries: Sequence[SummaryQuery]) -> List[float]:
@@ -268,3 +268,16 @@ class TemporalGraphSummary(ABC):
         if t_start < 0:
             raise QueryError(
                 f"temporal range [{t_start}, {t_end}] has a negative timestamp")
+
+    @staticmethod
+    def check_direction(direction: str) -> None:
+        """Validate a vertex-query direction.
+
+        Raises :class:`QueryError` unless ``direction`` is ``"out"`` or
+        ``"in"``.  Every summary checks its vertex queries here, so an
+        unknown direction fails everywhere instead of being answered as
+        one of the two.
+        """
+        if direction not in ("out", "in"):
+            raise QueryError(
+                f"direction must be 'out' or 'in', got {direction!r}")

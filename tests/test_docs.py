@@ -2,8 +2,9 @@
 
 Keeps the docs honest from inside the normal test suite: the public API of
 ``summary.py`` and the sharding package must stay fully docstring'd, the
-README's quickstart snippets must execute as written, and every document a
-Python file cites by name must exist.
+README's quickstart snippets must execute as written, every document a
+Python file cites by name must exist, and so must every repository path the
+Markdown docs cite in a code span.
 """
 
 from __future__ import annotations
@@ -67,3 +68,31 @@ class TestDocReferences:
             encoding="utf-8")
         assert check_docs.find_dangling_doc_references(tmp_path) == [
             f"src/mod.py:2: {missing} does not exist"]
+
+
+class TestPathReferences:
+    def test_every_cited_path_exists(self):
+        assert check_docs.find_dangling_path_references() == []
+
+    def test_dangling_path_is_reported(self, tmp_path):
+        (tmp_path / "src" / "pkg").mkdir(parents=True)
+        (tmp_path / "src" / "pkg" / "kept.py").write_text("", encoding="utf-8")
+        (tmp_path / "docs").mkdir()
+        skill = tmp_path / ".claude" / "skills" / "verify"
+        skill.mkdir(parents=True)
+        (tmp_path / "notes").mkdir()
+        (tmp_path / _doc("README")).write_text(
+            "`src/pkg/kept.py`, `src/pkg/`, `src/pkg/kept.py --fast` and\n"
+            "`tests/test_gone.py::test_case` (deleted)\n", encoding="utf-8")
+        (tmp_path / "docs" / _doc("GUIDE")).write_text(
+            "### Transport — `src/pkg/gone.py`\n", encoding="utf-8")
+        (skill / _doc("SKILL")).write_text(
+            "Run `tools/gone.py`; src/pkg/bare.py is not in a code span.\n",
+            encoding="utf-8")
+        (tmp_path / "notes" / _doc("NOTES")).write_text(
+            "`src/pkg/unscanned.py`\n", encoding="utf-8")
+        assert check_docs.find_dangling_path_references(tmp_path) == [
+            f"{_doc('README')}:2: tests/test_gone.py does not exist",
+            f"docs/{_doc('GUIDE')}:1: src/pkg/gone.py does not exist",
+            f".claude/skills/verify/{_doc('SKILL')}:1: tools/gone.py does "
+            "not exist"]

@@ -1,7 +1,9 @@
-"""Tests for the shard workers: drain barriers, timeouts and worker death."""
+"""Tests for the shard workers: drain barriers, timeouts, worker death and
+the heap a process worker inherits."""
 
 from __future__ import annotations
 
+import gc
 import threading
 import time
 
@@ -20,6 +22,13 @@ class _SlowTarget:
 
     def ping(self) -> str:
         return "pong"
+
+
+class _HeapProbe:
+    """Picklable worker target that counts its process's GC-tracked objects."""
+
+    def tracked_objects(self) -> int:
+        return len(gc.get_objects())
 
 
 class TestProcessWorkerDeath:
@@ -74,6 +83,22 @@ class TestProcessWorkerDeath:
         try:
             result = worker.call("ping")
             assert result.ok and result.value == "pong"
+        finally:
+            worker.close()
+
+
+class TestInheritedHeap:
+    """A forked worker starts with a copy of the parent's heap; it must keep
+    that copy out of its own collections, or every full collection in the
+    worker walks the parent's data."""
+
+    def test_worker_does_not_track_the_parent_heap(self):
+        ballast = [[] for _ in range(100_000)]
+        worker = ProcessShardWorker(_HeapProbe, name="shard-4")
+        try:
+            result = worker.call("tracked_objects")
+            assert result.ok
+            assert result.value < len(ballast)
         finally:
             worker.close()
 

@@ -1,8 +1,10 @@
-"""Every summary must reject malformed temporal ranges identically.
+"""Every summary must reject malformed queries identically.
 
-``TemporalGraphSummary.check_range`` is the single validation point: an
-inverted range or a negative timestamp raises :class:`repro.errors.QueryError`
-from HIGGS and every baseline alike — no method may silently return 0.
+``TemporalGraphSummary.check_range`` and ``check_direction`` are the single
+validation points: an inverted range, a negative timestamp or an unknown
+vertex-query direction raises :class:`repro.errors.QueryError` from HIGGS
+and every baseline alike — no method may silently return 0 or answer an
+unknown direction as a known one.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from repro.baselines import AuxoTime, Horae, PGSS
 from repro.baselines.exact import ExactTemporalGraph
 from repro.core import Higgs, HiggsConfig
 from repro.errors import QueryError
+from repro.queries.types import VertexQuery
 from repro.summary import TemporalGraphSummary
 
 
@@ -53,6 +56,13 @@ class TestRangeValidation:
             summary.path_query(["a", "b"], 9, 2)
         with pytest.raises(QueryError):
             summary.subgraph_query([("a", "b")], -5, 5)
+
+    def test_bad_direction_raises(self, summary):
+        assert summary.vertex_query("b", 0, 10, direction="in") >= 1.0
+        with pytest.raises(QueryError):
+            summary.vertex_query("b", 0, 10, direction="sideways")
+        with pytest.raises(QueryError):
+            summary.query_batch([VertexQuery("b", 0, 10, "sideways")])
 
     def test_valid_ranges_still_answer(self, summary):
         assert summary.edge_query("a", "b", 0, 10) >= 0.0

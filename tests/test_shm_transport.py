@@ -1,44 +1,42 @@
-"""The packed-edge shared-memory transport: ring allocator, wire format,
-worker integration, and crash-safe segment cleanup.
+"""The packed-edge transport to process shard workers: wire format, worker
+integration, the pack-failure fallback, and worker crashes.
 
-The transport (``repro.core.shm``) must be invisible to correctness — a
-packed batch read back by the child is edge-for-edge the list the parent
-submitted — and invisible to resource accounting: whatever happens to the
-worker (clean close, crash mid-transfer), the parent unlinks the segment
-and nothing is left behind under ``/dev/shm``.
+A process worker packs every large edge batch (``repro.core.executor``'s
+``pack_edges``) and pickles the packed batch through its pipe; the child
+hands it to the summary as it arrives.  Packing must be invisible to
+correctness: a packed batch, pickled or not, is edge-for-edge the list the
+parent submitted, and a batch that cannot be packed travels as the list.
 """
 
 from __future__ import annotations
 
-import os
+import pickle
 
 import pytest
 
-from repro.core import shm
-from repro.core.executor import make_shard_worker
+from repro.core.executor import (MIN_PACK_EDGES, RECORD_BYTES,
+                                 make_shard_worker, pack_edges)
 from repro.errors import ShardingError
-from repro.sharding import ShardedSummary
+from repro.sharding import HiggsShardFactory, ShardedSummary
 from repro.streams.edge import StreamEdge
+
 
 def _edges(count, vertices=40):
     return [StreamEdge(f"v{i % vertices}", f"v{(i * 7 + 1) % vertices}",
                        float(i % 5 + 1), i) for i in range(count)]
 
 
-def _segment_exists(name: str) -> bool:
-    return os.path.exists(f"/dev/shm/{name.lstrip('/')}")
-
-
 class TestPackedEdges:
     def test_round_trip_preserves_edges(self):
         edges = _edges(100)
-        packed = shm.pack_edges(edges)
-        assert len(packed) == 100
-        assert list(packed) == edges
+        packed = pack_edges(edges)
+        for batch in (packed, pickle.loads(pickle.dumps(packed))):
+            assert len(batch) == 100
+            assert list(batch) == edges
 
     def test_packed_arrays_match_batch_order(self):
         edges = _edges(50)
-        packed = shm.pack_edges(edges)
+        packed = pack_edges(edges)
         vertices, src, dst, weights, timestamps = packed.packed_arrays()
         for i, edge in enumerate(edges):
             assert vertices[src[i]] == edge.source
@@ -47,123 +45,46 @@ class TestPackedEdges:
             assert timestamps[i] == edge.timestamp
 
     def test_record_bytes_matches_dtype(self):
-        assert shm.pack_edges(_edges(1)).records.nbytes == shm.RECORD_BYTES
+        assert pack_edges(_edges(1)).records.nbytes == RECORD_BYTES
 
     def test_pack_rejects_unconvertible_timestamp(self):
         bad = [StreamEdge("a", "b", 1.0, "not-a-time")]
         with pytest.raises((TypeError, ValueError)):
-            shm.pack_edges(bad)
-
-
-class TestRingAllocator:
-    def _sender(self, capacity):
-        return shm.ShmRingSender("ring-test", capacity=capacity)
-
-    def test_fifo_alloc_and_free(self):
-        sender = self._sender(capacity=shm.RECORD_BYTES * 100)
-        try:
-            refs = [sender.send(shm.pack_edges(_edges(10))) for _ in range(3)]
-            assert [ref.offset for ref in refs] == [0, 240, 480]
-            assert sender.live_regions == 3
-            sender.free_oldest()
-            sender.free_oldest()
-            sender.free_oldest()
-            assert sender.live_regions == 0
-            # Empty ring resets the head: the next batch starts at zero.
-            assert sender.send(shm.pack_edges(_edges(10))).offset == 0
-        finally:
-            sender.destroy()
-
-    def test_wraps_before_oldest_live_region(self):
-        sender = self._sender(capacity=shm.RECORD_BYTES * 100)
-        try:
-            first = sender.send(shm.pack_edges(_edges(40)))   # [0, 960)
-            second = sender.send(shm.pack_edges(_edges(40)))  # [960, 1920)
-            assert (first.offset, second.offset) == (0, 960)
-            sender.free_oldest()                              # free [0, 960)
-            # 30 more records do not fit in [1920, 2400) but do fit in the
-            # freed prefix [0, 960) — the ring wraps.
-            third = sender.send(shm.pack_edges(_edges(30)))
-            assert third.offset == 0
-        finally:
-            sender.destroy()
-
-    def test_full_ring_rejects_without_blocking(self):
-        sender = self._sender(capacity=shm.RECORD_BYTES * 100)
-        try:
-            assert sender.send(shm.pack_edges(_edges(60))) is not None
-            assert sender.send(shm.pack_edges(_edges(60))) is None
-            assert sender.live_regions == 1
-        finally:
-            sender.destroy()
-
-    def test_oversized_batch_rejected(self):
-        sender = self._sender(capacity=shm.RECORD_BYTES * 8)
-        try:
-            assert sender.send(shm.pack_edges(_edges(9))) is None
-        finally:
-            sender.destroy()
-
-    def test_cancel_last_restores_head(self):
-        sender = self._sender(capacity=shm.RECORD_BYTES * 100)
-        try:
-            sender.send(shm.pack_edges(_edges(10)))
-            ref = sender.send(shm.pack_edges(_edges(10)))
-            sender.cancel_last()
-            assert sender.live_regions == 1
-            replay = sender.send(shm.pack_edges(_edges(10)))
-            assert replay.offset == ref.offset
-        finally:
-            sender.destroy()
-
-    def test_destroy_unlinks_segment_idempotently(self):
-        sender = self._sender(capacity=shm.RECORD_BYTES * 10)
-        name = sender.shm_name
-        assert _segment_exists(name)
-        sender.destroy()
-        assert not _segment_exists(name)
-        sender.destroy()  # second destroy is a no-op
-
-
-def _higgs_factory():
-    from repro.sharding.engine import HiggsShardFactory
-    return HiggsShardFactory()
+            pack_edges(bad)
 
 
 class TestWorkerTransport:
     def test_process_worker_ships_packed_batches(self):
-        worker = make_shard_worker("process", _higgs_factory(),
-                                   name="shm-probe")
+        worker = make_shard_worker("process", HiggsShardFactory(),
+                                   name="pack-probe")
         try:
             edges = _edges(200)
             result = worker.call("insert_batch", edges)
             assert result.ok and result.value == 200
             stats = worker.transport_stats()
             assert stats["packed_batches"] == 1
-            assert stats["packed_bytes"] == 200 * shm.RECORD_BYTES
+            assert stats["packed_bytes"] == 200 * RECORD_BYTES
             assert stats["fallback_batches"] == 0
-            assert stats["live_regions"] == 0  # freed when the result arrived
             # The child really ingested the packed form.
             assert worker.call("edge_query", "v0", "v1", 0, 300).value >= 1.0
         finally:
             worker.close()
 
     def test_small_batches_fall_through_to_pickle(self):
-        worker = make_shard_worker("process", _higgs_factory(),
-                                   name="shm-small")
+        worker = make_shard_worker("process", HiggsShardFactory(),
+                                   name="pack-small")
         try:
-            result = worker.call("insert_batch",
-                                 _edges(shm.MIN_PACK_EDGES - 1))
+            result = worker.call("insert_batch", _edges(MIN_PACK_EDGES - 1))
             assert result.ok
             assert worker.transport_stats()["packed_batches"] == 0
         finally:
             worker.close()
 
     def test_packed_and_pickled_results_identical(self):
-        packed_worker = make_shard_worker("process", _higgs_factory(),
-                                          name="shm-eq-a")
-        inline_worker = make_shard_worker("serial", _higgs_factory(),
-                                          name="shm-eq-b")
+        packed_worker = make_shard_worker("process", HiggsShardFactory(),
+                                          name="pack-eq-a")
+        inline_worker = make_shard_worker("serial", HiggsShardFactory(),
+                                          name="pack-eq-b")
         try:
             edges = _edges(500)
             assert packed_worker.call("insert_batch", edges).value == 500
@@ -180,33 +101,43 @@ class TestWorkerTransport:
             packed_worker.close()
             inline_worker.close()
 
-    def test_clean_close_unlinks_segment(self):
-        worker = make_shard_worker("process", _higgs_factory(),
-                                   name="shm-close")
-        assert worker.call("insert_batch", _edges(200)).ok
-        name = worker._transport.shm_name
-        assert _segment_exists(name)
-        worker.close()
-        assert not _segment_exists(name)
+    def test_unpackable_batch_travels_as_list(self):
+        # The last timestamp does not fit the int64 record, so packing fails
+        # and the list goes instead; the child applies the prefix and fails
+        # on the last edge, as a bare summary does.
+        prefix = _edges(40)
+        edges = prefix + [StreamEdge("v0", "v1", 1.0, 2**63)]
+        engine = ShardedSummary(shards=1, executor="process")
+        try:
+            with pytest.raises(ShardingError, match="shard-0"):
+                engine.insert_batch(edges)
+            stats = engine.transport_stats()
+            assert stats["fallback_batches"] == 1
+            assert stats["packed_batches"] == 0
+            reference = HiggsShardFactory()()
+            reference.insert_batch(prefix)
+            for edge in prefix:
+                assert engine.edge_query(edge.source, edge.destination,
+                                         0, 100) == \
+                    reference.edge_query(edge.source, edge.destination,
+                                         0, 100)
+        finally:
+            engine.close()
 
     @pytest.mark.faultinject
     def test_killed_worker_unlinks_segment(self):
         from faultinject import kill_inner_process
 
-        worker = make_shard_worker("process", _higgs_factory(),
-                                   name="shm-kill")
+        worker = make_shard_worker("process", HiggsShardFactory(),
+                                   name="pack-kill")
         try:
             assert worker.call("insert_batch", _edges(200)).ok
-            name = worker._transport.shm_name
-            assert _segment_exists(name)
             kill_inner_process(worker)
             worker.submit("insert_batch", _edges(200))
             result = worker.collect()
             assert not result.ok
             assert isinstance(result.error, ShardingError)
             assert not worker.alive()
-            assert not _segment_exists(name)
-            assert worker.transport_stats()["live_regions"] == 0
         finally:
             worker.close()
 
@@ -217,17 +148,15 @@ class TestWorkerTransport:
         engine = ShardedSummary(shards=2, executor="process")
         try:
             engine.insert_batch(_edges(400))
-            names = [w._transport.shm_name for w in engine._workers
-                     if w._transport is not None]
-            assert names and all(_segment_exists(n) for n in names)
             kill_worker(engine, 0)
             with pytest.raises(ShardingError):
                 engine.insert_batch(_edges(400))
-                engine.memory_bytes()
-            assert not _segment_exists(names[0])
+            # The failure path rebuilt shard 0 (auto-recovery is on by
+            # default), so the engine answers again.
+            assert all(worker.alive() for worker in engine._workers)
+            assert engine.memory_bytes() > 0
         finally:
             engine.close()
-        assert all(not _segment_exists(n) for n in names)
 
 
 class TestEngineTransportStats:
@@ -237,7 +166,7 @@ class TestEngineTransportStats:
             engine.insert_batch(_edges(400))
             stats = engine.transport_stats()
             assert stats["packed_batches"] >= 2
-            assert stats["packed_bytes"] == 400 * shm.RECORD_BYTES
+            assert stats["packed_bytes"] == 400 * RECORD_BYTES
             rendered = engine.metrics.render_prometheus()
             assert ("sharding_transport_packed_batches "
                     f"{stats['packed_batches']}") in rendered
@@ -250,7 +179,7 @@ class TestEngineTransportStats:
             engine.insert_batch(_edges(400))
             assert engine.transport_stats() == {
                 "packed_batches": 0, "packed_bytes": 0,
-                "fallback_batches": 0, "live_regions": 0}
+                "fallback_batches": 0}
             assert "transport" in engine.stats()
         finally:
             engine.close()

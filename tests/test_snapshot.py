@@ -8,7 +8,8 @@ The contract under test (ARCHITECTURE.md, "Elastic sharding & recovery"):
 * a snapshot that was tampered with (or torn) refuses to load with a typed
   :class:`~repro.errors.SnapshotError` naming the offending shard / file;
 * a correctly checksummed manifest whose mode or integer field this build
-  cannot use refuses the same way, naming the field and its value.
+  cannot use, or whose payload entry lacks a plain file name or a SHA-256
+  digest, refuses the same way, naming the field and its value.
 """
 
 from __future__ import annotations
@@ -36,6 +37,9 @@ _items = st.lists(
     min_size=1, max_size=80)
 
 FULL = (0, 10**9)
+
+#: Marks a manifest key the test deletes rather than overwrites.
+_MISSING = object()
 
 
 def _edges(items):
@@ -115,11 +119,14 @@ class TestRoundTripProperties:
 
 
 def _rewrite_manifest(path, edit):
-    """Apply ``edit`` to a snapshot's manifest body and re-checksum it."""
+    """Apply ``edit`` to a snapshot's manifest body, or replace the body
+    with what ``edit`` returns, and re-checksum it."""
     manifest_path = os.path.join(path, snapshot_format.MANIFEST_NAME)
     with open(manifest_path, "r", encoding="utf-8") as handle:
         manifest = json.load(handle)
-    edit(manifest["body"])
+    replaced = edit(manifest["body"])
+    if replaced is not None:
+        manifest["body"] = replaced
     manifest["checksum"] = snapshot_format._body_checksum(manifest["body"])
     with open(manifest_path, "w", encoding="utf-8") as handle:
         json.dump(manifest, handle)
@@ -265,6 +272,51 @@ class TestSnapshotFormat:
 
         _rewrite_manifest(path, edit)
         with pytest.raises(SnapshotError, match=re.escape(message)):
+            ShardedSummary.restore(path)
+
+    @pytest.mark.parametrize("entry, key, value", [
+        ("shards", "sha256", _MISSING), ("shards", "file", _MISSING),
+        ("shards", "sha256", 12), ("shards", "file", "../shard-0.pkl"),
+        ("shards", "file", "shard-0.pkl\x00"),
+        ("partition", None, _MISSING), ("partition", None, None),
+        ("partition", "file", "sub/partition.pkl"),
+        ("partition", "sha256", "abc"),
+        ("factory", "file", ""), ("factory", "sha256", "F" * 64),
+    ], ids=lambda v: "missing" if v is _MISSING else None)
+    def test_bad_payload_entry_in_manifest_refuses(self, snapshot_dir, entry,
+                                                   key, value):
+        # Every payload entry needs a plain file name inside the snapshot
+        # and a SHA-256 digest; without them a checksummed manifest would
+        # fail in restore with KeyError or TypeError, or read outside the
+        # snapshot.  ``key`` None edits the whole entry.
+        _, path = snapshot_dir
+        what = {"shards": "shard 0", "partition": "the partitioner",
+                "factory": "the shard factory"}[entry]
+        shown = None if value is _MISSING else value
+        message = {"file": f"{what} names file {shown!r}",
+                   "sha256": f"{what} has sha256 {shown!r}",
+                   None: f"the entry for {what} is {shown!r}"}[key]
+
+        def edit(body):
+            if key is None:
+                holder, name = body, entry
+            else:
+                holder = body["shards"][0] if entry == "shards" \
+                    else body[entry]
+                name = key
+            if value is _MISSING:
+                del holder[name]
+            else:
+                holder[name] = value
+
+        _rewrite_manifest(path, edit)
+        with pytest.raises(SnapshotError, match=re.escape(message)):
+            ShardedSummary.restore(path)
+
+    def test_manifest_body_that_is_not_an_object_refuses(self, snapshot_dir):
+        _, path = snapshot_dir
+        _rewrite_manifest(path, lambda body: [body])
+        with pytest.raises(SnapshotError, match="body is not an object"):
             ShardedSummary.restore(path)
 
 

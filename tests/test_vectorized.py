@@ -1,7 +1,7 @@
 """Bit-identity of the vectorized (numpy) paths against the per-item reference.
 
 The array paths — batch ingest, Algorithm 2 aggregation, ``query_batch``
-endpoint hashing, the shared-memory packed batches — are *optimizations*,
+endpoint hashing, the packed edge batches — are *optimizations*,
 never a semantic change: they must produce byte-for-byte the same summary
 (each leaf's per-block placements and occupancy, item weights, edge and
 vertex indexes and time range; each internal node's ordered key map,
@@ -26,8 +26,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Higgs, HiggsConfig
-from repro.core import shm, vectorized
+from repro.core import vectorized
 from repro.core.aggregation import lift_coordinates
+from repro.core.executor import pack_edges
 from repro.core.hashing import VertexHasher, hash64, probe_address
 from repro.core.node import pack_vertex, unpack_vertex, vertex_bits
 from repro.queries.types import (EdgeQuery, PathQuery, SubgraphQuery,
@@ -197,7 +198,7 @@ def test_batch_insert_summary_bit_identical(config, edges):
 @settings(max_examples=20, deadline=None)
 def test_batch_insert_matches_per_item_inserts(edges, cuts, forms):
     """Batch boundaries anywhere, in every input form the batch path takes
-    (list, streamed iterable, shared-memory packed arrays)."""
+    (list, streamed iterable, packed arrays)."""
     bounds = [0, *sorted(min(cut, len(edges)) for cut in cuts), len(edges)]
     batched = Higgs(_SMALL)
     for start, end, form in zip(bounds, bounds[1:], forms, strict=False):
@@ -205,7 +206,7 @@ def test_batch_insert_matches_per_item_inserts(edges, cuts, forms):
         if form == "generator":
             batch = iter(chunk)
         elif form == "packed":
-            batch = shm.pack_edges(chunk)
+            batch = pack_edges(chunk)
         else:
             batch = chunk
         assert batched.insert_batch(batch) == len(chunk)

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Documentation checks: docstrings, README snippets and doc references.
 
-Three checks, all dependency-free so they run identically in CI and locally:
+Four checks, all dependency-free so they run identically in CI and locally:
 
 * :func:`find_missing_docstrings` walks the AST of the public-interface
   modules (``src/repro/summary.py`` and everything under
@@ -14,6 +14,10 @@ Three checks, all dependency-free so they run identically in CI and locally:
   ``src/``, ``benchmarks/``, ``tools/``, ``tests/`` and ``examples/`` for
   uppercase document names such as ``README.md`` and reports each one that
   exists neither at the repository root nor in ``docs/``.
+* :func:`find_dangling_path_references` scans ``README.md``, ``docs/*.md``
+  and the skill notes under ``.claude/skills/`` for backticked paths
+  anchored at a top-level directory, such as ``src/repro/summary.py``, and
+  reports each one that names nothing in the repository.
 
 Run from the repository root::
 
@@ -47,6 +51,14 @@ REFERENCING_DIRS = ("src", "benchmarks", "tools", "tests", "examples")
 
 #: An uppercase document name such as ``README.md``.
 _DOC_REFERENCE = re.compile(r"\b[A-Z][A-Z0-9_]*\.md\b")
+
+#: Markdown files whose backticked repository paths must exist.
+PATH_CITING_DOCS = ("README.md", "docs/*.md", ".claude/skills/*/*.md")
+
+#: The leading path of a code span anchored at a top-level directory, up to
+#: whitespace or a ``::`` / ``:line`` suffix.
+_PATH_REFERENCE = re.compile(
+    r"`((?:src|tests|tools|benchmarks|perfbench|examples|docs)/[^`\s:]*)")
 
 
 def _is_public(name: str) -> bool:
@@ -143,6 +155,21 @@ def find_dangling_doc_references(root: Path = REPO_ROOT) -> List[str]:
     return problems
 
 
+def find_dangling_path_references(root: Path = REPO_ROOT) -> List[str]:
+    """Return ``"file:line: <path> does not exist"`` for every backticked
+    root-anchored path in the Markdown docs that names nothing in ``root``."""
+    problems: List[str] = []
+    for pattern in PATH_CITING_DOCS:
+        for file in sorted(root.glob(pattern)):
+            lines = file.read_text(encoding="utf-8").splitlines()
+            for number, line in enumerate(lines, start=1):
+                for path in _PATH_REFERENCE.findall(line):
+                    if not (root / path).exists():
+                        problems.append(f"{file.relative_to(root)}:{number}: "
+                                        f"{path} does not exist")
+    return problems
+
+
 def main() -> int:
     """Run every check and report; returns a process exit code."""
     problems = find_missing_docstrings()
@@ -154,10 +181,14 @@ def main() -> int:
     dangling = find_dangling_doc_references()
     for reference in dangling:
         print(f"reference: {reference}")
-    if problems or failures or dangling:
+    paths = find_dangling_path_references()
+    for reference in paths:
+        print(f"path: {reference}")
+    if problems or failures or dangling or paths:
         print(f"FAILED: {len(problems)} docstring problem(s), "
               f"{len(failures)} snippet failure(s), "
-              f"{len(dangling)} dangling doc reference(s)")
+              f"{len(dangling)} dangling doc reference(s), "
+              f"{len(paths)} dangling path reference(s)")
         return 1
     print("docs checks passed")
     return 0

@@ -162,8 +162,8 @@ def run_measurements(scale: float) -> Dict[str, float]:
     * ``sharded_parallel_x4`` — projected-parallel ingest speedup of the
       4-shard engine over 1 shard (the PR 2 win).
     * ``sharded_wall_x4`` — **measured** wall-clock ingest speedup of the
-      4-shard ``"process"`` engine over 1 shard, through the packed-edge
-      shared-memory transport.  Declares ``min_cores: 4``: it is always
+      4-shard ``"process"`` engine over 1 shard, with packed edge batches
+      pickled through the worker pipes.  Declares ``min_cores: 4``: it is always
       measured and recorded, but only enforced on hosts with at least four
       cores — a single-core runner cannot realize parallel speedup, so the
       gate reports it as ``skipped: N cores`` there instead of failing.
