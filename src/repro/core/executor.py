@@ -125,16 +125,20 @@ def pack_edges(edges: Sequence) -> PackedEdges:
     """
     index: Dict[Vertex, int] = {}
     setdefault = index.setdefault
-    records = np.empty(len(edges), dtype=EDGE_DTYPE)
-    src_col = records["src"]
-    dst_col = records["dst"]
-    weight_col = records["weight"]
-    ts_col = records["timestamp"]
-    for position, edge in enumerate(edges):
-        src_col[position] = setdefault(edge.source, len(index))
-        dst_col[position] = setdefault(edge.destination, len(index))
-        weight_col[position] = edge.weight
-        ts_col[position] = int(edge.timestamp)
+    src_idx: List[int] = []
+    dst_idx: List[int] = []
+    weights: List[Any] = []
+    timestamps: List[int] = []
+    for edge in edges:
+        src_idx.append(setdefault(edge.source, len(index)))
+        dst_idx.append(setdefault(edge.destination, len(index)))
+        weights.append(edge.weight)
+        timestamps.append(int(edge.timestamp))
+    records = np.empty(len(src_idx), dtype=EDGE_DTYPE)
+    records["src"] = src_idx
+    records["dst"] = dst_idx
+    records["weight"] = weights
+    records["timestamp"] = timestamps
     return PackedEdges(list(index), records)
 
 
@@ -166,8 +170,10 @@ class ShardWorker(ABC):
     The protocol is submit/collect: :meth:`submit` dispatches a named method
     call on the target, :meth:`collect` returns one :class:`ShardResult` per
     submitted call, in submission order.  Callers keep at most a small,
-    bounded number of calls in flight (the sharded engine submits one call
-    per scatter round), so collection order is trivially deterministic.
+    bounded number of calls in flight (the sharded engine's
+    ``insert_stream`` keeps two partition rounds submitted, every other
+    engine operation one call per shard), and collection order is
+    submission order.
 
     Every worker carries a :attr:`name` (the engine uses ``"shard-<i>"``)
     that failure messages embed, so a dead worker is attributable to its

@@ -234,20 +234,30 @@ class Higgs(TemporalGraphSummary):
     def query_batch(self, queries: Sequence) -> List[float]:
         """Answer a batch of query objects with shared per-batch state.
 
-        The batch's distinct edge/vertex-query endpoints are hashed and
-        packed in one vectorized pass, bit-identical to the per-item
-        path's :meth:`VertexHasher.split` and :func:`pack_vertex`, and each
-        query then answers from its endpoints' packed keys at every layer.
-        Composite queries fall back to their per-item evaluation, which
-        still benefits from the query-plan cache.
+        The batch's distinct query endpoints — path and subgraph queries'
+        included — are hashed and packed in one pass, bit-identical to the
+        per-item path's :meth:`VertexHasher.split` and :func:`pack_vertex`,
+        and each query then answers from its endpoints' packed keys at
+        every layer.  A path or subgraph query sums its edges' estimates in
+        order from ``0.0``, exactly as :meth:`path_query` and
+        :meth:`subgraph_query` do.  Any other query object falls back to
+        its own ``evaluate``.
         """
         distinct: Dict[Vertex, None] = {}
-        for query in queries:
+        composites: Dict[int, Sequence[Tuple[Vertex, Vertex]]] = {}
+        for position, query in enumerate(queries):
             if hasattr(query, "destination"):
                 distinct.setdefault(query.source)
                 distinct.setdefault(query.destination)
             elif hasattr(query, "vertex"):
                 distinct.setdefault(query.vertex)
+            else:
+                pairs = self.composite_pairs(query)
+                if pairs is not None:
+                    composites[position] = pairs
+                    for source, destination in pairs:
+                        distinct.setdefault(source)
+                        distinct.setdefault(destination)
         vertices = list(distinct)
         fingerprints, addresses = vectorized.split_array(
             vectorized.hash64_array(vertices, self.config.hash_seed),
@@ -257,7 +267,7 @@ class Higgs(TemporalGraphSummary):
 
         results: List[float] = []
         append = results.append
-        for query in queries:
+        for position, query in enumerate(queries):
             # Structural dispatch keeps this module free of an import cycle
             # with :mod:`repro.queries.types`.
             if hasattr(query, "destination"):  # edge query
@@ -271,7 +281,14 @@ class Higgs(TemporalGraphSummary):
                 append(self._vertex_query_packed(packed[query.vertex],
                                                  query.t_start, query.t_end,
                                                  query.direction))
-            else:  # composite (path / subgraph) — per-item evaluation
+            elif position in composites:  # path / subgraph query
+                total = 0.0
+                for source, destination in composites[position]:
+                    total += self._edge_query_packed(
+                        packed[source], packed[destination],
+                        query.t_start, query.t_end)
+                append(total)
+            else:
                 append(query.evaluate(self))
         return results
 

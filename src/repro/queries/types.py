@@ -5,6 +5,12 @@ temporal range; path and subgraph queries are composites built from edge
 queries.  Each query object knows how to evaluate itself against any
 :class:`~repro.summary.TemporalGraphSummary`, which keeps the evaluation
 harness method-agnostic.
+
+Each type pickles as a call to its constructor (``__reduce__``).  Without
+that, a ``slots=True`` dataclass pickles through the ``dataclasses``
+``__getstate__``/``__setstate__`` pair, which calls ``fields()`` for every
+object — the larger part of the cost of sending a query batch to a shard
+worker process.
 """
 
 from __future__ import annotations
@@ -25,6 +31,10 @@ class EdgeQuery:
     t_start: int
     t_end: int
 
+    def __reduce__(self):
+        return EdgeQuery, (self.source, self.destination, self.t_start,
+                           self.t_end)
+
     def evaluate(self, summary: TemporalGraphSummary) -> float:
         return summary.edge_query(self.source, self.destination,
                                   self.t_start, self.t_end)
@@ -38,6 +48,10 @@ class VertexQuery:
     t_start: int
     t_end: int
     direction: str = "out"
+
+    def __reduce__(self):
+        return VertexQuery, (self.vertex, self.t_start, self.t_end,
+                             self.direction)
 
     def evaluate(self, summary: TemporalGraphSummary) -> float:
         return summary.vertex_query(self.vertex, self.t_start, self.t_end,
@@ -57,6 +71,9 @@ class PathQuery:
         """Number of edges in the path."""
         return len(self.path) - 1
 
+    def __reduce__(self):
+        return PathQuery, (self.path, self.t_start, self.t_end)
+
     def evaluate(self, summary: TemporalGraphSummary) -> float:
         return summary.path_query(self.path, self.t_start, self.t_end)
 
@@ -73,6 +90,9 @@ class SubgraphQuery:
     def size(self) -> int:
         """Number of edges in the queried subgraph."""
         return len(self.edges)
+
+    def __reduce__(self):
+        return SubgraphQuery, (self.edges, self.t_start, self.t_end)
 
     def evaluate(self, summary: TemporalGraphSummary) -> float:
         return summary.subgraph_query(self.edges, self.t_start, self.t_end)

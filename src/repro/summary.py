@@ -26,7 +26,7 @@ inner summaries and is itself a :class:`TemporalGraphSummary`.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Final, Iterable, List, Protocol, Sequence, Tuple
+from typing import Final, Iterable, List, Optional, Protocol, Sequence, Tuple
 
 from .errors import QueryError
 from .streams.edge import GraphStream, StreamEdge, Vertex
@@ -281,3 +281,28 @@ class TemporalGraphSummary(ABC):
         if direction not in ("out", "in"):
             raise QueryError(
                 f"direction must be 'out' or 'in', got {direction!r}")
+
+    @staticmethod
+    def composite_pairs(query) -> Optional[Sequence[Tuple[Vertex, Vertex]]]:
+        """The ``(source, destination)`` pairs a path or subgraph query sums.
+
+        Checks ``query`` as :meth:`path_query` and :meth:`subgraph_query`
+        do — :class:`QueryError` for a path shorter than two vertices, an
+        empty edge set or a malformed range — and returns its hops or edges
+        in order; ``None`` for a query object that is neither.  Batch paths
+        use it to answer composites from their own per-batch state.
+        """
+        path = getattr(query, "path", None)
+        if path is not None:
+            if len(path) < 2:
+                raise QueryError("a path query needs at least two vertices")
+            pairs: Sequence[Tuple[Vertex, Vertex]] = list(
+                zip(path[:-1], path[1:], strict=True))
+        elif hasattr(query, "edges"):
+            pairs = query.edges
+            if not pairs:
+                raise QueryError("a subgraph query needs at least one edge")
+        else:
+            return None
+        TemporalGraphSummary.check_range(query.t_start, query.t_end)
+        return pairs

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 import pytest
 
 from repro import Higgs, HiggsConfig
@@ -26,6 +29,18 @@ class TestQueryTypes:
         subgraph = SubgraphQuery((("v2", "v3"), ("v3", "v7"), ("v2", "v4")), 4, 8)
         assert subgraph.size == 3
         assert subgraph.evaluate(truth) == 3.0
+
+    def test_queries_survive_pickle_and_deepcopy(self):
+        queries = [EdgeQuery("v2", 3, 5, 10), VertexQuery("v4", 1, 11, "in"),
+                   PathQuery(("v2", "v3", "v7"), 1, 11),
+                   SubgraphQuery((("v2", "v3"), ("v3", "v7")), 4, 8)]
+        for query in queries:
+            copies = [pickle.loads(pickle.dumps(query, protocol))
+                      for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+            copies.append(copy.deepcopy(query))
+            for duplicate in copies:
+                assert type(duplicate) is type(query)
+                assert duplicate == query
 
 
 class TestWorkloadGenerator:

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
+from faultinject import FaultSpec, inject_fault
 from repro import (Higgs, HiggsConfig, HiggsShardFactory, ShardedSummary,
                    ShardingConfig, SnapshotConfig)
+from repro.baselines.exact import ExactTemporalGraph
 from repro.core.executor import make_shard_worker
 from repro.core.hashing import shard_of
 from repro.errors import ConfigurationError, QueryError, ShardingError
@@ -172,9 +176,41 @@ class TestScatterGather:
             SubgraphQuery(tuple(edges[5:8]), t_min, t_max),
             EdgeQuery(*edges[9], t_min, t_max),
         ]
+        calls = [entry["calls"] for entry in sharded.shard_stats()]
         batched = sharded.query_batch(queries)
+        # One call per involved shard: the incoming vertex query involves
+        # all three, and the path and subgraph queries ride in those calls.
+        assert [entry["calls"] - before for entry, before
+                in zip(sharded.shard_stats(), calls, strict=True)] == [1, 1, 1]
         singles = [query.evaluate(sharded) for query in queries]
         assert batched == singles
+
+    def test_query_batch_adds_shard_estimates_in_shard_order(self):
+        """A batch adds each query's per-shard estimates in shard order, as
+        the per-item methods do.  With non-integer weights on three shards,
+        adding them in the order the batch first reached each shard (here
+        shard 2 first, through the edge query) changes the last bits."""
+        rng = random.Random(3)
+        edges = []
+        for t in range(3000):
+            source = f"u{rng.randrange(200)}"
+            destination = "hub" if t % 3 == 0 else f"u{rng.randrange(200)}"
+            edges.append(StreamEdge(source, destination, rng.random() * 10, t))
+        sharded = ShardedSummary(HiggsShardFactory(), shards=3)
+        sharded.insert_batch(edges)
+        partitioner = sharded.partitioner
+        first = next(f"u{i}" for i in range(200)
+                     if partitioner.shard_of_vertex(f"u{i}") == 2)
+        vertices = [f"u{i}" for i in range(200)] + ["hub"]
+        mismatches = 0
+        for t_start, t_end in [(0, 2999), (0, 1499), (1000, 2999)]:
+            for vertex in vertices:
+                batch = [EdgeQuery(first, "hub", t_start, t_end),
+                         VertexQuery(vertex, t_start, t_end, "in")]
+                answers = sharded.query_batch(batch)
+                mismatches += answers != [query.evaluate(sharded)
+                                          for query in batch]
+        assert mismatches == 0
 
     def test_accuracy_matches_unsharded_at_equal_config(self, small_stream,
                                                         small_truth):
@@ -343,6 +379,14 @@ class TestValidation:
             sharded.subgraph_query([], 0, 5)
         with pytest.raises(QueryError):
             sharded.vertex_query("a", 0, 5, direction="sideways")
+        # A batch checks its path and subgraph queries before any shard
+        # sees the batch.
+        calls = [entry["calls"] for entry in sharded.shard_stats()]
+        for bad in (PathQuery(("a",), 0, 5), SubgraphQuery((), 0, 5),
+                    SubgraphQuery((("a", "b"),), 5, 0)):
+            with pytest.raises(QueryError):
+                sharded.query_batch([EdgeQuery("a", "b", 0, 5), bad])
+        assert [entry["calls"] for entry in sharded.shard_stats()] == calls
 
     def test_insert_stream_returns_acknowledged_count(self, small_stream):
         sharded = ShardedSummary(_factory(), shards=4, batch_size=64)
@@ -502,3 +546,140 @@ class TestWorkerStats:
             assert worker.stats() == {"busy_seconds": 0.0, "calls": 0}
         finally:
             worker.close()
+
+
+def _exact_of(edges) -> ExactTemporalGraph:
+    reference = ExactTemporalGraph()
+    reference.insert_batch(edges)
+    return reference
+
+
+def _assert_answers_exactly(engine: ShardedSummary, edges) -> None:
+    """Every edge and vertex answer equals an exact store of ``edges``."""
+    reference = _exact_of(edges)
+    vertices = sorted({e.source for e in edges} | {e.destination for e in edges})
+    queries = [EdgeQuery(s, d, 0, 10**6)
+               for s, d in sorted({(e.source, e.destination) for e in edges})]
+    queries += [VertexQuery(v, 0, 10**6, direction)
+                for v in vertices for direction in ("out", "in")]
+    assert engine.query_batch(queries) == \
+        [query.evaluate(reference) for query in queries]
+
+
+class TestRoundsInFlight:
+    """``insert_stream`` keeps two partition rounds in flight; a failure,
+    or a stream that raises, still collects every submitted round before
+    anything propagates, and the acknowledged counts stay exact."""
+
+    BATCH = 8  # per shard: 16-edge rounds on two shards
+
+    @staticmethod
+    def _edges(count: int, offset: int = 0):
+        return [StreamEdge(f"s{(i * 7) % 31}", f"d{(i * 5) % 17}",
+                           float(1 + i % 4), offset + i)
+                for i in range(count)]
+
+    def _engine(self, **kwargs) -> ShardedSummary:
+        return ShardedSummary(ExactTemporalGraph, shards=2, executor="process",
+                              batch_size=self.BATCH, **kwargs)
+
+    def _applied(self, engine: ShardedSummary, rounds, failing_call: int,
+                 kind: str):
+        """Edges each shard applied from ``rounds`` when shard 1's
+        ``failing_call``-th sub-batch fails: shard 0 applies every round up
+        to the one after the failing round; shard 1 applies the rounds
+        before it, and the one after too unless it died."""
+        parts = [engine.partitioner.split(chunk) for chunk in rounds]
+        calls = [index for index, split in enumerate(parts) if split[1]]
+        failing = calls[failing_call]
+        last = min(failing + 1, len(parts) - 1)
+        shard0 = [e for split in parts[:last + 1] for e in split[0]]
+        shard1 = [e for split in parts[:failing] for e in split[1]]
+        if kind == "error":
+            shard1 += parts[last][1] if last > failing else []
+        return shard0, shard1
+
+    @pytest.mark.faultinject
+    @pytest.mark.parametrize("kind", ["kill", "error"])
+    def test_failed_round_drains_rounds_and_counts_exactly(self, kind,
+                                                           tmp_path):
+        warm, rest = self._edges(64), self._edges(400, offset=64)
+        size = 2 * self.BATCH
+        rounds = [rest[i:i + size] for i in range(0, len(rest), size)]
+        with self._engine(snapshot=SnapshotConfig(
+                directory=str(tmp_path))) as engine:
+            engine.insert_stream(warm)
+            engine.snapshot()
+            warm0, warm1 = engine.shard_items()
+            wrapper = inject_fault(engine, 1, FaultSpec(
+                kind=kind, method="insert_batch", call_index=5))
+            survivor = engine._workers[0]
+            with pytest.raises(ShardingError, match=r"shard\(s\) \[1\]"):
+                engine.insert_stream(rest)
+            assert wrapper.outstanding == 0
+            assert survivor.outstanding == 0
+            shard0, shard1 = self._applied(engine, rounds, 5, kind)
+            if kind == "kill":
+                # Auto-recovery rebuilt shard 1 from the snapshot: it lost
+                # exactly what it acknowledged after the snapshot.
+                assert all(worker.alive() for worker in engine._workers)
+                assert engine.shard_items() == (warm0 + len(shard0), warm1)
+                assert engine.snapshot_items() == (warm0, warm1)
+                shard1 = []
+            else:
+                assert engine.shard_items() == (warm0 + len(shard0),
+                                                warm1 + len(shard1))
+            for shard in range(2):
+                engine.migrate_shard(shard, executor="serial")
+            assert tuple(summary.item_count for summary
+                         in engine.shard_summaries()) == engine.shard_items()
+            # The engine ingests again and answers exactly what it holds.
+            more = self._edges(48, offset=1000)
+            assert engine.insert_stream(more) == len(more)
+            parts = engine.partitioner.split(warm)
+            held = parts[0] + shard0 + parts[1] + shard1 + more
+            assert engine.items_ingested == len(held)
+            _assert_answers_exactly(engine, held)
+
+    @pytest.mark.faultinject
+    def test_stream_that_raises_drains_rounds_first(self):
+        class Boom(RuntimeError):
+            pass
+
+        edges = self._edges(100)
+
+        def stream():
+            yield from edges
+            raise Boom()
+
+        size = 2 * self.BATCH
+        applied = edges[:len(edges) // size * size]
+        with self._engine() as engine:
+            with pytest.raises(Boom):
+                engine.insert_stream(stream())
+            assert [worker.outstanding for worker in engine._workers] == [0, 0]
+            # Whole rounds were applied; the partial last round was not.
+            assert engine.items_ingested == len(applied)
+            for shard in range(2):
+                engine.migrate_shard(shard, executor="serial")
+            assert tuple(summary.item_count for summary
+                         in engine.shard_summaries()) == engine.shard_items()
+            _assert_answers_exactly(engine, applied)
+
+    def test_stream_cannot_call_the_engine_while_rounds_are_in_flight(self):
+        edges = self._edges(100)
+        engine = ShardedSummary(ExactTemporalGraph, shards=2,
+                                batch_size=self.BATCH)
+
+        def stream():
+            for index, edge in enumerate(edges):
+                if index == 40:
+                    # A round is in flight: this call would collect its
+                    # result, so the engine refuses it.
+                    engine.edge_query("s0", "d0", 0, 10**6)
+                yield edge
+
+        with pytest.raises(ShardingError, match="rounds in flight"):
+            engine.insert_stream(stream())
+        assert engine.items_ingested == 32
+        _assert_answers_exactly(engine, edges[:32])

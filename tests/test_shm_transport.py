@@ -52,6 +52,14 @@ class TestPackedEdges:
         with pytest.raises((TypeError, ValueError)):
             pack_edges(bad)
 
+    @pytest.mark.parametrize("edge, error", [
+        (StreamEdge("a", "b", 1.0, 2 ** 63), OverflowError),
+        (StreamEdge("a", "b", "x", 1), ValueError)])
+    def test_pack_rejects_values_its_columns_cannot_hold(self, edge, error):
+        """The worker sends such a batch as the list (``fallback_batches``)."""
+        with pytest.raises(error):
+            pack_edges(_edges(40) + [edge])
+
 
 class TestWorkerTransport:
     def test_process_worker_ships_packed_batches(self):

@@ -245,6 +245,30 @@ def test_sharded_answers_bit_identical(partition_by, edges):
         engine.close()
 
 
+def test_rounds_in_flight_bit_identical():
+    """``insert_stream`` with partition rounds in flight on process workers
+    builds each shard exactly as per-item ingest of its partition, and a
+    1-shard engine exactly as a bare HIGGS."""
+    edges = [StreamEdge(f"v{(i * 7) % 23}", f"v{(i * 11) % 19}",
+                        float(1 + i % 5), i // 3) for i in range(400)]
+    for shards in (3, 1):
+        engine = ShardedSummary(HiggsShardFactory(_SMALL), shards=shards,
+                                executor="process")
+        try:
+            assert engine.insert_stream(edges, batch_size=7) == len(edges)
+            for shard in range(shards):
+                engine.migrate_shard(shard, executor="serial")
+            # With one shard the only part is the whole stream, so the
+            # reference is a bare HIGGS fed every edge.
+            parts = engine.partitioner.split(edges)
+            for summary, part in zip(engine.shard_summaries(), parts,
+                                     strict=True):
+                assert _tree_digest(summary) == \
+                    _tree_digest(_build(_SMALL, part, batch=False))
+        finally:
+            engine.close()
+
+
 def test_generator_prefix_applied_on_mid_stream_error():
     """A dying iterable keeps the per-item contract: every item it yielded
     before raising is applied."""
