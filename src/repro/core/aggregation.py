@@ -10,13 +10,17 @@ parent's exact overflow map, preserving exactness of the aggregate.
 
 Because each lifted key ends up stored exactly once with its summed weight,
 an :class:`~repro.core.node.InternalNode` keeps exact maps instead of the
-matrix.  The build still simulates Algorithm 2's bucket placement, over
-distinct keys and by bucket occupancy alone, because placement decides which
-keys spill (charged by the memory model) and the order keys pass upward.
-Leaves hand their keys up in the same order, block by block: a packed key is
-the same integer at every layer, so nothing is lifted on the way.
-:func:`lift_coordinates` stays as the paper's lift, the oracle the tests
-check packed keys against.
+matrix, and building a node (:func:`aggregate_leaves`,
+:func:`aggregate_internal`) fills only those maps.  Algorithm 2's bucket
+placement, simulated over distinct keys and by bucket occupancy alone,
+decides no answer: only which keys spill (charged by the memory model) and
+the order keys pass upward.  So :func:`place_levels` runs it later,
+bottom-up, when the tree's memory model first asks, and a placed node is
+the same whenever that happens.  Leaves hand their keys up in the same
+order, block by block, when their parent is built, because that order sets
+the parent's float sums.  A packed key is the same integer at every layer,
+so nothing is lifted on the way.  :func:`lift_coordinates` stays as the
+paper's lift, the oracle the tests check packed keys against.
 """
 
 from __future__ import annotations
@@ -83,31 +87,79 @@ def _first_fit(cells: List[int], width: int, capacity: int) -> List[int]:
 # hot-path
 def _aggregate(node: InternalNode, keys, weights,
                config: HiggsConfig) -> None:
-    """Fill ``node`` from its children's packed edge keys and weights.
+    """Fill ``node``'s exact maps from its children's packed edge keys and
+    weights.
 
     ``keys`` and ``weights`` concatenate every child's entries in the order
-    the node receives them.  Equal keys are grouped in first-occurrence
-    order and summed with ``np.bincount``, which adds a group's weights in
-    entry order starting from ``0.0`` — the accumulation order of the
-    matrix-and-spill-map build, so every weight is bit-identical to it.
-    Placement (:func:`_first_fit`) then decides which keys the aggregated
-    matrix holds and which spill, and fixes the order the node hands its
-    keys to its parent.
+    the node receives them.  Equal keys are summed with ``np.bincount``,
+    which adds a key's weights in entry order starting from ``0.0`` — the
+    accumulation order of the matrix-and-spill-map build, so every weight
+    is bit-identical to it.  The edge map keeps the keys in first-occurrence
+    order.  Each vertex sum adds its distinct edge keys' sums in sorted key
+    order, which no hand-up order decides, so :func:`place_levels` can run
+    any time later and still leave the same sums.
     """
     if len(keys) == 0:
         return
     distinct, first, inverse = np.unique(keys, return_index=True,
                                          return_inverse=True)
-    by_first = np.argsort(first)
-    rank = np.empty_like(by_first)
-    rank[by_first] = np.arange(len(by_first))
-    sums = np.bincount(rank[inverse], weights=weights,
-                       minlength=len(by_first))
-    distinct = distinct[by_first]
+    sums = np.bincount(inverse, weights=weights, minlength=len(distinct))
+    sources, destinations = unpack_edge(distinct, vertex_bits(config))
+    node.out_weights = _vertex_sums(sources, sums)
+    node.in_weights = _vertex_sums(destinations, sums)
+    order = np.argsort(first)
+    node.weights = dict(zip(distinct[order].tolist(), sums[order].tolist(),
+                            strict=True))
 
+
+def place_levels(levels: List[List[InternalNode]],
+                 config: HiggsConfig) -> None:
+    """Place every unplaced node of ``levels`` (layer 2 first), bottom-up.
+
+    A built node's key set never changes (a delete changes only weights),
+    so a node is placed once and keeps the result.  A level-2 node's input
+    is its own keys in stored first-occurrence order, which is the order
+    its leaves hand them up.  A higher node's input is its children's keys
+    concatenated, each child placed first and so stored in hand-up order,
+    at first occurrence.  Either way the input is the order the eager build
+    placed, so a placed tree is the same whenever placement runs.
+    """
+    fanout = config.fanout
+    dtype = vectorized.key_dtype(config)
+    lower: List[InternalNode] = []
+    for nodes in levels:
+        for node in nodes:
+            if node.placed is not None:
+                continue
+            if node.level == 2:
+                keys = np.fromiter(node.weights, dtype, len(node.weights))
+            else:
+                children = lower[node.index * fanout:(node.index + 1) * fanout]
+                handed = np.concatenate([
+                    np.fromiter(child.weights, dtype, len(child.weights))
+                    for child in children])
+                _, first = np.unique(handed, return_index=True)
+                keys = handed[np.sort(first)]
+            _place(node, keys, config)
+        lower = nodes
+
+
+# hot-path
+def _place(node: InternalNode, keys, config: HiggsConfig) -> None:
+    """Simulate Algorithm 2's placement of ``node``'s distinct ``keys``,
+    given in the order its children hand them up.
+
+    :func:`_first_fit` decides which keys the aggregated matrix holds and
+    which spill, and ``node.weights`` is reordered into the order the node
+    hands its keys to its parent: placed keys in :func:`_hand_up_order`,
+    then spilled keys in spill order.
+    """
+    if len(keys) == 0:
+        node.placed = 0
+        return
     size = config.matrix_size_at(node.level)
     fingerprint_bits = config.fingerprint_bits_at(node.level)
-    sources, destinations = unpack_edge(distinct, vertex_bits(config))
+    sources, destinations = unpack_edge(keys, vertex_bits(config))
     src_fps, src_addrs = unpack_vertex(sources, fingerprint_bits)
     dst_fps, dst_addrs = unpack_vertex(destinations, fingerprint_bits)
     cells = vectorized.candidate_cells_array(
@@ -119,16 +171,13 @@ def _aggregate(node: InternalNode, keys, weights,
     chosen = np.asarray(_first_fit(cells.reshape(-1).tolist(),
                                    cells.shape[1], config.bucket_entries),
                         dtype=np.int64)
-
-    # Spilled keys follow the placed ones, in spill order.
     placed = np.flatnonzero(chosen >= 0)
     order = np.concatenate([placed[_hand_up_order(chosen[placed])],
                             np.flatnonzero(chosen < 0)])
-    node.weights = dict(zip(distinct[order].tolist(), sums[order].tolist(),
-                            strict=True))
+    handed_up = keys[order].tolist()
+    node.weights = dict(zip(handed_up, map(node.weights.__getitem__,
+                                           handed_up)))
     node.placed = len(placed)
-    node.out_weights = _vertex_sums(sources, sums)
-    node.in_weights = _vertex_sums(destinations, sums)
 
 
 def _hand_up_order(cells) -> "np.ndarray":
@@ -164,7 +213,9 @@ def aggregate_leaves(parent_index: int, leaves: List[LeafNode],
     """Build a level-2 internal node aggregating a group of closed leaves.
 
     Timestamps are dropped: the parent only records the group's overall time
-    span and the separating keys (each child's start timestamp).
+    span and the separating keys (each child's start timestamp).  Each leaf
+    hands its keys up in :func:`leaf_blocks` order, which sets the summation
+    order of the node's weights; the node is left unplaced.
     """
     t_mins = [leaf.t_min for leaf in leaves if leaf.t_min is not None]
     t_maxs = [leaf.t_max for leaf in leaves if leaf.t_max is not None]
@@ -188,7 +239,9 @@ def aggregate_internal(parent_index: int, children: List[InternalNode],
     """Build an internal node at layer ``children[0].level + 1`` from complete children.
 
     A packed key is the same at every layer, so the children's keys pass
-    up unchanged.
+    up unchanged.  A key occurs at most once per child, so its sum adds the
+    children in child order whether or not they are placed yet; the node is
+    left unplaced.
     """
     t_min = min(child.t_min for child in children)
     t_max = max(child.t_max for child in children)

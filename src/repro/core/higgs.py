@@ -5,7 +5,10 @@ hasher and the aggregated B-tree, and implements the
 :class:`~repro.summary.TemporalGraphSummary` interface: stream items are
 inserted one at a time (or in bulk via :meth:`Higgs.insert_batch`, which
 hashes the batch's distinct vertices in one vectorized pass and defers
-upward aggregation to the end of the batch), and edge / vertex / path /
+upward aggregation to the end of the batch).  Aggregation builds each
+internal node's exact sums only; Algorithm 2's simulated bucket placement,
+which decides no answer, runs when :meth:`Higgs.memory_bytes` or
+:meth:`Higgs.stats` first needs it.  Edge / vertex / path /
 subgraph queries can be answered over any temporal range — individually or
 in bulk via :meth:`Higgs.query_batch`.  A query packs each endpoint once;
 the packed key is the same integer at every tree layer.  Range
@@ -321,11 +324,17 @@ class Higgs(TemporalGraphSummary):
         return self._tree.height
 
     def memory_bytes(self) -> int:
-        """Analytic memory footprint of the whole structure."""
+        """Analytic memory footprint of the whole structure.
+
+        The first call after internal nodes were built places them
+        (Algorithm 2's simulated bucket placement), so after a large ingest
+        it costs far more than later calls.
+        """
         return self._tree.memory_bytes()
 
     def stats(self) -> Dict[str, object]:
-        """Structural statistics (leaf count, utilization, memory, ...)."""
+        """Structural statistics (leaf count, utilization, memory, ...);
+        places internal nodes as :meth:`memory_bytes` does."""
         return self._tree.stats()
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..errors import ReproError
 from .config import HiggsConfig
 
 # -- packed keys --------------------------------------------------------------
@@ -259,16 +260,18 @@ class InternalNode:
     entries.  So the node keeps those answers directly, in three exact maps
     over packed integer keys (:mod:`repro.core.aggregation` builds them):
 
-    * ``weights`` — edge key → summed weight, in the order the node hands
-      its keys to its parent: the first ``placed`` keys are the ones
-      Algorithm 2 puts in the matrix (grouped by bucket in order of the
-      bucket's first use, in placement order within a bucket), the rest
-      spilled (in spill order);
+    * ``weights`` — edge key → summed weight.  Once the node is placed, in
+      the order the node hands its keys to its parent: the first ``placed``
+      keys are the ones Algorithm 2 puts in the matrix (grouped by bucket
+      in order of the bucket's first use, in placement order within a
+      bucket), the rest spilled (in spill order);
     * ``out_weights`` / ``in_weights`` — source / destination vertex key →
       summed weight of its edges.
 
-    The maps hold only ints and floats, so they add no object the cyclic
-    garbage collector tracks.
+    Placement decides no answer, so the node is built unplaced and
+    :func:`~repro.core.aggregation.place_levels` places it when the tree's
+    memory model first asks.  The maps hold only ints and floats, so they
+    add no object the cyclic garbage collector tracks.
     """
 
     __slots__ = ("level", "index", "keys", "t_min", "t_max", "weights",
@@ -283,8 +286,9 @@ class InternalNode:
         self.t_min = t_min
         self.t_max = t_max
         self.weights: Dict[int, float] = {}
-        #: How many leading keys of ``weights`` the aggregated matrix holds.
-        self.placed = 0
+        #: How many leading keys of ``weights`` the aggregated matrix holds;
+        #: ``None`` until the node is placed.
+        self.placed: Optional[int] = None
         self.out_weights: Dict[int, float] = {}
         self.in_weights: Dict[int, float] = {}
 
@@ -325,12 +329,22 @@ class InternalNode:
 
     @property
     def spilled(self) -> int:
-        """Number of keys the aggregated matrix could not place."""
+        """Number of keys the aggregated matrix could not place.
+
+        Raises :class:`~repro.errors.ReproError` before the node is placed.
+        """
+        if self.placed is None:
+            raise ReproError(
+                f"internal node {self.index} at level {self.level} is not "
+                "placed yet; HiggsTree.memory_bytes() places it")
         return len(self.weights) - self.placed
 
     def memory_bytes(self, config: HiggsConfig) -> int:
         """Analytic footprint: the fully allocated ``d² · b`` aggregated
-        matrix, the spilled entries, keys and child pointers."""
+        matrix, the spilled entries, keys and child pointers.
+
+        Raises :class:`~repro.errors.ReproError` before the node is placed.
+        """
         size = config.matrix_size_at(self.level)
         entry_bytes = config.internal_entry_bytes(self.level)
         matrix_bytes = size * size * config.bucket_entries * entry_bytes
@@ -341,5 +355,5 @@ class InternalNode:
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (f"InternalNode(level={self.level}, index={self.index}, "
-                f"placed={self.placed}, spilled={self.spilled}, "
+                f"keys={len(self.weights)}, placed={self.placed}, "
                 f"range=[{self.t_min}, {self.t_max}])")

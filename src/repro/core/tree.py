@@ -23,9 +23,13 @@ vectorized ones; both then run one loop, which *defers the upward
 aggregation* of leaf groups that complete mid-loop to its end.  Deferral is
 sound because a completed group's leaves are closed — no later item can
 change them — so aggregating at the end builds byte-identical internal
-nodes.  The tree also carries a monotonically increasing :attr:`version`,
-bumped by every mutation, which query-plan caches use as their invalidation
-key.
+nodes.  Aggregation builds a node's exact maps only; Algorithm 2's
+simulated bucket placement, which decides no answer, runs when
+:meth:`HiggsTree.memory_bytes` or :meth:`HiggsTree.stats` first needs it
+(:func:`~repro.core.aggregation.place_levels`), so the first such call
+after a large ingest pays for it.  The tree also carries a monotonically
+increasing :attr:`version`, bumped by every mutation (placing a node is
+not one), which query-plan caches use as their invalidation key.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from typing import Dict, List, Optional
 
 from ..errors import InsertionError
 from . import vectorized
-from .aggregation import aggregate_internal, aggregate_leaves
+from .aggregation import aggregate_internal, aggregate_leaves, place_levels
 from .config import HiggsConfig
 from .hashing import probe_address
 from .node import InternalNode, LeafNode, pack_edge, pack_vertex, vertex_bits
@@ -284,10 +288,11 @@ class HiggsTree:
             return [i for i, leaf in enumerate(self.leaves)
                     if leaf.overlaps(timestamp, timestamp)]
         # A monotonic stream fills leaves in time order, so their ``t_min``
-        # values are sorted.
-        starts = [timestamp if leaf.t_min is None else leaf.t_min
-                  for leaf in self.leaves]
-        index = bisect.bisect_right(starts, timestamp) - 1
+        # values are sorted; an empty leaf sorts as ``timestamp``.
+        index = bisect.bisect_right(
+            self.leaves, timestamp,
+            key=lambda leaf: timestamp if leaf.t_min is None else leaf.t_min
+        ) - 1
         candidates = []
         while index >= 0 and self.leaves[index].overlaps(timestamp, timestamp):
             candidates.append(index)
@@ -299,14 +304,20 @@ class HiggsTree:
     # ------------------------------------------------------------------ #
 
     def memory_bytes(self) -> int:
-        """Analytic footprint of all layers, keys and pointers."""
+        """Analytic footprint of all layers, keys and pointers.
+
+        Places every internal node not placed yet first, bottom-up; a node
+        keeps its placement, so later calls pay only for new nodes.
+        """
+        place_levels(self._internal, self.config)
         total = sum(leaf.memory_bytes(self.config) for leaf in self.leaves)
         for nodes in self._internal:
             total += sum(node.memory_bytes(self.config) for node in nodes)
         return total
 
     def stats(self) -> Dict[str, object]:
-        """Structural statistics used by benchmarks and debugging."""
+        """Structural statistics used by benchmarks and debugging; places
+        internal nodes through :meth:`memory_bytes`."""
         leaf_entries = sum(leaf.entry_count() for leaf in self.leaves)
         leaf_capacity = sum(leaf.capacity() for leaf in self.leaves)
         overflow_blocks = sum(leaf.overflow_blocks for leaf in self.leaves)

@@ -9,11 +9,13 @@ from hypothesis import strategies as st
 from repro import Higgs
 from repro.baselines.matrix import CompressedMatrix
 from repro.core.aggregation import (aggregate_internal, aggregate_leaves,
-                                    leaf_blocks, lift_coordinates)
+                                    leaf_blocks, lift_coordinates,
+                                    place_levels)
 from repro.core.config import HiggsConfig
 from repro.core.hashing import VertexHasher, probe_address, probe_step
 from repro.core.node import (LeafNode, pack_edge, pack_vertex, unpack_edge,
                              unpack_vertex, vertex_bits)
+from repro.errors import ReproError
 from repro.streams.edge import StreamEdge
 
 _INT64_MIN, _INT64_MAX = -(2 ** 63), 2 ** 63 - 1
@@ -169,12 +171,20 @@ class TestAggregateInternal:
 
     def test_parent_memory_charges_full_aggregated_matrix(self, config):
         # Even an empty parent charges its whole d_l x d_l x b matrix at the
-        # timestamp-free entry size, plus its keys and child pointers.
+        # timestamp-free entry size, plus its keys and child pointers.  A
+        # node is built unplaced, and its spills and memory are unknown
+        # until it is placed.
         level2 = [aggregate_leaves(group, [LeafNode(i, config)
                                            for i in range(config.fanout)],
                                    config)
                   for group in range(config.fanout)]
         level3 = aggregate_internal(0, level2, config)
+        assert level3.placed is None
+        with pytest.raises(ReproError):
+            _ = level3.spilled
+        with pytest.raises(ReproError):
+            level3.memory_bytes(config)
+        place_levels([level2, [level3]], config)
         for node in (level2[0], level3):
             size = config.matrix_size_at(node.level)
             assert node.memory_bytes(config) == (
@@ -279,6 +289,7 @@ def _child_vertex(child, vertex, direction):
 def _assert_aggregation_exact(summary):
     """Check every internal node against its children; return the number
     of spilled parent keys seen."""
+    summary.memory_bytes()  # places every internal node
     config = summary.config
     fanout = config.fanout
     bits = vertex_bits(config)
@@ -307,6 +318,7 @@ def _assert_aggregation_exact(summary):
 def _assert_placement_matches_matrix(summary):
     """Check every internal node against a real aggregated matrix fed its
     children's entries one at a time, lifted by the paper's Algorithm 2."""
+    summary.memory_bytes()  # places every internal node
     config = summary.config
     fanout = config.fanout
     lower = summary.tree.leaves

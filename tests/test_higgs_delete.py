@@ -143,3 +143,24 @@ class TestDeleteAfterAggregation:
                                    t_min, t_max) == \
             batched.edge_query(victim.source, victim.destination,
                                t_min, t_max)
+
+
+class TestDeleteFindsItsLeaf:
+    def test_timestamp_shared_across_a_leaf_boundary(self):
+        # Two items per timestamp: where a leaf closes between them, the
+        # earlier item is the last of leaf k and the later one opens leaf
+        # k + 1, so both leaves cover the shared timestamp.
+        summary = Higgs(_small_config())
+        for i in range(200):
+            summary.insert(f"s{i}", f"d{i}", 1.0, i // 2)
+        leaves = summary.tree.leaves
+        k = next(k for k in range(len(leaves) - 1)
+                 if leaves[k].t_max == leaves[k + 1].t_min)
+        shared = leaves[k].t_max
+        later = pickle.dumps(leaves[k + 1])
+        summary.delete(f"s{2 * shared}", f"d{2 * shared}", 1.0, shared)
+        assert summary.edge_query(f"s{2 * shared}", f"d{2 * shared}",
+                                  shared, shared) == 0.0
+        assert summary.edge_query(f"s{2 * shared + 1}", f"d{2 * shared + 1}",
+                                  shared, shared) == 1.0
+        assert pickle.dumps(leaves[k + 1]) == later

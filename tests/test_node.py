@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.aggregation import aggregate_leaves
+from repro.core.aggregation import aggregate_leaves, place_levels
 from repro.core.config import HiggsConfig
 from repro.core.hashing import VertexHasher, probe_address
 from repro.core.node import (InternalNode, LeafNode, pack_edge, pack_vertex,
@@ -164,13 +164,16 @@ class TestLeafNode:
 
 
 def _aggregated(*entries) -> InternalNode:
-    """A level-2 node over one leaf per ``(key, weight)`` entry, in order."""
+    """A placed level-2 node over one leaf per ``(key, weight)`` entry, in
+    order."""
     leaves = []
     for index, (key, weight) in enumerate(entries):
         leaf = LeafNode(index, _TINY)
         assert _put(leaf, key, weight, index)
         leaves.append(leaf)
-    return aggregate_leaves(0, leaves, _TINY)
+    node = aggregate_leaves(0, leaves, _TINY)
+    place_levels([[node]], _TINY)
+    return node
 
 
 class TestInternalNode:

@@ -11,7 +11,9 @@ scalar reference path.  These tests build the same stream both ways and
 compare deep structural digests plus every query type (edge, vertex in/out,
 path, subgraph) through both the per-item and the batch query APIs, and
 check each shard of a sharded engine against per-item ingest of its
-partition, for both partition modes.
+partition, for both partition modes.  Internal nodes are placed lazily,
+so the digests compare placed trees, and one test checks that when
+placement runs changes no answer and no placed tree.
 
 Kernel-level properties (``hash64_array`` vs :func:`repro.core.hashing.hash64`
 and friends) are pinned separately so a divergence points at the exact
@@ -19,6 +21,8 @@ kernel rather than at "the tree ended up different".
 """
 
 from __future__ import annotations
+
+import pickle
 
 import numpy as np
 import pytest
@@ -65,6 +69,7 @@ def _leaf_digest(leaf):
 
 
 def _tree_digest(summary: Higgs):
+    stats = summary.stats()  # places every internal node
     tree = summary._tree
     leaves = [_leaf_digest(leaf) for leaf in tree.leaves]
     internal = [
@@ -73,7 +78,7 @@ def _tree_digest(summary: Higgs):
           node.t_min, node.t_max)
          for node in level]
         for level in tree.internal_levels()]
-    return (leaves, internal, summary.stats())
+    return (leaves, internal, stats)
 
 
 def _build(config, edges, batch: bool):
@@ -267,6 +272,70 @@ def test_rounds_in_flight_bit_identical():
                     _tree_digest(_build(_SMALL, part, batch=False))
         finally:
             engine.close()
+
+
+_float_edges = st.lists(
+    st.tuples(_vertices, _vertices,
+              st.floats(0.01, 10.0, allow_nan=False, allow_infinity=False),
+              st.integers(0, 300)),
+    min_size=150, max_size=600)
+
+
+@given(items=_float_edges, shuffled=st.booleans(), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_placement_time_changes_nothing(items, shuffled, data):
+    """Internal nodes are placed when the memory model first asks.  A
+    summary asked at random points, and pickled and restored at others,
+    answers every edge and vertex query and digests exactly as a twin
+    asked only at the end, with non-integer weights and sorted or shuffled
+    timestamps."""
+    if not shuffled:
+        items = sorted(items, key=lambda item: item[3])
+    edges = [StreamEdge(s, d, w, t) for s, d, w, t in items]
+    probed, twin = Higgs(_SMALL), Higgs(_SMALL)
+    start = 0
+    while start < len(edges):
+        chunk = edges[start:start + data.draw(st.integers(1, 40))]
+        start += len(chunk)
+        per_item = data.draw(st.booleans())
+        victims = data.draw(st.lists(st.sampled_from(edges[:start]),
+                                     max_size=3))
+        for summary in (probed, twin):
+            if per_item:
+                for edge in chunk:
+                    summary.insert(edge.source, edge.destination,
+                                   edge.weight, edge.timestamp)
+            else:
+                summary.insert_batch(chunk)
+            for edge in victims:
+                summary.delete(edge.source, edge.destination,
+                               edge.weight / 3, edge.timestamp)
+        probe = data.draw(st.sampled_from(["none", "memory", "stats",
+                                           "pickle"]))
+        if probe == "memory":
+            probed.memory_bytes()
+        elif probe == "stats":
+            probed.stats()
+        elif probe == "pickle":
+            probed = pickle.loads(pickle.dumps(probed))
+    stamps = [edge.timestamp for edge in edges]
+    ranges = [(min(stamps), max(stamps))] + data.draw(st.lists(
+        st.tuples(st.integers(0, 300), st.integers(0, 300)).map(sorted),
+        min_size=1, max_size=3))
+    pairs = sorted({(edge.source, edge.destination) for edge in edges})
+    vertices = sorted({vertex for pair in pairs for vertex in pair})
+    for t_start, t_end in ranges:
+        for source, destination in pairs:
+            assert probed.edge_query(source, destination, t_start, t_end) \
+                == twin.edge_query(source, destination, t_start, t_end)
+        for vertex in vertices:
+            for direction in ("out", "in"):
+                assert probed.vertex_query(vertex, t_start, t_end,
+                                           direction) == \
+                    twin.vertex_query(vertex, t_start, t_end, direction)
+    assert probed.memory_bytes() == twin.memory_bytes()
+    assert _tree_digest(probed) == _tree_digest(twin)
+    assert probed.tree.version == twin.tree.version
 
 
 def test_generator_prefix_applied_on_mid_stream_error():
