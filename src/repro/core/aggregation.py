@@ -13,14 +13,17 @@ an :class:`~repro.core.node.InternalNode` keeps exact maps instead of the
 matrix, and building a node (:func:`aggregate_leaves`,
 :func:`aggregate_internal`) fills only those maps.  Algorithm 2's bucket
 placement, simulated over distinct keys and by bucket occupancy alone,
-decides no answer: only which keys spill (charged by the memory model) and
-the order keys pass upward.  So :func:`place_levels` runs it later,
-bottom-up, when the tree's memory model first asks, and a placed node is
-the same whenever that happens.  Leaves hand their keys up in the same
-order, block by block, when their parent is built, because that order sets
-the parent's float sums.  A packed key is the same integer at every layer,
-so nothing is lifted on the way.  :func:`lift_coordinates` stays as the
-paper's lift, the oracle the tests check packed keys against.
+decides no answer, only how many keys spill (charged by the memory model).
+So :func:`place_levels` runs it later, when the tree's memory model first
+asks, over each node's keys in the order the node stores them, and a
+placed node is the same whenever that happens.  Keys pass upward in
+arrival order: a leaf hands its keys up in the order they arrived, and an
+internal node in the order it stores them, first occurrence over its
+children.  The paper fixes no iteration order over a child matrix, and
+this one is the same for batch and per-item ingest, so it sets the parent's
+float sums identically on both paths.  A packed key is the same integer at
+every layer, so nothing is lifted on the way.  :func:`lift_coordinates`
+stays as the paper's lift, the oracle the tests check packed keys against.
 """
 
 from __future__ import annotations
@@ -64,8 +67,8 @@ def _first_fit(cells: List[int], width: int, capacity: int) -> List[int]:
     probe-scan order, and the keys come in first-occurrence order.  A key
     takes the first of its cells that holds fewer than ``capacity`` keys;
     the result is that cell, or ``-1`` when all are full and the key
-    spills.  This is the leaf's first fit (:meth:`LeafNode._fit
-    <repro.core.node.LeafNode._fit>`) over a whole node at once: every key
+    spills.  This is the leaf's first fit (:meth:`LeafNode.fill
+    <repro.core.node.LeafNode.fill>`) over a whole node at once: every key
     here is distinct, so none is already held.
     """
     occupancy: Dict[int, int] = {}
@@ -96,8 +99,7 @@ def _aggregate(node: InternalNode, keys, weights,
     accumulation order of the matrix-and-spill-map build, so every weight
     is bit-identical to it.  The edge map keeps the keys in first-occurrence
     order.  Each vertex sum adds its distinct edge keys' sums in sorted key
-    order, which no hand-up order decides, so :func:`place_levels` can run
-    any time later and still leave the same sums.
+    order.
     """
     if len(keys) == 0:
         return
@@ -114,49 +116,34 @@ def _aggregate(node: InternalNode, keys, weights,
 
 def place_levels(levels: List[List[InternalNode]],
                  config: HiggsConfig) -> None:
-    """Place every unplaced node of ``levels`` (layer 2 first), bottom-up.
+    """Place every unplaced node of ``levels``.
 
     A built node's key set never changes (a delete changes only weights),
-    so a node is placed once and keeps the result.  A level-2 node's input
-    is its own keys in stored first-occurrence order, which is the order
-    its leaves hand them up.  A higher node's input is its children's keys
-    concatenated, each child placed first and so stored in hand-up order,
-    at first occurrence.  Either way the input is the order the eager build
-    placed, so a placed tree is the same whenever placement runs.
+    so a node is placed once and keeps the result.  Each node is placed
+    from its own keys in stored first-occurrence order, so a placed tree is
+    the same whenever placement runs.
     """
-    fanout = config.fanout
-    dtype = vectorized.key_dtype(config)
-    lower: List[InternalNode] = []
     for nodes in levels:
         for node in nodes:
-            if node.placed is not None:
-                continue
-            if node.level == 2:
-                keys = np.fromiter(node.weights, dtype, len(node.weights))
-            else:
-                children = lower[node.index * fanout:(node.index + 1) * fanout]
-                handed = np.concatenate([
-                    np.fromiter(child.weights, dtype, len(child.weights))
-                    for child in children])
-                _, first = np.unique(handed, return_index=True)
-                keys = handed[np.sort(first)]
-            _place(node, keys, config)
-        lower = nodes
+            if node.placed is None:
+                _place(node, config)
 
 
 # hot-path
-def _place(node: InternalNode, keys, config: HiggsConfig) -> None:
-    """Simulate Algorithm 2's placement of ``node``'s distinct ``keys``,
-    given in the order its children hand them up.
+def _place(node: InternalNode, config: HiggsConfig) -> List[int]:
+    """Simulate Algorithm 2's placement of ``node``'s distinct keys, in
+    stored first-occurrence order, and record how many the aggregated
+    matrix holds.
 
-    :func:`_first_fit` decides which keys the aggregated matrix holds and
-    which spill, and ``node.weights`` is reordered into the order the node
-    hands its keys to its parent: placed keys in :func:`_hand_up_order`,
-    then spilled keys in spill order.
+    :func:`_first_fit` decides which keys the matrix holds and which
+    spill.  Returns each key's bucket (``row * d + column``), or ``-1``
+    for a spilled key.
     """
-    if len(keys) == 0:
+    if not node.weights:
         node.placed = 0
-        return
+        return []
+    keys = np.fromiter(node.weights, vectorized.key_dtype(config),
+                       len(node.weights))
     size = config.matrix_size_at(node.level)
     fingerprint_bits = config.fingerprint_bits_at(node.level)
     sources, destinations = unpack_edge(keys, vertex_bits(config))
@@ -168,36 +155,10 @@ def _place(node: InternalNode, keys, config: HiggsConfig) -> None:
         vectorized.probe_rows_array(dst_fps, dst_addrs, config.num_probes,
                                     size),
         size)
-    chosen = np.asarray(_first_fit(cells.reshape(-1).tolist(),
-                                   cells.shape[1], config.bucket_entries),
-                        dtype=np.int64)
-    placed = np.flatnonzero(chosen >= 0)
-    order = np.concatenate([placed[_hand_up_order(chosen[placed])],
-                            np.flatnonzero(chosen < 0)])
-    handed_up = keys[order].tolist()
-    node.weights = dict(zip(handed_up, map(node.weights.__getitem__,
-                                           handed_up)))
-    node.placed = len(placed)
-
-
-def _hand_up_order(cells) -> "np.ndarray":
-    """Positions of placed keys in the order a node hands them up: grouped
-    by bucket in order of the bucket's first use, in placement order within
-    a bucket (the order a compressed matrix iterates its buckets)."""
-    _, first_use, bucket = np.unique(cells, return_index=True,
-                                     return_inverse=True)
-    return np.argsort(first_use[bucket], kind="stable")
-
-
-def leaf_blocks(leaf: LeafNode) -> List[List[int]]:
-    """A leaf's item keys block by block, each in hand-up order."""
-    blocks: List[List[int]] = []
-    for placement in leaf.placements:
-        keys = list(placement)
-        order = _hand_up_order(np.fromiter(placement.values(), np.int64,
-                                           len(placement)))
-        blocks.append([keys[i] for i in order.tolist()])
-    return blocks
+    chosen = _first_fit(cells.reshape(-1).tolist(), cells.shape[1],
+                        config.bucket_entries)
+    node.placed = len(chosen) - chosen.count(-1)
+    return chosen
 
 
 def _vertex_sums(vertices, sums) -> Dict[int, float]:
@@ -214,8 +175,8 @@ def aggregate_leaves(parent_index: int, leaves: List[LeafNode],
 
     Timestamps are dropped: the parent only records the group's overall time
     span and the separating keys (each child's start timestamp).  Each leaf
-    hands its keys up in :func:`leaf_blocks` order, which sets the summation
-    order of the node's weights; the node is left unplaced.
+    hands its keys up in arrival order, which sets the summation order of
+    the node's weights; the node is left unplaced.
     """
     t_mins = [leaf.t_min for leaf in leaves if leaf.t_min is not None]
     t_maxs = [leaf.t_max for leaf in leaves if leaf.t_max is not None]
@@ -226,9 +187,8 @@ def aggregate_leaves(parent_index: int, leaves: List[LeafNode],
     edges: List[int] = []
     weights: List[float] = []
     for leaf in leaves:
-        for block in leaf_blocks(leaf):
-            edges += [key >> 64 for key in block]
-            weights += [leaf.weights[key] for key in block]
+        edges += [key >> 64 for key in leaf.weights]
+        weights += leaf.weights.values()
     _aggregate(node, np.array(edges, dtype=vectorized.key_dtype(config)),
                np.array(weights, dtype=np.float64), config)
     return node

@@ -19,6 +19,8 @@ introducing extra error.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import operator
+from numbers import Integral
 from typing import Tuple
 
 from ..errors import ConfigurationError
@@ -29,18 +31,23 @@ _MASK64 = (1 << 64) - 1
 def hash64(key: object, seed: int = 0) -> int:
     """Return a deterministic 64-bit hash of ``key``.
 
-    Works for strings, bytes and integers; other objects are hashed through
-    their ``repr``.  The function is a splitmix64-style finalizer applied to
-    an FNV-1a pass over the key bytes, which gives good bit diffusion without
-    any third-party dependency and is stable across processes (unlike the
-    built-in ``hash``).
+    Works for strings, bytes and integers.  Every integer type
+    (:class:`numbers.Integral`: ``bool``, numpy integers) hashes as its
+    integer value, so keys that compare equal, and so share a dict slot in
+    the batch paths, hash alike, on every numpy version.  Other objects are
+    hashed through their ``repr``; floats among them are outside
+    ``Vertex = str | int``, and ``7.0`` does not hash as ``7``.  The
+    function is a splitmix64-style finalizer applied to an FNV-1a pass over
+    the key bytes, which gives good bit diffusion without any third-party
+    dependency and is stable across processes (unlike the built-in
+    ``hash``).
     """
     if isinstance(key, bytes):
         data = key
     elif isinstance(key, str):
         data = key.encode()
-    elif isinstance(key, int):  # noqa: SIM108 - branch chain reads better
-        data = key.to_bytes(16, "little", signed=True)
+    elif isinstance(key, Integral):  # noqa: SIM108 - branch chain reads better
+        data = operator.index(key).to_bytes(16, "little", signed=True)
     else:
         data = repr(key).encode()
 

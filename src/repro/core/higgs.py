@@ -4,15 +4,19 @@
 hasher and the aggregated B-tree, and implements the
 :class:`~repro.summary.TemporalGraphSummary` interface: stream items are
 inserted one at a time (or in bulk via :meth:`Higgs.insert_batch`, which
-hashes the batch's distinct vertices in one vectorized pass and defers
-upward aggregation to the end of the batch).  Aggregation builds each
-internal node's exact sums only; Algorithm 2's simulated bucket placement,
-which decides no answer, runs when :meth:`Higgs.memory_bytes` or
-:meth:`Higgs.stats` first needs it.  Edge / vertex / path /
-subgraph queries can be answered over any temporal range — individually or
-in bulk via :meth:`Higgs.query_batch`.  A query packs each endpoint once;
-the packed key is the same integer at every tree layer.  Range
-decompositions are memoized in a
+looks each distinct vertex of the batch up in a per-summary memo, hashes
+the ones it has not seen in one vectorized pass, and defers upward
+aggregation to the end of the batch).  The memo maps a vertex to its packed
+key and probe rows, a pure function of the vertex and the config; it grows
+with the number of distinct vertices, pickles with the summary, and stays
+outside :meth:`Higgs.memory_bytes`, which models the paper's structure.
+Aggregation builds each internal node's exact sums only; Algorithm 2's
+simulated bucket placement, which decides no answer, runs when
+:meth:`Higgs.memory_bytes` or :meth:`Higgs.stats` first needs it.  Edge /
+vertex / path / subgraph queries can be answered over any temporal range —
+individually or in bulk via :meth:`Higgs.query_batch`.  A query packs each
+endpoint once; the packed key is the same integer at every tree layer.
+Range decompositions are memoized in a
 :class:`~repro.core.boundary.QueryPlanCache` keyed by
 ``(t_start, t_end, tree.version)``, so repeated-range workloads skip the
 boundary search after the first query.
@@ -58,6 +62,11 @@ def _timestamp_error(timestamp: int) -> InsertionError:
 class Higgs(TemporalGraphSummary):
     """Item-based, bottom-up hierarchical graph stream summary.
 
+    Per-item :meth:`insert`, :meth:`delete` and the queries hash each
+    vertex as they meet it; the batch paths keep a vertex memo (see the
+    module docstring), which holds one entry per distinct vertex ingested
+    in a batch for the life of the summary.
+
     Parameters
     ----------
     config:
@@ -74,6 +83,10 @@ class Higgs(TemporalGraphSummary):
                                     seed=self.config.hash_seed)
         self._tree = HiggsTree(self.config)
         self._plan_cache = QueryPlanCache()
+        #: Vertex → (packed key, leaf-level probe rows), filled by the batch
+        #: paths; outside :meth:`memory_bytes`, which models the paper's
+        #: structure.
+        self._vertices: Dict[Vertex, Tuple[int, Tuple[int, ...]]] = {}
 
     # ------------------------------------------------------------------ #
     # updates
@@ -97,15 +110,15 @@ class Higgs(TemporalGraphSummary):
     def insert_batch(self, edges: Iterable[StreamEdge]) -> int:
         """Insert a batch of stream items with one-pass hashing.
 
-        The batch's distinct vertices are indexed once and hashed in one
-        vectorized pass, their leaf-level probe-address sequences computed
-        as arrays, and the pre-hashed batch applied by
-        :meth:`HiggsTree.insert_hashed_batch_arrays`, which defers upward
+        The batch's distinct vertices are indexed once and looked up in the
+        summary's vertex memo (:meth:`_vertex_entries`), which hashes the
+        ones it has not seen in one vectorized pass, and the batch is then
+        applied by :meth:`HiggsTree.insert_packed`, which defers upward
         aggregation to the end of the batch.  The resulting structure is
         identical to per-item insertion.  Batches exposing pre-packed
         arrays (``packed_arrays()``, e.g. the
         :class:`~repro.core.executor.PackedEdges` batches a process shard
-        worker receives) skip the packing pass entirely.
+        worker receives) skip the indexing pass entirely.
 
         Failures keep the per-item contract: the items before a failing
         one are applied.  An iterable that raises mid-batch re-raises its
@@ -115,11 +128,9 @@ class Higgs(TemporalGraphSummary):
         packed = getattr(edges, "packed_arrays", None)
         if packed is not None:
             vertices, src_idx, dst_idx, weights, timestamps = packed()
-            if not len(src_idx):
-                return 0
-            return self._tree.insert_hashed_batch_arrays(
-                *self._hash_indexed(vertices, src_idx, dst_idx,
-                                    weights, timestamps))
+            return self._tree.insert_packed(
+                self._vertex_entries(vertices), src_idx.tolist(),
+                dst_idx.tolist(), weights.tolist(), timestamps.tolist())
         if isinstance(edges, (list, tuple)):
             return self._insert_items(edges)
         items: List[StreamEdge] = []
@@ -131,8 +142,7 @@ class Higgs(TemporalGraphSummary):
         return self._insert_items(items)
 
     def _insert_items(self, items: Sequence[StreamEdge]) -> int:
-        """Index a batch's distinct vertices, pack it into hashed arrays
-        and insert it."""
+        """Index a batch's distinct vertices and insert it."""
         if not items:
             return 0
         index: Dict[Vertex, int] = {}
@@ -146,34 +156,40 @@ class Higgs(TemporalGraphSummary):
             dst_idx.append(setdefault(edge.destination, len(index)))
             weights.append(edge.weight)
             timestamps.append(int(edge.timestamp))
-        try:
-            stamps = np.asarray(timestamps, dtype=np.int64)
-        except OverflowError:
+        if min(timestamps) < _INT64_MIN or max(timestamps) > _INT64_MAX:
             bad = next(k for k, timestamp in enumerate(timestamps)
                        if not _INT64_MIN <= timestamp <= _INT64_MAX)
             self._insert_items(items[:bad])
-            raise _timestamp_error(timestamps[bad]) from None
-        return self._tree.insert_hashed_batch_arrays(
-            *self._hash_indexed(list(index), src_idx, dst_idx,
-                                weights, stamps))
+            raise _timestamp_error(timestamps[bad])
+        return self._tree.insert_packed(
+            self._vertex_entries(list(index)), src_idx, dst_idx,
+            np.asarray(weights, dtype=np.float64).tolist(), timestamps)
 
-    def _hash_indexed(self, vertices: Sequence[Vertex], src_idx, dst_idx,
-                      weights, timestamps) -> Tuple:
-        """Hash distinct vertices once, fan out to per-edge batch arrays.
+    def _vertex_entries(self, vertices: Sequence[Vertex]
+                        ) -> List[Tuple[int, Tuple[int, ...]]]:
+        """Each vertex's packed key and leaf-level probe rows, from the
+        vertex memo.
 
-        ``src_idx`` / ``dst_idx`` index into ``vertices``, so each distinct
-        vertex is hashed exactly once.  Returns the argument tuple for
-        :meth:`HiggsTree.insert_hashed_batch_arrays`.
+        The vertices the memo has not seen are hashed, packed and probed
+        in one vectorized pass and stored.  An entry is a pure function of
+        the vertex and the config, bit-identical to the scalar kernels
+        :meth:`insert` runs, so the memo never changes a tree or an answer.
         """
-        config = self.config
-        hashes = vectorized.hash64_array(vertices, config.hash_seed)
-        fingerprints, addresses = vectorized.split_array(
-            hashes, config.fingerprint_bits, config.leaf_matrix_size)
-        return (fingerprints, addresses,
-                np.asarray(src_idx, dtype=np.int64),
-                np.asarray(dst_idx, dtype=np.int64),
-                np.asarray(weights, dtype=np.float64),
-                np.asarray(timestamps, dtype=np.int64))
+        memo = self._vertices
+        missing = [vertex for vertex in vertices if vertex not in memo]
+        if missing:
+            config = self.config
+            fingerprints, addresses = vectorized.split_array(
+                vectorized.hash64_array(missing, config.hash_seed),
+                config.fingerprint_bits, config.leaf_matrix_size)
+            keys = vectorized.pack_vertex_array(fingerprints, addresses,
+                                                config).tolist()
+            rows = vectorized.probe_rows_array(fingerprints, addresses,
+                                               config.num_probes,
+                                               config.leaf_matrix_size)
+            memo.update(zip(missing, zip(keys, map(tuple, rows.tolist())),
+                            strict=True))
+        return [memo[vertex] for vertex in vertices]
 
     def delete(self, source: Vertex, destination: Vertex, weight: float,
                timestamp: int) -> None:

@@ -11,7 +11,7 @@ root.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..errors import ReproError
 from .config import HiggsConfig
@@ -76,16 +76,20 @@ class LeafNode:
     the parent's timestamp keys stay discriminative.  Every item, a
     distinct (edge, timestamp) pair, lands in exactly one entry with its
     summed weight, so the leaf keeps the answers in exact maps and keeps of
-    each matrix only what decides when the leaf refuses an item: which
-    bucket each key took.
+    each matrix only what decides when the leaf refuses an item: how many
+    keys each bucket holds.
 
-    * ``placements`` / ``occupancy`` — one per block, block 0 being the
-      leaf matrix and the overflow blocks following in creation order:
-      item key → bucket (``row * d1 + column``), in placement order, and
-      bucket → number of keys placed in it;
-    * ``weights`` — item key → summed weight;
+    * ``occupancy`` — one per block, block 0 being the leaf matrix and the
+      overflow blocks following in creation order: bucket
+      (``row * d1 + column``) → number of keys placed in it;
+    * ``overflow`` — the keys the overflow blocks hold; every other key of
+      ``weights`` is in the leaf matrix;
+    * ``weights`` — item key → summed weight, in arrival order, which is
+      the order the leaf hands its keys to its parent;
     * ``edges`` / ``sources`` / ``destinations`` — packed edge / source /
-      destination vertex → tuple of its item keys, in arrival order.
+      destination vertex → tuple of its item keys, in arrival order;
+    * ``arrivals`` — the number of stream items the leaf took, accumulated
+      ones included.
 
     Keys are packed by :func:`pack_vertex`, :func:`pack_edge` and
     :func:`pack_item`.  An item key is unique only for ``int64``
@@ -93,11 +97,13 @@ class LeafNode:
     range finds no candidate leaf, but a direct :meth:`decrement` at
     ``2 ** 63`` would hit the key of ``(edge + 1, -2 ** 63)``.  The maps
     hold only ints, floats and tuples of ints, so after a full collection
-    the cyclic garbage collector tracks none of them.
+    the cyclic garbage collector tracks none of them; the overflow-key set
+    is one tracked object per leaf.
     """
 
-    __slots__ = ("index", "config", "closed", "t_min", "t_max", "placements",
-                 "occupancy", "weights", "edges", "sources", "destinations")
+    __slots__ = ("index", "config", "closed", "t_min", "t_max", "arrivals",
+                 "occupancy", "overflow", "weights", "edges", "sources",
+                 "destinations")
 
     def __init__(self, index: int, config: HiggsConfig) -> None:
         self.index = index
@@ -106,8 +112,9 @@ class LeafNode:
         #: Earliest / latest timestamp stored; ``None`` while empty.
         self.t_min: Optional[int] = None
         self.t_max: Optional[int] = None
-        self.placements: List[Dict[int, int]] = [{}]
+        self.arrivals = 0
         self.occupancy: List[Dict[int, int]] = [{}]
+        self.overflow: Set[int] = set()
         self.weights: Dict[int, float] = {}
         self.edges: Dict[int, Tuple[int, ...]] = {}
         self.sources: Dict[int, Tuple[int, ...]] = {}
@@ -116,60 +123,106 @@ class LeafNode:
     # -- Algorithm 1 ----------------------------------------------------------
 
     # hot-path
-    def insert(self, edge: int, source: int, destination: int,
-               src_rows: Sequence[int], dst_cols: Sequence[int],
-               weight: float, timestamp: int) -> bool:
-        """Insert (or accumulate) one item; False when the leaf refuses it.
+    def fill(self, vertices: Sequence[Tuple[int, Sequence[int]]],
+             src_idx: Sequence[int], dst_idx: Sequence[int],
+             weights: Sequence[float], timestamps: Sequence[int],
+             start: int) -> int:
+        """Insert (or accumulate) a batch's items from position ``start``
+        until the leaf refuses one; returns the position of the first item
+        not taken, ``len(src_idx)`` when the leaf took them all.
 
-        ``src_rows`` / ``dst_cols`` are the endpoints' ``r`` candidate
-        addresses at the leaf dimension, in probe order.  A key the leaf
-        matrix holds accumulates; otherwise the matrix takes it by first
-        fit.  Failing that, and only when overflow blocks are enabled and
-        the timestamp equals ``t_max``, the block holding the key
-        accumulates it, or the first block with room takes it, or a new
-        block opens.  Otherwise the leaf refuses the item (so does a key an
-        overflow block holds that re-arrives after ``t_max`` moved on) and
-        the tree closes the leaf.
+        ``vertices`` holds each distinct vertex's packed key and its ``r``
+        candidate addresses at the leaf dimension, in probe order;
+        ``src_idx`` / ``dst_idx`` index it per item.  A key the leaf matrix
+        holds accumulates; otherwise the matrix takes it by first fit.
+        Failing that, and only when overflow blocks are enabled and the
+        timestamp equals ``t_max``, an overflow block takes it
+        (:meth:`_overflow`).  A key an overflow block holds accumulates
+        while ``t_max`` still equals its timestamp.  Otherwise the leaf
+        refuses the item and the tree closes the leaf.  An item that raises
+        (a weight that cannot be added) changes nothing; the items before
+        it stay applied and counted in :attr:`arrivals`.
         """
-        key = pack_item(edge, timestamp)
-        weights = self.weights
-        if key in self.placements[0]:
-            weights[key] += weight
-            return True
         config = self.config
-        if not self._fit(0, config.bucket_entries, key, src_rows, dst_cols):
-            if not (config.enable_overflow_blocks and timestamp == self.t_max):
-                return False
-            if key in weights:
-                weights[key] += weight
-                return True
-            capacity = config.overflow_block_entries
-            for block in range(1, len(self.placements)):
-                if self._fit(block, capacity, key, src_rows, dst_cols):
+        size = config.leaf_matrix_size
+        capacity = config.bucket_entries
+        may_overflow = config.enable_overflow_blocks
+        shift = vertex_bits(config)
+        matrix = self.occupancy[0]
+        used = matrix.get
+        held = self.weights
+        overflow = self.overflow
+        edges, sources, destinations = self.edges, self.sources, \
+            self.destinations
+        t_min, t_max = self.t_min, self.t_max
+        bias = _TIME_BIAS
+        end = len(src_idx)
+        position = start
+        try:
+            for position in range(start, end):
+                source, src_rows = vertices[src_idx[position]]
+                destination, dst_cols = vertices[dst_idx[position]]
+                timestamp = timestamps[position]
+                edge = (source << shift) | destination
+                key = (edge << 64) | (timestamp + bias)  # pack_item
+                if key in held:
+                    # An overflow-block key's matrix buckets were full when
+                    # it arrived, and buckets only fill up.
+                    if overflow and key in overflow and timestamp != t_max:
+                        break
+                    held[key] += weights[position]
+                    continue
+                for row in src_rows:
+                    base = row * size
+                    for col in dst_cols:
+                        cell = base + col
+                        count = used(cell, 0)
+                        if count < capacity:
+                            matrix[cell] = count + 1
+                            break
+                    else:
+                        continue
                     break
+                else:
+                    if not (may_overflow and timestamp == t_max):
+                        break
+                    self._overflow(key, src_rows, dst_cols)
+                held[key] = weights[position]
+                edges[edge] = edges.get(edge, ()) + (key,)
+                sources[source] = sources.get(source, ()) + (key,)
+                destinations[destination] = \
+                    destinations.get(destination, ()) + (key,)
+                if t_min is None or timestamp < t_min:
+                    t_min = timestamp
+                if t_max is None or timestamp > t_max:
+                    t_max = timestamp
             else:
-                self.placements.append({})
-                self.occupancy.append({})
-                self._fit(len(self.placements) - 1, capacity, key,
-                          src_rows, dst_cols)
-        weights[key] = weight
-        self.edges[edge] = self.edges.get(edge, ()) + (key,)
-        self.sources[source] = self.sources.get(source, ()) + (key,)
-        self.destinations[destination] = \
-            self.destinations.get(destination, ()) + (key,)
-        if self.t_min is None or timestamp < self.t_min:
-            self.t_min = timestamp
-        if self.t_max is None or timestamp > self.t_max:
-            self.t_max = timestamp
-        return True
+                position = end
+        finally:
+            self.t_min, self.t_max = t_min, t_max
+            self.arrivals += position - start
+        return position
+
+    def _overflow(self, key: int, src_rows: Sequence[int],
+                  dst_cols: Sequence[int]) -> None:
+        """Place a key the leaf matrix refused in the first overflow block
+        with room, opening a new block when none has (Section IV-C)."""
+        capacity = self.config.overflow_block_entries
+        for block in self.occupancy[1:]:
+            if self._fit(block, capacity, src_rows, dst_cols):
+                break
+        else:
+            self.occupancy.append({})
+            # An empty block takes any key.
+            self._fit(self.occupancy[-1], capacity, src_rows, dst_cols)
+        self.overflow.add(key)
 
     # hot-path
-    def _fit(self, block: int, capacity: int, key: int,
+    def _fit(self, occupancy: Dict[int, int], capacity: int,
              src_rows: Sequence[int], dst_cols: Sequence[int]) -> bool:
-        """Place ``key`` in the first of its ``r²`` candidate buckets of
-        ``block``, in probe-scan order, that holds fewer than ``capacity``
-        keys; False when all are full."""
-        occupancy = self.occupancy[block]
+        """Count a key in the first of its ``r²`` candidate buckets of one
+        block, in probe-scan order, that holds fewer than ``capacity`` keys;
+        False when all are full."""
         size = self.config.leaf_matrix_size
         for row in src_rows:
             base = row * size
@@ -178,7 +231,6 @@ class LeafNode:
                 used = occupancy.get(cell, 0)
                 if used < capacity:
                     occupancy[cell] = used + 1
-                    self.placements[block][key] = cell
                     return True
         return False
 
@@ -224,7 +276,7 @@ class LeafNode:
     @property
     def overflow_blocks(self) -> int:
         """Number of overflow blocks chained to the leaf matrix."""
-        return len(self.placements) - 1
+        return len(self.occupancy) - 1
 
     def entry_count(self) -> int:
         """Number of occupied entries across the leaf matrix and overflow blocks."""
@@ -260,18 +312,18 @@ class InternalNode:
     entries.  So the node keeps those answers directly, in three exact maps
     over packed integer keys (:mod:`repro.core.aggregation` builds them):
 
-    * ``weights`` — edge key → summed weight.  Once the node is placed, in
-      the order the node hands its keys to its parent: the first ``placed``
-      keys are the ones Algorithm 2 puts in the matrix (grouped by bucket
-      in order of the bucket's first use, in placement order within a
-      bucket), the rest spilled (in spill order);
+    * ``weights`` — edge key → summed weight, in order of first
+      occurrence over the children's keys, child by child, each child's
+      in the order it stores them (a leaf's in arrival order).  This is
+      the order the node hands its keys to its parent and the order
+      Algorithm 2's placement sees them;
     * ``out_weights`` / ``in_weights`` — source / destination vertex key →
       summed weight of its edges.
 
-    Placement decides no answer, so the node is built unplaced and
-    :func:`~repro.core.aggregation.place_levels` places it when the tree's
-    memory model first asks.  The maps hold only ints and floats, so they
-    add no object the cyclic garbage collector tracks.
+    Placement decides no answer, only how many keys spill, so the node is
+    built unplaced and :func:`~repro.core.aggregation.place_levels` places
+    it when the tree's memory model first asks.  The maps hold only ints
+    and floats, so they add no object the cyclic garbage collector tracks.
     """
 
     __slots__ = ("level", "index", "keys", "t_min", "t_max", "weights",
@@ -286,7 +338,7 @@ class InternalNode:
         self.t_min = t_min
         self.t_max = t_max
         self.weights: Dict[int, float] = {}
-        #: How many leading keys of ``weights`` the aggregated matrix holds;
+        #: How many keys of ``weights`` the aggregated matrix holds;
         #: ``None`` until the node is placed.
         self.placed: Optional[int] = None
         self.out_weights: Dict[int, float] = {}

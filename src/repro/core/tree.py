@@ -17,9 +17,12 @@ never on positional assumptions.
 
 Insertion
 ---------
-:meth:`HiggsTree.insert_hashed` packs one item with the scalar kernels and
-:meth:`HiggsTree.insert_hashed_batch_arrays` packs a batch with the
-vectorized ones; both then run one loop, which *defers the upward
+:meth:`HiggsTree.insert_hashed` packs one item with the scalar kernels;
+the batch paths of :class:`~repro.core.higgs.Higgs` hand
+:meth:`HiggsTree.insert_packed` each distinct vertex's packed key and
+probe rows from the summary's vertex memo.  Both run one loop: the open
+leaf takes items in one :meth:`LeafNode.fill` call per run, until it
+refuses one and a new leaf opens, and the loop *defers the upward
 aggregation* of leaf groups that complete mid-loop to its end.  Deferral is
 sound because a completed group's leaves are closed — no later item can
 change them — so aggregating at the end builds byte-identical internal
@@ -35,10 +38,9 @@ not one), which query-plan caches use as their invalidation key.
 from __future__ import annotations
 
 import bisect
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import InsertionError
-from . import vectorized
 from .aggregation import aggregate_internal, aggregate_leaves, place_levels
 from .config import HiggsConfig
 from .hashing import probe_address
@@ -117,91 +119,58 @@ class HiggsTree:
         probes = range(config.num_probes)
         size = config.leaf_matrix_size
         fingerprint_bits = config.fingerprint_bits
-        self._insert_packed(
-            [pack_vertex(src_fingerprint, src_address, fingerprint_bits),
-             pack_vertex(dst_fingerprint, dst_address, fingerprint_bits)],
-            [[probe_address(src_address, i, src_fingerprint, size)
-              for i in probes],
-             [probe_address(dst_address, i, dst_fingerprint, size)
-              for i in probes]],
+        self.insert_packed(
+            [(pack_vertex(src_fingerprint, src_address, fingerprint_bits),
+              [probe_address(src_address, i, src_fingerprint, size)
+               for i in probes]),
+             (pack_vertex(dst_fingerprint, dst_address, fingerprint_bits),
+              [probe_address(dst_address, i, dst_fingerprint, size)
+               for i in probes])],
             [0], [1], [weight], [timestamp])
 
-    # hot-path
-    def insert_hashed_batch_arrays(self, fingerprints, addresses,
-                                   src_idx, dst_idx,
-                                   weights, timestamps) -> int:
-        """Insert a pre-hashed batch; returns the number of items inserted.
+    def insert_packed(self, vertices: Sequence[Tuple[int, Sequence[int]]],
+                      src_idx: List[int], dst_idx: List[int],
+                      weights: List[float], timestamps: List[int]) -> int:
+        """The insert loop of both paths; returns the number of items
+        inserted.
 
-        ``fingerprints`` / ``addresses`` are per-*distinct-vertex* ``int64``
-        arrays (the caller hashed the batch's distinct vertices in one
-        vectorized pass, see :meth:`Higgs._hash_indexed`); ``src_idx`` /
-        ``dst_idx`` map each batch item to its endpoints' rows.  Each
-        distinct vertex is packed and probed vectorized, once, and the
-        items then flow through the loop :meth:`insert_hashed` runs, so the
-        result is bit-identical to per-item insertion.
+        ``vertices`` holds each distinct vertex's packed key and leaf-level
+        probe addresses; ``src_idx`` / ``dst_idx`` index it per item.  The
+        open leaf takes items (:meth:`LeafNode.fill`) until it refuses one;
+        then it is closed and a new leaf takes the rest.  The upward
+        aggregation of leaf groups completed in the loop is deferred to its
+        end: a completed group's leaves are closed, so no later item can
+        change them, and aggregating at the end builds byte-identical
+        internal nodes.
         """
-        config = self.config
-        return self._insert_packed(
-            vectorized.pack_vertex_array(fingerprints, addresses,
-                                         config).tolist(),
-            vectorized.probe_rows_array(fingerprints, addresses,
-                                        config.num_probes,
-                                        config.leaf_matrix_size).tolist(),
-            src_idx.tolist(), dst_idx.tolist(), weights.tolist(),
-            timestamps.tolist())
-
-    def _insert_packed(self, vertices: List[int], rows: List[List[int]],
-                       src_idx: List[int], dst_idx: List[int],
-                       weights: List[float], timestamps: List[int]) -> int:
-        """The insert loop of both paths.
-
-        ``vertices`` / ``rows`` hold each distinct vertex's packed key and
-        leaf-level probe addresses; ``src_idx`` / ``dst_idx`` index them
-        per item.  A leaf that refuses an item is closed and a new leaf
-        takes it.  The upward aggregation of leaf groups completed in the
-        loop is deferred to its end: a completed group's leaves are closed,
-        so no later item can change them, and aggregating at the end builds
-        byte-identical internal nodes.
-        """
-        if not src_idx:
+        end = len(src_idx)
+        if not end:
             return 0
         config = self.config
-        vbits = vertex_bits(config)
-        last_ts = self._last_timestamp
-        monotonic = self._monotonic
+        leaves = self.leaves
+        if not leaves:
+            leaves.append(LeafNode(0, config))
+        leaf = leaves[-1]
         pending_groups: List[int] = []
-        if not self.leaves:
-            self.leaves.append(LeafNode(0, config))
-        leaf = self.leaves[-1]
-        count = 0
+        # The open leaf's run starts at ``start``, with ``arrivals`` items.
+        start, arrivals = 0, leaf.arrivals
         try:
-            for s, d, weight, timestamp in zip(src_idx, dst_idx, weights,
-                                               timestamps, strict=True):
-                if last_ts is None:
-                    last_ts = timestamp
-                elif timestamp < last_ts:
-                    monotonic = False
-                elif timestamp > last_ts:
-                    last_ts = timestamp
-                source = vertices[s]
-                destination = vertices[d]
-                edge = (source << vbits) | destination
-                if not leaf.insert(edge, source, destination, rows[s],
-                                   rows[d], weight, timestamp):
-                    leaf.closed = True
-                    pending_groups.append(leaf.index)
-                    leaf = LeafNode(len(self.leaves), config)
-                    self.leaves.append(leaf)
-                    # An empty leaf matrix takes any item.
-                    leaf.insert(edge, source, destination, rows[s], rows[d],
-                                weight, timestamp)
-                count += 1
+            while True:
+                stop = leaf.fill(vertices, src_idx, dst_idx, weights,
+                                 timestamps, start)
+                if stop == end:
+                    break
+                leaf.closed = True
+                pending_groups.append(leaf.index)
+                # An empty leaf matrix takes any item.
+                leaf, start, arrivals = LeafNode(len(leaves), config), stop, 0
+                leaves.append(leaf)
         finally:
-            # Runs even when an insert raises mid-batch: account exactly
-            # the items applied and aggregate every group completed so far,
-            # so the tree stays consistent and query-plan caches invalidate.
-            self._last_timestamp = last_ts
-            self._monotonic = monotonic
+            # Runs even when an item raises mid-batch: account exactly the
+            # items applied and aggregate every group completed so far, so
+            # the tree stays consistent and query-plan caches invalidate.
+            count = start + leaf.arrivals - arrivals
+            self._note_timestamps(timestamps[:count])
             self._items_inserted += count
             if count or pending_groups:
                 # +1 covers a failed item that already closed a leaf; the
@@ -212,6 +181,19 @@ class HiggsTree:
             for index in pending_groups:
                 self._aggregate_if_group_complete(index)
         return count
+
+    def _note_timestamps(self, applied: List[int]) -> None:
+        """Track the latest timestamp and whether every applied item came
+        in timestamp order."""
+        if not applied:
+            return
+        last = self._last_timestamp
+        if self._monotonic and ((last is not None and applied[0] < last)
+                                or applied != sorted(applied)):
+            self._monotonic = False
+        latest = max(applied)
+        if last is None or latest > last:
+            self._last_timestamp = latest
 
     # ------------------------------------------------------------------ #
     # upward aggregation

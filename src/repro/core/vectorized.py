@@ -19,6 +19,8 @@ arrays whose multiplications wrap exactly like the scalar
 
 from __future__ import annotations
 
+import operator
+from numbers import Integral
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -56,22 +58,25 @@ def hash64_array(keys: Sequence[object], seed: int = 0) -> "np.ndarray":
     """Vectorized :func:`repro.core.hashing.hash64` over a key sequence.
 
     Returns one ``uint64`` hash per key, bit-identical to ``hash64(key,
-    seed)`` for every key.  Integer keys within the ``int64`` range run as a
-    16-pass byte-wise FNV over a packed lane array (the scalar kernel hashes
-    a 16-byte little-endian two's-complement encoding; the low 8 bytes are
-    the raw ``int64`` bit pattern, the high 8 a sign extension).  Every
-    other key (strings, ``bytes``, wide integers, ``repr``-hashed objects)
-    takes the scalar kernel: on short string ids a padded byte matrix cost
-    more than the scalar loop at batch sizes up to a few hundred keys and
-    won nothing at a thousand.
+    seed)`` for every key.  Integer keys (any :class:`numbers.Integral`,
+    as :func:`~repro.core.hashing.hash64` takes them) within the ``int64``
+    range run as a 16-pass byte-wise FNV over a packed lane array (the
+    scalar kernel hashes a 16-byte little-endian two's-complement encoding;
+    the low 8 bytes are the raw ``int64`` bit pattern, the high 8 a sign
+    extension).  Every other key (strings, ``bytes``, wide integers,
+    ``repr``-hashed objects) takes the scalar kernel: on short string ids a
+    padded byte matrix cost more than the scalar loop at batch sizes up to
+    a few hundred keys and won nothing at a thousand.
     """
     int_lanes: List[int] = []
     int_values: List[int] = []
     scalar: List[int] = []
     for lane, key in enumerate(keys):
-        if isinstance(key, int) and _INT64_MIN <= key <= _INT64_MAX:
+        # Strings, the common ids, skip the slower abstract-class check.
+        if (not isinstance(key, str) and isinstance(key, Integral)
+                and _INT64_MIN <= key <= _INT64_MAX):
             int_lanes.append(lane)
-            int_values.append(key)
+            int_values.append(operator.index(key))
             scalar.append(0)
         else:
             scalar.append(hash64(key, seed))

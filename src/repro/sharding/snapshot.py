@@ -52,7 +52,9 @@ FACTORY_NAME = "factory.pkl"
 #: Version 2: HIGGS internal nodes pickle exact key maps, not a matrix.
 #: Version 3: HIGGS leaves pickle exact key maps too, and internal nodes
 #: drop their fingerprint and vertex widths.
-FORMAT_VERSION = 3
+#: Version 4: HIGGS leaves keep bucket occupancy and their overflow-block
+#: keys instead of each key's bucket, and a summary pickles its vertex memo.
+FORMAT_VERSION = 4
 
 #: A payload checksum as the manifest records it (``hexdigest()`` form).
 _SHA256_HEX = re.compile(r"[0-9a-f]{64}")

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from repro import Higgs
 from repro.baselines.matrix import CompressedMatrix
-from repro.core.aggregation import (aggregate_internal, aggregate_leaves,
-                                    leaf_blocks, lift_coordinates,
+from repro.core.aggregation import (_place, aggregate_internal,
+                                    aggregate_leaves, lift_coordinates,
                                     place_levels)
 from repro.core.config import HiggsConfig
 from repro.core.hashing import VertexHasher, probe_address, probe_step
@@ -28,17 +28,17 @@ def config() -> HiggsConfig:
 
 def _insert(leaf: LeafNode, config: HiggsConfig, key, weight,
             timestamp) -> bool:
-    """Insert the item of leaf-level key ``(f(s), f(d), h(s), h(d))``."""
+    """Offer the item of leaf-level key ``(f(s), f(d), h(s), h(d))`` to
+    ``leaf`` as a one-item run; True when the leaf takes it."""
     fs, fd, hs, hd = key
-    source = pack_vertex(fs, hs, config.fingerprint_bits)
-    destination = pack_vertex(fd, hd, config.fingerprint_bits)
     probes = range(config.num_probes)
     size = config.leaf_matrix_size
-    return leaf.insert(pack_edge(source, destination, vertex_bits(config)),
-                       source, destination,
-                       [probe_address(hs, i, fs, size) for i in probes],
-                       [probe_address(hd, i, fd, size) for i in probes],
-                       weight, timestamp)
+    vertices = [
+        (pack_vertex(fs, hs, config.fingerprint_bits),
+         tuple(probe_address(hs, i, fs, size) for i in probes)),
+        (pack_vertex(fd, hd, config.fingerprint_bits),
+         tuple(probe_address(hd, i, fd, size) for i in probes))]
+    return leaf.fill(vertices, [0], [1], [weight], [timestamp], 0) == 1
 
 
 def _hashed(hasher: VertexHasher, source, destination):
@@ -200,9 +200,8 @@ class TestAggregateInternal:
 
 # Small buckets and tiny matrices force parent-level spills into the
 # exact overflow map; one-slot overflow blocks and repeated timestamps
-# force leaf overflow blocks.  Two-slot buckets make the order in which a
-# node hands its keys upward differ from placement order.  40-bit
-# fingerprints make a packed edge key too wide for int64.
+# force leaf overflow blocks.  Two-slot buckets put several keys in one
+# bucket.  40-bit fingerprints make a packed edge key too wide for int64.
 _SPILL_CONFIGS = [
     HiggsConfig(leaf_matrix_size=2, bucket_entries=1, fingerprint_bits=6,
                 num_probes=1, overflow_block_entries=1),
@@ -239,10 +238,10 @@ def _coordinates(edge, level, config):
 
 
 def _handed_up(child):
-    """Every ``(edge key, weight)`` a child hands its parent, in order."""
+    """Every ``(edge key, weight)`` a child hands its parent, in order: a
+    leaf's in arrival order, an internal node's in stored order."""
     if isinstance(child, LeafNode):
-        return [(key >> 64, child.weights[key])
-                for block in leaf_blocks(child) for key in block]
+        return [(key >> 64, weight) for key, weight in child.weights.items()]
     return list(child.weights.items())
 
 
@@ -253,24 +252,24 @@ def _entries(child, config):
             for edge, weight in _handed_up(child)]
 
 
-def _matrix_entries(matrix):
-    """``(f(s), f(d), h(s), h(d), weight)`` rows of a matrix, bucket order.
+def _matrix_buckets(matrix):
+    """Bucket → ``(f(s), f(d), h(s), h(d), weight)`` rows of a matrix, in
+    placement order.
 
     Canonical addresses are recovered from each entry's bucket and probe
     indices: ``h = probed - probe * (2 * f + 1) mod d``.
     """
-    rows = []
+    buckets = {}
     for cell, bucket in matrix._buckets.items():
         row, col = divmod(cell, matrix.size)
-        for entry in bucket:
-            rows.append((
-                entry.src_fingerprint, entry.dst_fingerprint,
-                (row - entry.src_probe * probe_step(entry.src_fingerprint))
-                % matrix.size,
-                (col - entry.dst_probe * probe_step(entry.dst_fingerprint))
-                % matrix.size,
-                entry.weight))
-    return rows
+        buckets[cell] = [(
+            entry.src_fingerprint, entry.dst_fingerprint,
+            (row - entry.src_probe * probe_step(entry.src_fingerprint))
+            % matrix.size,
+            (col - entry.dst_probe * probe_step(entry.dst_fingerprint))
+            % matrix.size,
+            entry.weight) for entry in bucket]
+    return buckets
 
 
 def _child_edge(child, edge):
@@ -317,7 +316,10 @@ def _assert_aggregation_exact(summary):
 
 def _assert_placement_matches_matrix(summary):
     """Check every internal node against a real aggregated matrix fed its
-    children's entries one at a time, lifted by the paper's Algorithm 2."""
+    children's entries one at a time, in hand-up order, lifted by the
+    paper's Algorithm 2: the node places as many keys as the matrix holds,
+    its simulated buckets hold the matrix's entries bucket by bucket, and
+    the keys it spills are the matrix's, with the same weights."""
     summary.memory_bytes()  # places every internal node
     config = summary.config
     fanout = config.fanout
@@ -339,11 +341,23 @@ def _assert_placement_matches_matrix(summary):
                                             lifted_hd, weight):
                         key = (lifted_fs, lifted_fd, lifted_hs, lifted_hd)
                         spills[key] = spills.get(key, 0.0) + weight
-            entries = _entries(node, config)
-            assert entries[:node.placed] == [
-                (tuple(row[:4]), row[4])
-                for row in _matrix_entries(reference)]
-            assert entries[node.placed:] == list(spills.items())
+            placed = node.placed
+            assert placed == len(reference)
+            # Placing again re-runs the simulation and changes nothing.
+            cells = _place(node, config)
+            assert node.placed == placed
+            buckets = {}
+            spilled = []
+            for cell, entry in zip(cells, _entries(node, config),
+                                   strict=True):
+                if cell < 0:
+                    spilled.append(entry)
+                else:
+                    buckets.setdefault(cell, []).append(entry)
+            assert buckets == {
+                cell: [(tuple(row[:4]), row[4]) for row in rows]
+                for cell, rows in _matrix_buckets(reference).items()}
+            assert spilled == list(spills.items())
         lower = nodes
 
 
@@ -371,8 +385,9 @@ class TestAggregationAddsNoError:
 
 class TestPlacementMatchesMatrix:
     """The occupancy-only placement puts exactly the keys a real aggregated
-    matrix accepts into each node's placed part, in the matrix's bucket
-    order, and spills the rest in spill order with the same weights."""
+    matrix accepts in the matrix's buckets, in the matrix's order within
+    each bucket, and spills the rest in spill order with the same
+    weights."""
 
     @pytest.mark.parametrize("config", _SPILL_CONFIGS, ids=_SPILL_IDS)
     def test_fixed_stream(self, config):
@@ -394,8 +409,10 @@ class TestPlacementMatchesMatrix:
 # --------------------------------------------------------------------- #
 
 def _leaves_by_matrix(config, edges):
-    """Every leaf's blocks as Algorithm 1 fills real matrices: per leaf,
-    per block, ``(edge key, timestamp, weight)`` in bucket order.
+    """Every leaf as Algorithm 1 fills real matrices: per leaf, each
+    block's bucket occupancy, the ``(edge key, timestamp, weight)`` entries
+    in arrival order, the ``(edge key, timestamp)`` identities the overflow
+    blocks hold, and the memory the blocks charge.
 
     The matrices store no timestamps.  Feeding each item with source
     fingerprint ``f(s) + (d1 << F1) · rank(t)`` makes (edge, timestamp) an
@@ -410,14 +427,22 @@ def _leaves_by_matrix(config, edges):
 
     def block(entries):
         return CompressedMatrix(config.leaf_matrix_size, entries,
-                                num_probes=config.num_probes)
+                                num_probes=config.num_probes,
+                                entry_bytes=config.leaf_entry_bytes())
 
-    leaves = []
+    def identity(fs, fd, hs, hd):
+        r, fs = divmod(fs, stride)
+        return (pack_edge(pack_vertex(fs, hs, config.fingerprint_bits),
+                          pack_vertex(fd, hd, config.fingerprint_bits),
+                          vertex_bits(config)), times[r])
+
+    leaves = []  # per leaf: its blocks and its identities in arrival order
     t_max = None
     for edge in edges:
         fs, fd, hs, hd = _hashed(hasher, edge.source, edge.destination)
         item = (fs + stride * rank[edge.timestamp], fd, hs, hd, edge.weight)
-        blocks = leaves[-1] if leaves else []
+        blocks, arrivals = leaves[-1] if leaves else ([], [])
+        held = sum(len(matrix) for matrix in blocks)
         if blocks and blocks[0].insert(*item):
             pass
         elif (blocks and config.enable_overflow_blocks
@@ -426,26 +451,42 @@ def _leaves_by_matrix(config, edges):
                 blocks.append(block(config.overflow_block_entries))
                 assert blocks[-1].insert(*item)
         else:
-            leaves.append([block(config.bucket_entries)])
-            assert leaves[-1][0].insert(*item)
-            t_max = None
+            blocks, arrivals = [block(config.bucket_entries)], []
+            leaves.append((blocks, arrivals))
+            assert blocks[0].insert(*item)
+            held, t_max = 0, None
+        if sum(len(matrix) for matrix in blocks) > held:
+            arrivals.append(identity(*item[:4]))
         t_max = edge.timestamp if t_max is None else max(t_max,
                                                          edge.timestamp)
 
-    def entry(fs, fd, hs, hd, weight):
-        r, fs = divmod(fs, stride)
-        return (pack_edge(pack_vertex(fs, hs, config.fingerprint_bits),
-                          pack_vertex(fd, hd, config.fingerprint_bits),
-                          vertex_bits(config)), times[r], weight)
-
-    return [[[entry(*row) for row in _matrix_entries(matrix)]
-             for matrix in blocks] for blocks in leaves]
+    built = []
+    for blocks, arrivals in leaves:
+        weights = {identity(*row[:4]): row[4]
+                   for matrix in blocks
+                   for rows in _matrix_buckets(matrix).values()
+                   for row in rows}
+        built.append((
+            [{cell: len(rows) for cell, rows in _matrix_buckets(matrix).items()}
+             for matrix in blocks],
+            [(*key, weights[key]) for key in arrivals],
+            {identity(*row[:4]) for matrix in blocks[1:]
+             for rows in _matrix_buckets(matrix).values() for row in rows},
+            sum(matrix.memory_bytes() for matrix in blocks)
+            + config.pointer_bytes))
+    return built
 
 
 def _leaves_by_tree(summary):
     """:func:`_leaves_by_matrix` read from a summary's leaves."""
-    return [[[(key >> 64, (key & (2 ** 64 - 1)) - 2 ** 63, leaf.weights[key])
-              for key in block] for block in leaf_blocks(leaf)]
+
+    def identity(key):
+        return key >> 64, (key & (2 ** 64 - 1)) - 2 ** 63
+
+    return [([dict(block) for block in leaf.occupancy],
+             [(*identity(key), weight) for key, weight in leaf.weights.items()],
+             {identity(key) for key in leaf.overflow},
+             leaf.memory_bytes(summary.config))
             for leaf in summary.tree.leaves]
 
 
@@ -461,10 +502,12 @@ _leaf_items = st.lists(
 
 
 class TestLeafPlacementMatchesMatrix:
-    """Each leaf holds exactly the items Algorithm 1 puts in a real leaf
-    matrix and its overflow blocks, block by block, hands them up in the
-    matrices' bucket order with the same weights, and refuses exactly the
-    items they refuse."""
+    """Each leaf fills its buckets exactly as Algorithm 1 fills a real leaf
+    matrix and its overflow blocks, block by block and bucket by bucket,
+    holds the same items with the same weights in arrival order, knows
+    which of them the overflow blocks hold, and refuses exactly the items
+    the matrices refuse.  Once the compressed form is verified, its memory
+    is the real blocks' memory."""
 
     @given(config=_leaf_configs, items=_leaf_items, ordered=st.booleans())
     # (v0, v0) at t=3 goes to an overflow block; once t=5 is taken, it

@@ -7,8 +7,8 @@ import pytest
 from repro.core.aggregation import aggregate_leaves, place_levels
 from repro.core.config import HiggsConfig
 from repro.core.hashing import VertexHasher, probe_address
-from repro.core.node import (InternalNode, LeafNode, pack_edge, pack_vertex,
-                             vertex_bits)
+from repro.core.node import (InternalNode, LeafNode, pack_edge, pack_item,
+                             pack_vertex, vertex_bits)
 
 
 @pytest.fixture()
@@ -48,15 +48,17 @@ def _edge(key, config=_TINY):
 
 
 def _put(leaf, key, weight, timestamp, config=_TINY) -> bool:
-    """Insert the item ``(key, timestamp)`` into ``leaf``."""
+    """Offer the item ``(key, timestamp)`` to ``leaf`` as a one-item run;
+    True when the leaf takes it."""
     fs, fd, hs, hd = key
     probes = range(config.num_probes)
     size = config.leaf_matrix_size
-    return leaf.insert(_edge(key, config), _source(key, config),
-                       _destination(key, config),
-                       [probe_address(hs, i, fs, size) for i in probes],
-                       [probe_address(hd, i, fd, size) for i in probes],
-                       weight, timestamp)
+    vertices = [
+        (_source(key, config),
+         tuple(probe_address(hs, i, fs, size) for i in probes)),
+        (_destination(key, config),
+         tuple(probe_address(hd, i, fd, size) for i in probes))]
+    return leaf.fill(vertices, [0], [1], [weight], [timestamp], 0) == 1
 
 
 def _key(hasher, source, destination):
@@ -94,7 +96,8 @@ class TestLeafNode:
         assert (leaf.t_min, leaf.t_max) == (4, 4)
         assert leaf.entry_count() == 2
         assert leaf.capacity() == 2 * 2 * (1 + 1)
-        assert [len(block) for block in leaf.placements] == [1, 1]
+        assert leaf.occupancy == [{1: 1}, {1: 1}]
+        assert leaf.overflow == {pack_item(_edge(_B), 4)}
 
     def test_memory_includes_overflow_blocks(self):
         leaf = LeafNode(0, _TINY)

@@ -1,11 +1,12 @@
 """Bit-identity of the vectorized (numpy) paths against the per-item reference.
 
-The array paths — batch ingest, Algorithm 2 aggregation, ``query_batch``
-endpoint hashing, the packed edge batches — are *optimizations*,
-never a semantic change: they must produce byte-for-byte the same summary
-(each leaf's per-block placements and occupancy, item weights, edge and
-vertex indexes and time range; each internal node's ordered key map,
-spilled keys and vertex maps) and the
+The array paths — batch ingest with its vertex memo, Algorithm 2
+aggregation, ``query_batch`` endpoint hashing, the packed edge batches —
+are *optimizations*, never a semantic change: they must produce
+byte-for-byte the same summary (each leaf's per-block bucket occupancy,
+overflow-block keys, item weights, edge and vertex indexes, time range and
+item count; each internal node's ordered key map, placed count and vertex
+maps) and the
 same query answers as per-item ``Higgs.insert`` and per-item queries, the
 scalar reference path.  These tests build the same stream both ways and
 compare deep structural digests plus every query type (edge, vertex in/out,
@@ -30,10 +31,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Higgs, HiggsConfig
+from repro.baselines.exact import ExactTemporalGraph
 from repro.core import vectorized
 from repro.core.aggregation import lift_coordinates
 from repro.core.executor import pack_edges
-from repro.core.hashing import VertexHasher, hash64, probe_address
+from repro.core.hashing import VertexHasher, hash64, probe_address, shard_of
 from repro.core.node import pack_vertex, unpack_vertex, vertex_bits
 from repro.queries.types import (EdgeQuery, PathQuery, SubgraphQuery,
                                  VertexQuery)
@@ -56,16 +58,17 @@ _edges = st.lists(
                        sorted(items, key=lambda item: item[3])])
 _keys = st.one_of(
     st.integers(min_value=-(2 ** 63), max_value=2 ** 63 - 1),
+    st.integers(min_value=-(2 ** 63), max_value=2 ** 63 - 1).map(np.int64),
     st.text(max_size=24),
     st.binary(max_size=24))
 
 
 def _leaf_digest(leaf):
-    return ([list(placement.items()) for placement in leaf.placements],
-            [list(occupancy.items()) for occupancy in leaf.occupancy],
+    return ([list(occupancy.items()) for occupancy in leaf.occupancy],
+            sorted(leaf.overflow),
             list(leaf.weights.items()), list(leaf.edges.items()),
             list(leaf.sources.items()), list(leaf.destinations.items()),
-            leaf.t_min, leaf.t_max, leaf.closed)
+            leaf.t_min, leaf.t_max, leaf.arrivals, leaf.closed)
 
 
 def _tree_digest(summary: Higgs):
@@ -73,9 +76,8 @@ def _tree_digest(summary: Higgs):
     tree = summary._tree
     leaves = [_leaf_digest(leaf) for leaf in tree.leaves]
     internal = [
-        [(list(node.weights.items()), list(node.weights)[node.placed:],
-          node.placed, node.out_weights, node.in_weights, node.keys,
-          node.t_min, node.t_max)
+        [(list(node.weights.items()), node.placed, node.out_weights,
+          node.in_weights, node.keys, node.t_min, node.t_max)
          for node in level]
         for level in tree.internal_levels()]
     return (leaves, internal, stats)
@@ -336,6 +338,185 @@ def test_placement_time_changes_nothing(items, shuffled, data):
     assert probed.memory_bytes() == twin.memory_bytes()
     assert _tree_digest(probed) == _tree_digest(twin)
     assert probed.tree.version == twin.tree.version
+
+
+# Spill- and overflow-forcing configs: one- and two-slot buckets in 2 x 2
+# leaf matrices, one-slot overflow blocks; 40-bit fingerprints make a packed
+# edge key too wide for int64.
+_PRESSURE = {
+    "r1": HiggsConfig(leaf_matrix_size=2, bucket_entries=1,
+                      fingerprint_bits=6, num_probes=1,
+                      overflow_block_entries=1),
+    "r2b2": HiggsConfig(leaf_matrix_size=2, bucket_entries=2,
+                        fingerprint_bits=8, num_probes=2,
+                        overflow_block_entries=1),
+    "wide": HiggsConfig(leaf_matrix_size=2, bucket_entries=1,
+                        fingerprint_bits=40, num_probes=2,
+                        overflow_block_entries=1),
+}
+
+
+def _batched(config, edges, sizes, forms):
+    """A summary fed ``edges`` in batches of the given sizes and forms
+    (list or packed), cycling through both."""
+    summary = Higgs(config)
+    start = 0
+    for size, form in zip(sizes, forms, strict=True):
+        chunk = edges[start:start + size]
+        start += len(chunk)
+        summary.insert_batch(pack_edges(chunk) if form == "packed"
+                             else chunk)
+    summary.insert_batch(edges[start:])
+    return summary
+
+
+@pytest.mark.parametrize("config", list(_PRESSURE.values()),
+                         ids=list(_PRESSURE))
+def test_pressure_configs_spill_and_overflow(config):
+    """The configs below force leaf overflow blocks and parent spills on a
+    fixed stream with non-integer weights, and both ingest paths build
+    the same summary there."""
+    edges = [StreamEdge(f"v{(i * 7) % 13}", f"v{(i * 5) % 11}",
+                        0.1 * (i % 7) + 0.3, i // 3) for i in range(600)]
+    batched = _batched(config, edges, [97, 211, 5], ["packed", "list",
+                                                      "packed"])
+    itemized = _build(config, edges, batch=False)
+    assert _tree_digest(batched) == _tree_digest(itemized)
+    assert any(leaf.overflow for leaf in batched.tree.leaves)
+    assert sum(node.spilled for level in batched.tree.internal_levels()
+               for node in level) > 0
+
+
+@pytest.mark.parametrize("config", list(_PRESSURE.values()),
+                         ids=list(_PRESSURE))
+@given(items=st.lists(
+    st.tuples(_vertices, _vertices,
+              st.floats(0.01, 10.0, allow_nan=False, allow_infinity=False),
+              st.integers(0, 40)),
+    min_size=1, max_size=300),
+    shuffled=st.booleans(),
+    sizes=st.lists(st.integers(1, 80), max_size=6),
+    data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_float_weights_batch_bit_identical_under_pressure(config, items,
+                                                          shuffled, sizes,
+                                                          data):
+    """Batch and per-item ingest build the same summary, bit for bit, on
+    non-integer weights where leaves overflow and parents spill: both add
+    each level-2 sum in arrival order, leaf by leaf."""
+    if not shuffled:
+        items = sorted(items, key=lambda item: item[3])
+    edges = [StreamEdge(s, d, w, t) for s, d, w, t in items]
+    forms = data.draw(st.lists(st.sampled_from(["list", "packed"]),
+                               min_size=len(sizes), max_size=len(sizes)))
+    batched = _batched(config, edges, sizes, forms)
+    itemized = _build(config, edges, batch=False)
+    assert _tree_digest(batched) == _tree_digest(itemized)
+    queries = _queries(edges)
+    assert batched.query_batch(queries) == itemized.query_batch(queries)
+
+
+@given(other=_edges, edges=_edges)
+@settings(max_examples=15, deadline=None)
+def test_warm_vertex_memo_changes_nothing(other, edges):
+    """The vertex memo caches a pure function of the vertex and the config:
+    a summary whose memo another stream warmed, before or after a pickle
+    round trip, builds the tree and the answers a fresh summary builds."""
+    warm = Higgs(_SMALL)
+    warm.insert_batch(other)
+    restored = pickle.loads(pickle.dumps(warm))
+    assert restored._vertices == warm._vertices
+    fresh = _build(_SMALL, edges, batch=True)
+    queries = _queries(edges)
+    for donor in (warm, restored):
+        summary = Higgs(_SMALL)
+        summary._vertices.update(donor._vertices)
+        summary.insert_batch(pack_edges(edges))
+        assert _tree_digest(summary) == _tree_digest(fresh)
+        assert summary.query_batch(queries) == fresh.query_batch(queries)
+    for summary in (warm, restored):
+        summary.insert_batch(edges)
+    assert _tree_digest(warm) == _tree_digest(restored) == \
+        _tree_digest(_build(_SMALL, other + edges, batch=False))
+
+
+class _PoisonedBatch:
+    """A packed batch whose weight at one position is ``None``, which
+    cannot be added to a float weight."""
+
+    def __init__(self, edges, position):
+        self._packed = pack_edges(edges)
+        self._position = position
+
+    def packed_arrays(self):
+        vertices, src_idx, dst_idx, weights, stamps = \
+            self._packed.packed_arrays()
+        weights = weights.astype(object)
+        weights[self._position] = None
+        return vertices, src_idx, dst_idx, weights, stamps
+
+
+def test_item_raising_mid_run_keeps_accounting_exact():
+    """An item that raises inside a leaf's run leaves the items before it
+    applied and counted, aggregates the groups completed before it, and
+    applies nothing after it."""
+    edges = [StreamEdge(f"v{(i * 7) % 11}", f"v{(i * 5) % 13}",
+                        0.5 + i % 3, i // 4) for i in range(160)]
+    bad = 110
+    # The poisoned item re-arrives the item before it, so it hits a key the
+    # open leaf already holds and its weight is added, not stored.
+    poisoned = edges[:bad] + [edges[bad - 1]] + edges[bad:]
+    summary = Higgs(_SMALL)
+    with pytest.raises(TypeError):
+        summary.insert_batch(_PoisonedBatch(poisoned, bad))
+    twin = Higgs(_SMALL)
+    twin.insert_batch(pack_edges(edges[:bad]))
+    assert summary.tree.items_inserted == twin.tree.items_inserted == bad
+    assert summary.tree.version == twin.tree.version
+    assert summary.height >= 2
+    assert _tree_digest(summary) == _tree_digest(twin)
+    for built in (summary, twin):
+        built.insert_batch(edges[bad:])
+    assert _tree_digest(summary) == _tree_digest(twin)
+    assert summary.tree.version == twin.tree.version
+
+
+def test_integer_vertex_ids_hash_by_value():
+    """``7`` and ``np.int64(7)``, and ``1``, ``np.int64(1)`` and ``True``,
+    compare equal, so the batch paths index each group as one vertex;
+    every path, the shard assignment and the exact reference agree."""
+    stream = [StreamEdge(np.int64(7), 2, 1.0, 0), StreamEdge(7, 2, 5.0, 1),
+              StreamEdge(True, np.int64(7), 2.0, 1),
+              StreamEdge(1, 7, 3.0, 2),
+              StreamEdge(np.int64(1), True, 4.0, 3)]
+    config = HiggsConfig(leaf_matrix_size=8, fingerprint_bits=12)
+    per_item = _build(config, stream, batch=False)
+    listed = _build(config, stream, batch=True)
+    packed = Higgs(config)
+    packed.insert_batch(pack_edges(stream))
+    exact = ExactTemporalGraph()
+    for edge in stream:
+        exact.insert(edge.source, edge.destination, edge.weight,
+                     edge.timestamp)
+    queries = [EdgeQuery(7, 2, 0, 3), EdgeQuery(np.int64(7), 2, 0, 0),
+               EdgeQuery(1, 7, 0, 3), EdgeQuery(True, np.int64(7), 0, 3),
+               EdgeQuery(1, 1, 0, 3),
+               VertexQuery(7, 0, 3, "out"), VertexQuery(7, 0, 3, "in"),
+               VertexQuery(np.int64(1), 0, 3, "out"),
+               VertexQuery(True, 0, 3, "in")]
+    truth = [query.evaluate(exact) for query in queries]
+    assert truth[:5] == [6.0, 1.0, 5.0, 5.0, 4.0]
+    for summary in (per_item, listed, packed):
+        assert [query.evaluate(summary) for query in queries] == truth
+        assert summary.query_batch(queries) == truth
+    assert _tree_digest(listed) == _tree_digest(per_item) == \
+        _tree_digest(packed)
+    for shards in (2, 3, 5):
+        assert shard_of(np.int64(7), shards) == shard_of(7, shards)
+        assert shard_of(True, shards) == shard_of(np.int64(1), shards) == \
+            shard_of(1, shards)
+    assert vectorized.hash64_array([np.int64(7), True, 7]).tolist() == \
+        [hash64(7), hash64(1), hash64(7)]
 
 
 def test_generator_prefix_applied_on_mid_stream_error():
