@@ -22,11 +22,6 @@ arrival-rate guess — sets the offered load.  A final row group
 workload with Poisson arrivals at a rate above the closed-loop capacity and
 the ``"drop"`` admission policy, demonstrating backpressure: the engine
 sheds the excess (``dropped`` column) instead of queueing without bound.
-A second open-loop group (``figure = "serving-burst"``) drives a **bursty**
-arrival process — base rate below capacity, periodic bursts above it — once
-with a fixed mid-size epoch cap and once with adaptive epoch sizing
-(:attr:`~repro.core.config.ServingConfig.adaptive_epochs`), the
-adaptive-vs-fixed comparison of the epoch-size control loop.
 
 Every measurement shares one
 :class:`~repro.observability.MetricsRegistry` between the serving engine and
@@ -280,54 +275,4 @@ def run_serving(*, num_edges: int = 60_000, num_vertices: int = 2_000,
                  "read_ratio": 0.5, "clients": 1, "arrival": "open",
                  "policy": f"fixed-{drop_config.max_batch_writes}",
                  **metrics})
-
-    # Bursty open-loop, adaptive vs fixed: base rate slightly above the
-    # slowest measured closed-loop capacity, periodic 4× bursts far above
-    # it, blocking admission with a deep queue so nothing is shed and every
-    # burst shows up as queueing latency.  The fixed run uses a mid-size
-    # epoch cap (latency-friendly under the base load); the adaptive run
-    # starts from the same cap but may widen it 4×, draining each burst's
-    # backlog in fewer, larger epochs (the ``epochs`` column shows the
-    # coalescing win directly).  The bound is deliberately not the
-    # stream's full batch limit: measured on this harness, 8192-edge
-    # mega-epochs make whoever queues behind one wait out the whole
-    # commit, and that wait dominates p99.  Even at 4× the p99 comparison
-    # is noise-bound on a single core — the scheduler, the open-loop
-    # driver, and the shard workers all share one CPU, so the drain-faster
-    # gain of a widened epoch is partly offset by the requests that wait
-    # out that epoch; across repeated runs adaptive trends better but
-    # within run noise (see the ``note`` field on the rows).  The burst
-    # period is sized from the workload's expected duration so the run
-    # cycles through several burst/quiet phases at any --scale.
-    burst_requests = max(600, min(3_000, num_edges // write_batch))
-    burst_rate = max(10.0, closed_rate * 1.2)
-    burst_duty = 0.3
-    burst_factor = 4.0
-    mean_rate = burst_rate * (1.0 + burst_duty * (burst_factor - 1.0))
-    burst_period = max(0.1, burst_requests / mean_rate / 3.0)
-    burst_spec = MixedWorkloadSpec(
-        num_requests=burst_requests, read_ratio=0.5,
-        write_batch=write_batch, arrival="open", rate_rps=burst_rate,
-        burst_factor=burst_factor, burst_period_s=burst_period,
-        burst_duty=burst_duty, seed=seed + 3)
-    burst_ops = generate_mixed_workload(stream, burst_spec)
-    fixed_config = ServingConfig(max_batch_writes=512)
-    adaptive_config = ServingConfig(
-        adaptive_epochs=True, min_epoch_size=512, max_epoch_size=2048,
-        queue_high_fraction=0.05, queue_low_fraction=0.01,
-        epoch_cooldown_rounds=3)
-    # Rides along in the JSON rows only (container values are skipped by
-    # the text table, which is already wide).
-    burst_note = [
-        "adaptive drains bursts in fewer, wider epochs (epochs column); on "
-        "this single-core harness scheduler/driver/workers share one CPU, "
-        "so p99 parity with fixed is expected within run noise - the "
-        "latency win needs the scheduler on its own core"]
-    for policy, burst_config in (("fixed-512", fixed_config),
-                                 ("adaptive-512-2048", adaptive_config)):
-        metrics = _measure(stream, burst_ops, shards=shards, clients=1,
-                           config=burst_config, open_loop=True)
-        rows.append({"figure": "serving-burst", "dataset": stream.name,
-                     "read_ratio": 0.5, "clients": 1, "arrival": "bursty",
-                     "policy": policy, "note": burst_note, **metrics})
     return rows

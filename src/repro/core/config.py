@@ -10,7 +10,7 @@ into the address per aggregation level (``R = 1``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Final, Optional, Tuple
 
 from ..errors import ConfigurationError
@@ -241,29 +241,6 @@ class ServingConfig:
     latency_window:
         Number of most-recent per-request latency samples kept per request
         kind for the p50/p95/p99 percentile report.
-    adaptive_epochs:
-        Enable the closed-loop epoch-size controller
-        (:class:`~repro.observability.AdaptiveEpochController`): instead of
-        always coalescing up to :attr:`max_batch_writes` edges per epoch,
-        the scheduler moves its per-epoch edge cap between
-        :attr:`min_epoch_size` and :attr:`max_epoch_size` based on
-        admission-queue depth — wide under backlog (throughput), narrow
-        when the queue stays shallow (read latency).
-    min_epoch_size / max_epoch_size:
-        Bounds the adaptive epoch cap moves between (edges per epoch).
-        Only consulted when :attr:`adaptive_epochs` is on; the effective
-        cap is additionally never above :attr:`max_batch_writes`.
-    epoch_grow_factor:
-        Multiplier applied to the cap when the queue is deep (> 1).
-    epoch_shrink_factor:
-        Multiplier applied after a sustained shallow-queue streak (in
-        ``(0, 1)``).
-    queue_high_fraction / queue_low_fraction:
-        Queue-depth fractions of :attr:`max_pending` that trigger growing
-        and count toward shrinking; ``0 <= low < high <= 1``.
-    epoch_cooldown_rounds:
-        Consecutive shallow-queue rounds required before one shrink step —
-        the oscillation-damping term (>= 1).
     """
 
     max_pending: int = 1024
@@ -272,14 +249,6 @@ class ServingConfig:
     max_batch_reads: int = 4096
     poll_interval_s: float = 0.05
     latency_window: int = 65536
-    adaptive_epochs: bool = False
-    min_epoch_size: int = 256
-    max_epoch_size: int = 16384
-    epoch_grow_factor: float = 2.0
-    epoch_shrink_factor: float = 0.5
-    queue_high_fraction: float = 0.5
-    queue_low_fraction: float = 0.125
-    epoch_cooldown_rounds: int = 3
 
     def __post_init__(self) -> None:
         if self.max_pending < 1:
@@ -296,20 +265,3 @@ class ServingConfig:
             raise ConfigurationError("poll_interval_s must be positive")
         if self.latency_window < 1:
             raise ConfigurationError("latency_window must be >= 1")
-        if self.min_epoch_size < 1:
-            raise ConfigurationError("min_epoch_size must be >= 1")
-        if self.max_epoch_size < self.min_epoch_size:
-            raise ConfigurationError(
-                f"max_epoch_size ({self.max_epoch_size}) must be >= "
-                f"min_epoch_size ({self.min_epoch_size})")
-        if self.epoch_grow_factor <= 1.0:
-            raise ConfigurationError("epoch_grow_factor must be > 1")
-        if not 0.0 < self.epoch_shrink_factor < 1.0:
-            raise ConfigurationError("epoch_shrink_factor must be in (0, 1)")
-        if not 0.0 <= self.queue_low_fraction < self.queue_high_fraction <= 1.0:
-            raise ConfigurationError(
-                "need 0 <= queue_low_fraction < queue_high_fraction <= 1, "
-                f"got low {self.queue_low_fraction} / "
-                f"high {self.queue_high_fraction}")
-        if self.epoch_cooldown_rounds < 1:
-            raise ConfigurationError("epoch_cooldown_rounds must be >= 1")

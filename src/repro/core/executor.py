@@ -34,6 +34,7 @@ import numpy as np
 
 from ..errors import ShardingError
 from ..streams.edge import StreamEdge, Vertex
+from .vectorized import real_weights
 
 #: Reserved method name: returns the worker's load counters —
 #: ``{"busy_seconds": float, "calls": int}`` — in one round trip instead of
@@ -119,9 +120,11 @@ class PackedEdges:
 def pack_edges(edges: Sequence) -> PackedEdges:
     """Pack an edge sequence into a :class:`PackedEdges` batch.
 
-    Raises whatever the edge attributes raise on conversion (``TypeError``
-    for unpackable weights, ``OverflowError`` for out-of-range timestamps,
-    ...); callers treat any failure as "send the list instead".
+    Raises ``ValueError`` for a weight that is not a real number
+    (:func:`~repro.core.vectorized.real_weights`), and whatever the edge
+    attributes raise on conversion (``OverflowError`` for out-of-range
+    timestamps, ...); callers treat any failure as "send the list instead",
+    so the summary that receives the list decides.
     """
     index: Dict[Vertex, int] = {}
     setdefault = index.setdefault
@@ -134,10 +137,17 @@ def pack_edges(edges: Sequence) -> PackedEdges:
         dst_idx.append(setdefault(edge.destination, len(index)))
         weights.append(edge.weight)
         timestamps.append(int(edge.timestamp))
+    values = real_weights(weights)
+    if len(values) < len(weights):
+        # Packing fails with the builtin errors numpy's conversions raise;
+        # the worker catches them and sends the list instead.
+        # repro-lint: ok ERR001 — see above
+        raise ValueError(
+            f"weight {weights[len(values)]!r} is not a real number")
     records = np.empty(len(src_idx), dtype=EDGE_DTYPE)
     records["src"] = src_idx
     records["dst"] = dst_idx
-    records["weight"] = weights
+    records["weight"] = values
     records["timestamp"] = timestamps
     return PackedEdges(list(index), records)
 

@@ -37,8 +37,6 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from ..errors import InsertionError
 from ..streams.edge import StreamEdge, Vertex
 from ..summary import TemporalGraphSummary
@@ -57,6 +55,10 @@ def _timestamp_error(timestamp: int) -> InsertionError:
     return InsertionError(
         f"timestamp {timestamp} is outside the int64 range of the batch "
         "and packed-edge formats")
+
+
+def _weight_error(weight: object) -> InsertionError:
+    return InsertionError(f"weight {weight!r} is not a real number")
 
 
 class Higgs(TemporalGraphSummary):
@@ -97,11 +99,17 @@ class Higgs(TemporalGraphSummary):
         """Insert one stream item (paper Algorithm 1).
 
         Raises :class:`~repro.errors.InsertionError` for a timestamp outside
-        the ``int64`` range, exactly as :meth:`insert_batch` does.
+        the ``int64`` range or a weight that is not a real number, exactly
+        as :meth:`insert_batch` does; the weight is stored as a float.
         """
         timestamp = int(timestamp)
         if not _INT64_MIN <= timestamp <= _INT64_MAX:
             raise _timestamp_error(timestamp)
+        if type(weight) is not float:
+            values = vectorized.real_weights([weight])
+            if not len(values):
+                raise _weight_error(weight)
+            weight = float(values[0])
         src_fingerprint, src_address = self._hasher.split(source)
         dst_fingerprint, dst_address = self._hasher.split(destination)
         self._tree.insert_hashed(src_fingerprint, dst_fingerprint,
@@ -122,8 +130,9 @@ class Higgs(TemporalGraphSummary):
 
         Failures keep the per-item contract: the items before a failing
         one are applied.  An iterable that raises mid-batch re-raises its
-        own exception; a timestamp outside ``int64`` raises
-        :class:`~repro.errors.InsertionError`, as :meth:`insert` does.
+        own exception; a timestamp outside ``int64`` or a weight that is
+        not a real number raises :class:`~repro.errors.InsertionError`, as
+        :meth:`insert` does.
         """
         packed = getattr(edges, "packed_arrays", None)
         if packed is not None:
@@ -142,7 +151,8 @@ class Higgs(TemporalGraphSummary):
         return self._insert_items(items)
 
     def _insert_items(self, items: Sequence[StreamEdge]) -> int:
-        """Index a batch's distinct vertices and insert it."""
+        """Index a batch's distinct vertices, check its timestamps and
+        weights, and insert it."""
         if not items:
             return 0
         index: Dict[Vertex, int] = {}
@@ -156,14 +166,19 @@ class Higgs(TemporalGraphSummary):
             dst_idx.append(setdefault(edge.destination, len(index)))
             weights.append(edge.weight)
             timestamps.append(int(edge.timestamp))
+        values = vectorized.real_weights(weights)
+        bad = len(values)  # the first item that fails, or len(items)
         if min(timestamps) < _INT64_MIN or max(timestamps) > _INT64_MAX:
-            bad = next(k for k, timestamp in enumerate(timestamps)
-                       if not _INT64_MIN <= timestamp <= _INT64_MAX)
+            bad = min(bad, next(k for k, timestamp in enumerate(timestamps)
+                                if not _INT64_MIN <= timestamp <= _INT64_MAX))
+        if bad < len(items):
             self._insert_items(items[:bad])
-            raise _timestamp_error(timestamps[bad])
+            if not _INT64_MIN <= timestamps[bad] <= _INT64_MAX:
+                raise _timestamp_error(timestamps[bad])
+            raise _weight_error(weights[bad])
         return self._tree.insert_packed(
             self._vertex_entries(list(index)), src_idx, dst_idx,
-            np.asarray(weights, dtype=np.float64).tolist(), timestamps)
+            values.tolist(), timestamps)
 
     def _vertex_entries(self, vertices: Sequence[Vertex]
                         ) -> List[Tuple[int, Tuple[int, ...]]]:

@@ -15,12 +15,15 @@ bits, see :class:`~repro.core.hashing.VertexHasher`): products are reduced
 mod the matrix size before they grow, and the 64-bit hash runs on unsigned
 arrays whose multiplications wrap exactly like the scalar
 ``& _MASK64`` masking.
+
+:func:`real_weights` is the batch form of the weight check every HIGGS
+insert path applies.
 """
 
 from __future__ import annotations
 
 import operator
-from numbers import Integral
+from numbers import Integral, Real
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -95,6 +98,28 @@ def hash64_array(keys: Sequence[object], seed: int = 0) -> "np.ndarray":
             state = (state ^ extension) * prime
         out[int_lanes] = _finalize(state)
     return out
+
+
+def real_weights(weights: Sequence[object]) -> "np.ndarray":
+    """The longest prefix of ``weights`` that are real numbers, as float64.
+
+    The result is shorter than ``weights`` exactly when
+    ``weights[len(result)]`` is not a real number, such as ``None``, a
+    string or a complex number; ``np.asarray(weights, np.float64)`` alone
+    would read ``None`` as NaN and ``"3"`` as 3.0.  A batch numpy reads as
+    bools, integers or floats passes in one ``np.asarray`` call; any other
+    batch is checked weight by weight against :class:`numbers.Real` (and
+    numpy's bool).
+    """
+    try:
+        values = np.asarray(weights)
+    except ValueError:  # ragged: some weight is itself a sequence
+        values = None
+    if values is None or values.ndim != 1 or values.dtype.kind not in "biuf":
+        end = next((k for k, weight in enumerate(weights)
+                    if not isinstance(weight, (Real, np.bool_))), len(weights))
+        values = np.asarray(weights[:end], dtype=np.float64)
+    return values.astype(np.float64, copy=False)
 
 
 def split_array(hashes: "np.ndarray", fingerprint_bits: int,

@@ -1,4 +1,4 @@
-"""Observability layer: metrics registry, exporters, and adaptive control.
+"""Observability layer: metrics registry and exporters.
 
 This package is the operational window into the serving stack:
 
@@ -10,10 +10,6 @@ This package is the operational window into the serving stack:
 * :class:`SnapshotEmitter` periodically serializes a registry snapshot as a
   structured JSON log line to a pluggable sink (stderr by default), so an
   operator can tail engine health without scraping.
-* :class:`AdaptiveEpochController` is the closed-loop controller the
-  serving engine uses to widen/narrow its write-epoch coalescing bound
-  from admission-queue depth (see
-  :class:`~repro.core.config.ServingConfig`).
 
 The serving engine (:class:`~repro.serving.ServingEngine`) and the sharded
 engine (:class:`~repro.sharding.ShardedSummary`) both instrument themselves
@@ -23,12 +19,11 @@ this).  :func:`nearest_rank` is the percentile definition shared by every
 latency report in the repository.
 """
 
-from .adaptive import AdaptiveEpochController
 from .logs import SnapshotEmitter
 from .registry import (Counter, Gauge, MetricsRegistry, WindowedHistogram,
                        nearest_rank)
 
 __all__ = [
     "MetricsRegistry", "Counter", "Gauge", "WindowedHistogram",
-    "nearest_rank", "SnapshotEmitter", "AdaptiveEpochController",
+    "nearest_rank", "SnapshotEmitter",
 ]

@@ -33,19 +33,15 @@ explicit rejections instead of unbounded queueing latency.
 :class:`~repro.observability.MetricsRegistry` (its own private one by
 default, or a caller-provided registry when one dashboard should cover the
 engine and its sharded summary together): queue depth and peak, in-flight
-requests, the current epoch-size cap, per-kind request/drop/failure
-counters, epoch/read-round size histograms, and the per-request
+requests, the write-epoch cap, per-kind request/drop/failure counters,
+epoch/read-round size histograms, and the per-request
 admission-to-completion latency summary.  :meth:`ServingEngine.render_prometheus`
 exposes everything in Prometheus text format; :meth:`ServingEngine.stats`
 keeps its dict report for programmatic callers.
 
-**Adaptive epoch sizing.**  With
-:attr:`~repro.core.config.ServingConfig.adaptive_epochs` on, the per-epoch
-write-coalescing cap is no longer the fixed ``max_batch_writes`` but a
-closed-loop value an :class:`~repro.observability.AdaptiveEpochController`
-moves between ``min_epoch_size`` and ``max_epoch_size`` from admission-queue
-depth: wide while a backlog is standing (amortize per-epoch overhead, drain
-fast), narrow once the queue stays shallow (let reads interleave quickly).
+**One write-epoch cap.**  A round coalesces writes up to
+:attr:`~repro.core.config.ServingConfig.max_batch_writes` edges; the cap is
+fixed for the engine's life.
 """
 
 from __future__ import annotations
@@ -56,8 +52,7 @@ from typing import Any, Deque, Dict, Iterable, List, Optional, Union
 
 from ..core.config import ServingConfig
 from ..errors import ServingError
-from ..observability import (AdaptiveEpochController, MetricsRegistry,
-                             WindowedHistogram)
+from ..observability import MetricsRegistry, WindowedHistogram
 from ..streams.edge import StreamEdge
 from ..summary import TemporalGraphSummary
 from .requests import (MAINTENANCE, READ, WRITE, MaintenanceRequest,
@@ -78,8 +73,7 @@ class ServingEngine:
         epochs submitted through the shard workers' submit-without-collect
         path.  The engine never closes the summary — it stays caller-owned.
     config:
-        Queue bound, backpressure policy, coalescing limits, adaptive
-        epoch-sizing knobs
+        Queue bound, backpressure policy and coalescing limits
         (:class:`~repro.core.config.ServingConfig`); ``None`` uses defaults.
     registry:
         The :class:`~repro.observability.MetricsRegistry` the engine
@@ -122,29 +116,10 @@ class ServingEngine:
         self._dropped = 0
         self._failed = 0
         self._registry = registry if registry is not None else MetricsRegistry()
-        self._controller: Optional[AdaptiveEpochController] = None
-        if self.config.adaptive_epochs:
-            self._controller = AdaptiveEpochController(
-                min_size=self.config.min_epoch_size,
-                max_size=self.config.max_epoch_size,
-                grow_factor=self.config.epoch_grow_factor,
-                shrink_factor=self.config.epoch_shrink_factor,
-                high_fraction=self.config.queue_high_fraction,
-                low_fraction=self.config.queue_low_fraction,
-                cooldown_rounds=self.config.epoch_cooldown_rounds)
-        # The effective write-epoch cap of the *next* round: the controller's
-        # current size when adaptive, the fixed config bound otherwise.
-        self._epoch_limit = self._effective_epoch_limit()
         self._init_metrics()
         self._scheduler = threading.Thread(target=self._loop,
                                            name="serving-scheduler", daemon=True)
         self._scheduler.start()
-
-    def _effective_epoch_limit(self) -> int:
-        """The write-epoch edge cap currently in force."""
-        if self._controller is None:
-            return self.config.max_batch_writes
-        return min(self.config.max_batch_writes, self._controller.size)
 
     def _init_metrics(self) -> None:
         """Register the engine's ``serving_*`` families in its registry."""
@@ -168,11 +143,10 @@ class ServingEngine:
         self._metric_inflight.set_function(
             # repro-lint: ok CONC002 - racy-read gauge; int read is atomic
             lambda: float(self._inflight))
-        self._metric_epoch_limit = registry.gauge(
+        registry.gauge(
             "serving_epoch_limit",
-            "Write-epoch edge cap currently in force (moves when adaptive "
-            "epoch sizing is enabled).")
-        self._metric_epoch_limit.set(float(self._epoch_limit))
+            "Write-epoch edge cap (ServingConfig.max_batch_writes).",
+        ).set(float(self.config.max_batch_writes))
         self._metric_requests = registry.counter(
             "serving_requests_total",
             "Requests admitted, by request kind.", labelnames=("kind",))
@@ -225,16 +199,17 @@ class ServingEngine:
     def submit_query(self, query: Any) -> ServingFuture:
         """Admit a read: any query object implementing ``evaluate(summary)``.
 
-        The temporal range of the query (when it exposes ``t_start`` /
-        ``t_end``) is validated at admission, so a malformed request is
-        rejected synchronously instead of poisoning the read round it would
-        have been coalesced into.  Returns a future resolving to the
-        estimate.
+        The query is checked at admission as the summary checks it: its
+        temporal range (when it exposes ``t_start`` / ``t_end``), a vertex
+        query's direction, and a path's or subgraph's vertices.  A malformed
+        request is rejected synchronously instead of failing every read of
+        the round it would have been coalesced into.  Returns a future
+        resolving to the estimate.
 
         Raises
         ------
         QueryError
-            On a malformed temporal range.
+            On a malformed range, direction, path or edge set.
         ServingError
             When the engine is closed, or immediately under the ``"drop"``
             policy when the admission queue is full.
@@ -243,6 +218,10 @@ class ServingEngine:
         t_end = getattr(query, "t_end", None)
         if t_start is not None and t_end is not None:
             self._summary.check_range(t_start, t_end)
+        direction = getattr(query, "direction", None)
+        if direction is not None:
+            self._summary.check_direction(direction)
+        self._summary.composite_pairs(query)
         request = ReadRequest(query)
         self._admit(request)
         return request.future
@@ -349,7 +328,7 @@ class ServingEngine:
             "failed": self._failed,
             "pending": pending,
             "inflight": inflight,
-            "epoch_limit": self._epoch_limit,
+            "epoch_limit": self.config.max_batch_writes,
             "latency": self._latency_report(),
         }
 
@@ -371,14 +350,19 @@ class ServingEngine:
 
     @staticmethod
     def _normalize_edges(edges: Union[StreamEdge, Iterable]) -> List[StreamEdge]:
-        """Coerce a write payload into a non-empty list of stream items."""
+        """Coerce a write payload into a non-empty list of stream items.
+
+        A 4-tuple is one raw item when its first element is a vertex id,
+        not itself an item (a ``StreamEdge``, tuple or list); otherwise it
+        is a batch of four items.
+        """
         if isinstance(edges, StreamEdge):
             return [edges]
         # The payload is caller-supplied; a malformed item must surface as
         # ServingError, not a bare ValueError/TypeError (ERR002).
         try:
             if isinstance(edges, tuple) and len(edges) == 4 and \
-                    not isinstance(edges[0], StreamEdge):
+                    not isinstance(edges[0], (StreamEdge, tuple, list)):
                 source, destination, weight, timestamp = edges
                 return [StreamEdge(source, destination,
                                    float(weight), int(timestamp))]
@@ -445,23 +429,12 @@ class ServingEngine:
                         f"round aborted by a scheduler error: {exc!r}"))
 
     def _next_round(self) -> Optional[List[_Request]]:
-        """Drain one coalescable prefix of the queue (or ``None`` to stop).
-
-        With adaptive epoch sizing on, the round starts by feeding the
-        queue depth into the controller (pure arithmetic, safe under
-        ``_state``); the resulting cap bounds this round's write
-        coalescing in place of the fixed ``max_batch_writes``.
-        """
+        """Drain one coalescable prefix of the queue (or ``None`` to stop)."""
         with self._state:
             while not self._pending:
                 if self._closing:
                     return None
                 self._state.wait(self.config.poll_interval_s)
-            if self._controller is not None:
-                self._controller.observe(len(self._pending),
-                                         self.config.max_pending)
-                self._epoch_limit = self._effective_epoch_limit()
-            epoch_limit = self._epoch_limit
             picked: List[_Request] = []
             write_edges = 0
             reads = 0
@@ -476,7 +449,7 @@ class ServingEngine:
                     break
                 if isinstance(request, WriteRequest):
                     if picked and write_edges + len(request.edges) > \
-                            epoch_limit:
+                            self.config.max_batch_writes:
                         break
                     write_edges += len(request.edges)
                 else:
@@ -485,7 +458,6 @@ class ServingEngine:
                     reads += 1
                 picked.append(self._pending.popleft())
             self._state.notify_all()
-        self._metric_epoch_limit.set(float(epoch_limit))
         return picked
 
     def _serve_round(self, round_requests: List[_Request]) -> None:

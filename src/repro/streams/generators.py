@@ -18,8 +18,7 @@ Two axes of irregularity are modelled, matching the paper:
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
@@ -258,17 +257,6 @@ class MixedWorkloadSpec:
     range_fraction:
         Length of each read's temporal range relative to the stream's time
         span, in ``(0, 1]``.
-    burst_factor:
-        Open-loop burstiness: during the burst window of each period the
-        arrival rate is ``burst_factor * rate_rps``; outside it the rate
-        stays ``rate_rps``.  ``1.0`` (default) keeps arrivals homogeneous
-        Poisson.  Requires ``burst_period_s > 0`` when > 1; the natural
-        stress shape sets ``rate_rps`` below the server's capacity and lets
-        bursts exceed it.
-    burst_period_s:
-        Length of one burst cycle in seconds (burst window + quiet window).
-    burst_duty:
-        Fraction of each period spent bursting, in ``(0, 1)``.
     seed:
         PRNG seed; generation is fully deterministic given the spec.
     """
@@ -280,9 +268,6 @@ class MixedWorkloadSpec:
     rate_rps: float = 0.0
     edge_fraction: float = 0.7
     range_fraction: float = 0.25
-    burst_factor: float = 1.0
-    burst_period_s: float = 0.0
-    burst_duty: float = 0.5
     seed: int = 17
 
     def validate(self) -> None:
@@ -301,16 +286,6 @@ class MixedWorkloadSpec:
             raise DatasetError("edge_fraction must be in [0, 1]")
         if not 0.0 < self.range_fraction <= 1.0:
             raise DatasetError("range_fraction must be in (0, 1]")
-        if self.burst_factor < 1.0:
-            raise DatasetError("burst_factor must be >= 1")
-        if self.burst_factor > 1.0:
-            if self.arrival != "open":
-                raise DatasetError("bursty arrivals need arrival='open'")
-            if self.burst_period_s <= 0:
-                raise DatasetError("bursty arrivals need a positive "
-                                   "burst_period_s")
-            if not 0.0 < self.burst_duty < 1.0:
-                raise DatasetError("burst_duty must be in (0, 1)")
 
 
 @dataclass(slots=True)
@@ -368,24 +343,8 @@ def generate_mixed_workload(stream: GraphStream,
     starts = rng.integers(t_min, max(t_min + 1, t_max - range_length + 2),
                           size=spec.num_requests)
     if spec.arrival == "open":
-        if spec.burst_factor > 1.0:
-            # Piecewise-constant-rate Poisson: each gap is a unit
-            # exponential divided by the rate in force at the time the
-            # previous request arrived (burst rate inside the duty window
-            # of each period, base rate outside).
-            unit_gaps = rng.exponential(1.0, size=spec.num_requests)
-            burst_window = spec.burst_period_s * spec.burst_duty
-            arrivals = np.empty(spec.num_requests)
-            now = 0.0
-            for i in range(spec.num_requests):
-                in_burst = (now % spec.burst_period_s) < burst_window
-                rate = spec.rate_rps * (spec.burst_factor if in_burst else 1.0)
-                now += float(unit_gaps[i]) / rate
-                arrivals[i] = now
-        else:
-            gaps = rng.exponential(1.0 / spec.rate_rps,
-                                   size=spec.num_requests)
-            arrivals = np.cumsum(gaps)
+        arrivals = np.cumsum(rng.exponential(1.0 / spec.rate_rps,
+                                             size=spec.num_requests))
     ops: List[ServingOp] = []
     cursor = 0          # next stream item to replay
     directions = ("out", "in")

@@ -493,8 +493,7 @@ class TestDriver:
             "Auxo.node_count", "Higgs.plan_cache",
             "ServingEngine.run_maintenance", "ServingEngine.epoch",
             "ServingEngine.render_prometheus",
-            "ServingEngine.latency_percentiles",
-            "AdaptiveEpochController.adjustments", "SnapshotEmitter",
+            "ServingEngine.latency_percentiles", "SnapshotEmitter",
             "SnapshotEmitter.emitted", "SnapshotEmitter.sink_errors",
             "clear_context_cache", "lift_coordinates"}
 

@@ -18,7 +18,7 @@ from repro.baselines.exact import ExactTemporalGraph
 from repro.bench.methods import make_methods
 from repro.errors import InsertionError, ShardingError
 from repro.queries.workload import QueryWorkloadGenerator, WorkloadConfig
-from repro.sharding import ShardedSummary
+from repro.sharding import HiggsShardFactory, ShardedSummary
 from repro.streams.edge import StreamEdge
 from repro.summary import TemporalGraphSummary
 
@@ -214,3 +214,78 @@ class TestTimestampRange:
         finally:
             engine.close()
 
+
+class TestWeightRule:
+    """Per-item, list-batch and process-engine ingest agree on a weight
+    that is not a real number: each raises InsertionError after applying
+    the items before it.  A bool is a real number, stored as a float."""
+
+    _CONFIG = HiggsConfig(leaf_matrix_size=8)
+
+    @staticmethod
+    def _edges(weight):
+        # 40 edges before the one under test, so the process worker tries
+        # to pack the batch.
+        return [StreamEdge(f"s{i % 5}", f"d{i % 3}", 1.0, i)
+                for i in range(40)] + [StreamEdge("a", "b", weight, 40),
+                                       StreamEdge("s0", "d0", 1.0, 41)]
+
+    @staticmethod
+    def _answers(summary, edges):
+        return [summary.edge_query(edge.source, edge.destination, 0, 100)
+                for edge in edges]
+
+    def _paths(self, weight):
+        """A per-item summary, a list-batch one and a 1-shard process
+        engine, each fed :meth:`_edges`, and the exceptions they raised."""
+        edges = self._edges(weight)
+        errors = []
+        per_item = Higgs(self._CONFIG)
+        try:
+            for edge in edges:
+                per_item.insert(edge.source, edge.destination, edge.weight,
+                                edge.timestamp)
+        except InsertionError as exc:
+            errors.append(exc)
+        batched = Higgs(self._CONFIG)
+        try:
+            batched.insert_batch(edges)
+        except InsertionError as exc:
+            errors.append(exc)
+        engine = ShardedSummary(HiggsShardFactory(self._CONFIG), shards=1,
+                                executor="process")
+        try:
+            engine.insert_batch(edges)
+        except ShardingError as exc:
+            errors.append(exc)
+        return edges, per_item, batched, engine, errors
+
+    @pytest.mark.parametrize("weight", [None, "3"])
+    def test_weight_that_is_not_a_number_fails_every_path(self, weight):
+        edges, per_item, batched, engine, errors = self._paths(weight)
+        try:
+            assert len(errors) == 3
+            assert all("not a real number" in str(exc) for exc in errors)
+            assert per_item.tree.items_inserted == 40
+            assert batched.stats() == per_item.stats()
+            # Packing refused the batch, so the list went to the shard.
+            assert engine.transport_stats()["fallback_batches"] == 1
+            expected = self._answers(per_item, edges)
+            assert expected[40] == 0.0
+            assert self._answers(batched, edges) == expected
+            assert self._answers(engine, edges) == expected
+        finally:
+            engine.close()
+
+    def test_bool_weight_is_a_number_on_every_path(self):
+        edges, per_item, batched, engine, errors = self._paths(True)
+        try:
+            assert errors == []
+            assert engine.transport_stats()["packed_batches"] == 1
+            assert batched.stats() == per_item.stats()
+            expected = self._answers(per_item, edges)
+            assert expected[40] == 1.0 and type(expected[40]) is float
+            assert self._answers(batched, edges) == expected
+            assert self._answers(engine, edges) == expected
+        finally:
+            engine.close()

@@ -1,5 +1,5 @@
 """Tests for the observability layer: metric registry, Prometheus/JSON
-rendering, the snapshot emitter, and the adaptive epoch controller."""
+rendering, and the snapshot emitter."""
 
 from __future__ import annotations
 
@@ -9,9 +9,9 @@ import time
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.observability import (AdaptiveEpochController, Counter, Gauge,
-                                 MetricsRegistry, SnapshotEmitter,
-                                 WindowedHistogram, nearest_rank)
+from repro.observability import (Counter, Gauge, MetricsRegistry,
+                                 SnapshotEmitter, WindowedHistogram,
+                                 nearest_rank)
 
 
 class TestCounter:
@@ -257,90 +257,3 @@ class TestSnapshotEmitter:
         with pytest.raises(ConfigurationError):
             SnapshotEmitter(MetricsRegistry(), interval_s=0.0)
 
-
-class TestAdaptiveEpochController:
-    def test_starts_at_min_and_clamps_initial(self):
-        controller = AdaptiveEpochController(min_size=100, max_size=1000)
-        assert controller.size == 100
-        low = AdaptiveEpochController(min_size=100, max_size=1000, initial=5)
-        assert low.size == 100
-        high = AdaptiveEpochController(min_size=100, max_size=1000,
-                                       initial=5000)
-        assert high.size == 1000
-
-    def test_deep_queue_grows_immediately_and_clamps_at_max(self):
-        controller = AdaptiveEpochController(min_size=100, max_size=350,
-                                             grow_factor=2.0)
-        assert controller.observe(60, 100) == 200
-        assert controller.observe(60, 100) == 350  # clamped, not 400
-        assert controller.observe(100, 100) == 350  # saturated: no change
-        assert controller.adjustments == 2
-
-    def test_shrink_needs_sustained_quiet(self):
-        controller = AdaptiveEpochController(min_size=100, max_size=1000,
-                                             initial=800, cooldown_rounds=3,
-                                             shrink_factor=0.5)
-        assert controller.observe(0, 100) == 800
-        assert controller.observe(0, 100) == 800
-        assert controller.observe(0, 100) == 400  # third quiet round shrinks
-        assert controller.adjustments == 1
-
-    def test_interrupted_quiet_streak_resets_damping(self):
-        controller = AdaptiveEpochController(min_size=100, max_size=1000,
-                                             initial=800, cooldown_rounds=3,
-                                             high_fraction=0.5,
-                                             low_fraction=0.1)
-        controller.observe(0, 100)
-        controller.observe(0, 100)
-        controller.observe(30, 100)  # mid-band: streak resets, size holds
-        assert controller.size == 800
-        controller.observe(0, 100)
-        controller.observe(0, 100)
-        assert controller.size == 800  # streak restarted, not yet 3
-        controller.observe(0, 100)
-        assert controller.size == 400
-
-    def test_zero_traffic_walks_down_to_min_and_idles(self):
-        controller = AdaptiveEpochController(min_size=100, max_size=1000,
-                                             initial=1000, cooldown_rounds=2)
-        for _ in range(20):
-            controller.observe(0, 100)
-        assert controller.size == 100
-        adjustments = controller.adjustments
-        for _ in range(10):
-            controller.observe(0, 100)
-        assert controller.size == 100
-        assert controller.adjustments == adjustments  # idle: no churn
-
-    def test_bursty_load_settles_wide_instead_of_thrashing(self):
-        controller = AdaptiveEpochController(min_size=100, max_size=800,
-                                             cooldown_rounds=3)
-        # Alternating deep/shallow rounds: immediate growth wins because a
-        # single shallow round never satisfies the shrink cooldown.
-        for _ in range(6):
-            controller.observe(80, 100)
-            controller.observe(0, 100)
-        assert controller.size == 800
-
-    def test_depth_beyond_capacity_counts_as_full(self):
-        controller = AdaptiveEpochController(min_size=100, max_size=400)
-        assert controller.observe(250, 100) == 200
-
-    @pytest.mark.parametrize("kwargs", [
-        {"min_size": 0, "max_size": 10},
-        {"min_size": 20, "max_size": 10},
-        {"min_size": 1, "max_size": 10, "grow_factor": 1.0},
-        {"min_size": 1, "max_size": 10, "shrink_factor": 1.0},
-        {"min_size": 1, "max_size": 10, "shrink_factor": 0.0},
-        {"min_size": 1, "max_size": 10, "low_fraction": 0.5,
-         "high_fraction": 0.5},
-        {"min_size": 1, "max_size": 10, "cooldown_rounds": 0},
-    ])
-    def test_invalid_parameters_rejected(self, kwargs):
-        with pytest.raises(ConfigurationError):
-            AdaptiveEpochController(**kwargs)
-
-    def test_invalid_capacity_rejected(self):
-        controller = AdaptiveEpochController(min_size=1, max_size=10)
-        with pytest.raises(ConfigurationError):
-            controller.observe(0, 0)

@@ -169,11 +169,7 @@ class TestShardedBreakdown:
         monkeypatch.setattr(experiments, "run_serving", lambda **_: [
             {"figure": "serving", "read_p99_ms": 4.0, "read_p50_ms": 1.0,
              "req_per_s": 900.0},
-            {"figure": "serving-open", "requests": 900, "dropped": 100},
-            {"figure": "serving-burst", "policy": "fixed-64",
-             "p99_ms": 40.0},
-            {"figure": "serving-burst", "policy": "adaptive-64",
-             "p99_ms": 38.0}])
+            {"figure": "serving-open", "requests": 900, "dropped": 100}])
 
     def test_breakdown_rows_are_reported(self, monkeypatch):
         self._canned(monkeypatch)

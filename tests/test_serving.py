@@ -3,6 +3,8 @@ mixed-workload generator — including the epoch-consistency stress test."""
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import threading
 import time
 
@@ -12,7 +14,7 @@ from repro import ServingConfig, ServingEngine, ShardedSummary
 from repro.baselines.exact import ExactTemporalGraph
 from repro.errors import ConfigurationError, DatasetError, QueryError, ServingError
 from repro.observability import nearest_rank
-from repro.queries.types import EdgeQuery, VertexQuery
+from repro.queries.types import EdgeQuery, PathQuery, SubgraphQuery, VertexQuery
 from repro.streams.edge import StreamEdge
 from repro.streams.generators import (MixedWorkloadSpec, StreamSpec,
                                       generate_mixed_workload, generate_stream)
@@ -21,6 +23,21 @@ from repro.streams.generators import (MixedWorkloadSpec, StreamSpec,
 def _edges(n, offset=0):
     return [StreamEdge(f"s{(i + offset) % 11}", f"d{(i + offset) % 7}", 1.0,
                        i + offset) for i in range(n)]
+
+
+def _hold_scheduler(engine):
+    """Park the scheduler in a maintenance round until the returned event
+    is set; requests submitted meanwhile queue up behind it and are then
+    coalesced together."""
+    started, release = threading.Event(), threading.Event()
+
+    def gate(summary):
+        started.set()
+        release.wait(10)
+
+    engine.run_maintenance(gate)
+    assert started.wait(10)
+    return release
 
 
 class TestServingConfig:
@@ -116,6 +133,34 @@ class TestServingEngineBasics:
             # The engine still serves well-formed traffic afterwards.
             engine.submit_write(StreamEdge("a", "b", 1.0, 1)).result(5)
             assert engine.submit_query(EdgeQuery("a", "b", 0, 5)).result(5) == 1.0
+
+    @pytest.mark.parametrize("bad", [
+        VertexQuery("a", 0, 10, "sideways"),
+        PathQuery(("a",), 0, 10),
+        SubgraphQuery((), 0, 10),
+    ], ids=["direction", "one-vertex-path", "empty-subgraph"])
+    def test_malformed_read_spares_its_round_mates(self, bad):
+        with ServingEngine(ExactTemporalGraph()) as engine:
+            engine.submit_write(StreamEdge("a", "b", 2.0, 5)).result(5)
+            release = _hold_scheduler(engine)
+            good = engine.submit_query(EdgeQuery("a", "b", 0, 10))
+            try:
+                with pytest.raises(QueryError):
+                    engine.submit_query(bad)
+            finally:
+                release.set()
+            assert good.result(5) == 2.0
+
+    @pytest.mark.parametrize("payload, count", [
+        (("a", "b", 1.0, 0), 1),
+        *[(tuple(("a", "b", 1.0, t) for t in range(n)), n) for n in (3, 4, 5)],
+    ], ids=["single", "3", "4", "5"])
+    def test_raw_tuple_payloads(self, payload, count):
+        """A 4-tuple of raw items is a batch, as a 3- or 5-tuple is."""
+        with ServingEngine(ExactTemporalGraph()) as engine:
+            assert engine.submit_write(payload).result(5) == count
+            assert engine.submit_query(
+                EdgeQuery("a", "b", 0, 10)).result(5) == float(count)
 
     def test_submit_after_close_rejected(self):
         engine = ServingEngine(ExactTemporalGraph())
@@ -356,6 +401,42 @@ class TestMixedWorkloadGenerator:
             stream, MixedWorkloadSpec(num_requests=10, seed=2))
         assert all(op.arrival_s is None for op in closed)
 
+    def test_open_loop_arrival_rate_is_uniform(self):
+        spec = MixedWorkloadSpec(num_requests=1_000, arrival="open",
+                                 rate_rps=100.0, seed=7)
+        ops = generate_mixed_workload(self._stream(), spec)
+        arrivals = [op.arrival_s for op in ops]
+        in_window = sum(1 for t in arrivals if (t % 1.0) < 0.25)
+        assert 0.15 < in_window / len(arrivals) < 0.35
+
+    @staticmethod
+    def _digest(ops):
+        digest = hashlib.sha256()
+        for op in ops:
+            edges = None if op.edges is None else \
+                [dataclasses.astuple(edge) for edge in op.edges]
+            query = None if op.query is None else \
+                (type(op.query).__name__, dataclasses.astuple(op.query))
+            arrival = None if op.arrival_s is None else op.arrival_s.hex()
+            digest.update(repr((op.kind, edges, query, arrival)).encode())
+        return digest.hexdigest()
+
+    @pytest.mark.parametrize("spec, expected", [
+        (MixedWorkloadSpec(num_requests=200, read_ratio=0.5, write_batch=8,
+                           seed=11),
+         "61d247992ae83af2a063eb5a02631b8f8ebde857308be5da8e75816f8632d7ef"),
+        (MixedWorkloadSpec(num_requests=200, read_ratio=0.5, write_batch=8,
+                           arrival="open", rate_rps=500.0, seed=12),
+         "bf3d744132dae4fbce7fd9bb2bf2f8e1a156c8765903d1dcc10306f800735b27"),
+    ], ids=["closed", "open"])
+    def test_workload_is_pinned(self, spec, expected):
+        """Op kinds, edges, query fields and arrival times are a fixed
+        function of the spec: the serving benchmarks replay the same
+        requests from one version to the next (the digests assume
+        numpy's ``default_rng`` streams stay as they are)."""
+        assert self._digest(generate_mixed_workload(self._stream(), spec)) \
+            == expected
+
     @pytest.mark.parametrize("kwargs", [
         {"num_requests": 0},
         {"num_requests": 10, "read_ratio": 1.5},
@@ -572,6 +653,25 @@ class TestChaosRecovery:
                     sharded.snapshot_items()[victim]
 
 
+class TestWriteEpochCap:
+    def test_fixed_engine_never_moves_the_cap(self):
+        with ServingEngine(ExactTemporalGraph(),
+                           ServingConfig(max_batch_writes=8)) as engine:
+            assert engine.stats()["epoch_limit"] == 8
+            release = _hold_scheduler(engine)
+            futures = [engine.submit_write(edge) for edge in _edges(20)]
+            release.set()
+            for future in futures:
+                future.result(30)
+            assert engine.stats()["epoch_limit"] == 8
+            assert engine.metrics.get("serving_epoch_limit").value() == 8.0
+            epoch_edges = engine.metrics.get("serving_epoch_edges")
+            # 20 single-edge writes behind the gate commit as 8 + 8 + 4;
+            # the nearest-rank p99 of fewer than 100 epochs is their max.
+            assert epoch_edges.count() == 3
+            assert epoch_edges.report()["p99"] == 8.0
+
+
 class TestServingMetrics:
     """The engine's ``serving_*`` metric families track real traffic."""
 
@@ -680,126 +780,3 @@ class TestServingMetrics:
             engine.submit_write(_edges(1)[0]).result(30)
         assert registry.get("serving_requests_total").value(kind="write") == 1.0
 
-
-class TestAdaptiveEpochSizing:
-    """Closed-loop stress: queue depth drives the write-epoch cap."""
-
-    CONFIG = dict(adaptive_epochs=True, min_epoch_size=4, max_epoch_size=16,
-                  max_batch_writes=1024, max_pending=32,
-                  queue_high_fraction=0.5, queue_low_fraction=0.125,
-                  epoch_cooldown_rounds=3)
-
-    @staticmethod
-    def _gated_backlog(engine, n):
-        """Hold the scheduler on a maintenance gate while ``n`` writes pile
-        up behind it, then release — the next round observes the full
-        backlog at once."""
-        started, release = threading.Event(), threading.Event()
-
-        def gate(summary):
-            started.set()
-            release.wait(10)
-
-        maintenance = engine.run_maintenance(gate)
-        assert started.wait(10)
-        futures = [engine.submit_write(edge) for edge in _edges(n)]
-        release.set()
-        maintenance.result(30)
-        return futures
-
-    def test_fixed_engine_never_moves_the_cap(self):
-        with ServingEngine(ExactTemporalGraph(),
-                           ServingConfig(max_batch_writes=8)) as engine:
-            assert engine.stats()["epoch_limit"] == 8
-            for future in self._gated_backlog(engine, 20):
-                future.result(30)
-            assert engine.stats()["epoch_limit"] == 8
-
-    def test_deep_queue_widens_then_quiet_traffic_narrows(self):
-        with ServingEngine(ExactTemporalGraph(),
-                           ServingConfig(**self.CONFIG)) as engine:
-            assert engine.stats()["epoch_limit"] == 4  # starts at min
-
-            # Each saturated backlog (16/32 >= high fraction) is one deep
-            # observation -> one immediate doubling: 4 -> 8 -> 16.
-            for expected in (8, 16):
-                futures = self._gated_backlog(engine, 16)
-                for future in futures:
-                    future.result(30)
-                assert engine.flush(timeout=30)
-                assert engine.stats()["epoch_limit"] == expected
-
-            # Quiet traffic: single awaited writes keep depth at 1/32,
-            # below the low fraction.  Every cooldown_rounds-th quiet round
-            # halves the cap until it rests at min and stays there.
-            for edge in _edges(6 * self.CONFIG["epoch_cooldown_rounds"],
-                               offset=100):
-                engine.submit_write(edge).result(30)
-            assert engine.stats()["epoch_limit"] == 4
-            gauge = engine.metrics.get("serving_epoch_limit")
-            assert gauge.value() == 4.0
-
-    def test_wide_epochs_actually_coalesce_wider(self):
-        with ServingEngine(ExactTemporalGraph(),
-                           ServingConfig(**self.CONFIG)) as engine:
-            for _ in range(2):
-                for future in self._gated_backlog(engine, 16):
-                    future.result(30)
-            assert engine.flush(timeout=30)
-            histogram = engine.metrics.get("serving_epoch_edges")
-            report = histogram.report()
-            # At least one committed epoch coalesced past the fixed minimum.
-            assert report["p99"] > self.CONFIG["min_epoch_size"]
-
-
-class TestBurstyWorkloadGenerator:
-    def _stream(self):
-        return generate_stream(StreamSpec(num_vertices=50, num_edges=2_000,
-                                          time_span=1_000, seed=3,
-                                          name="bursty-src"))
-
-    @pytest.mark.parametrize("kwargs", [
-        {"burst_factor": 0.5},
-        {"burst_factor": 4.0},  # bursty but arrival stays "closed"
-        {"arrival": "open", "rate_rps": 100.0, "burst_factor": 4.0},
-        {"arrival": "open", "rate_rps": 100.0, "burst_factor": 4.0,
-         "burst_period_s": 1.0, "burst_duty": 1.0},
-    ])
-    def test_invalid_burst_specs_rejected(self, kwargs):
-        with pytest.raises(DatasetError):
-            MixedWorkloadSpec(num_requests=10, **kwargs).validate()
-
-    def test_bursty_arrivals_deterministic_and_monotone(self):
-        stream = self._stream()
-        spec = MixedWorkloadSpec(num_requests=400, arrival="open",
-                                 rate_rps=200.0, burst_factor=8.0,
-                                 burst_period_s=0.5, burst_duty=0.25, seed=7)
-        ops_a = generate_mixed_workload(stream, spec)
-        ops_b = generate_mixed_workload(stream, spec)
-        assert [op.arrival_s for op in ops_a] == \
-            [op.arrival_s for op in ops_b]
-        arrivals = [op.arrival_s for op in ops_a]
-        assert all(b >= a for a, b in zip(arrivals, arrivals[1:]))
-
-    def test_burst_windows_carry_excess_arrival_mass(self):
-        stream = self._stream()
-        spec = MixedWorkloadSpec(num_requests=1_000, arrival="open",
-                                 rate_rps=100.0, burst_factor=10.0,
-                                 burst_period_s=1.0, burst_duty=0.25, seed=7)
-        ops = generate_mixed_workload(stream, spec)
-        in_window = sum(1 for op in ops
-                        if (op.arrival_s % spec.burst_period_s) <
-                        spec.burst_period_s * spec.burst_duty)
-        # 25% duty at 10x rate: the burst window should hold the majority
-        # of arrivals (10*0.25 / (10*0.25 + 0.75) ~ 77%), far above the
-        # ~25% a homogeneous process would put there.
-        assert in_window / len(ops) > 0.5
-
-    def test_homogeneous_default_keeps_uniform_rate(self):
-        stream = self._stream()
-        spec = MixedWorkloadSpec(num_requests=1_000, arrival="open",
-                                 rate_rps=100.0, seed=7)
-        ops = generate_mixed_workload(stream, spec)
-        arrivals = [op.arrival_s for op in ops]
-        in_window = sum(1 for t in arrivals if (t % 1.0) < 0.25)
-        assert 0.15 < in_window / len(arrivals) < 0.35

@@ -186,8 +186,7 @@ def run_measurements(scale: float) -> Dict[str, float]:
     Informational absolute metrics (reported, not gated):
     ``batch_higgs_eps``, ``batch_higgs_per_item_eps``,
     ``sharded_wall_eps_1``, ``rebalance_measured_x``,
-    ``rebalance_recover_s``, ``serving_req_per_s``, ``serving_read_p99_ms``,
-    ``serving_burst_fixed_p99_ms``, ``serving_burst_adaptive_p99_ms``.
+    ``rebalance_recover_s``, ``serving_req_per_s``, ``serving_read_p99_ms``.
 
     ``sharded_parallel_x4`` is the 1-shard engine's projected time over
     the 4-shard engine's serial partition and dispatch overhead plus its
@@ -222,8 +221,6 @@ def run_measurements(scale: float) -> Dict[str, float]:
     closed = next(row for row in serving_rows if row["figure"] == "serving")
     overload = next(row for row in serving_rows
                     if row["figure"] == "serving-open")
-    burst = {row["policy"].split("-")[0]: row for row in serving_rows
-             if row["figure"] == "serving-burst"}
     offered = float(overload["requests"]) + float(overload["dropped"])
     return {
         "batch_higgs_speedup_x": float(higgs["speedup"]),
@@ -246,8 +243,6 @@ def run_measurements(scale: float) -> Dict[str, float]:
         "serving_shed_fraction": float(overload["dropped"]) / max(1.0, offered),
         "serving_req_per_s": float(closed["req_per_s"]),
         "serving_read_p99_ms": float(closed["read_p99_ms"]),
-        "serving_burst_fixed_p99_ms": float(burst["fixed"]["p99_ms"]),
-        "serving_burst_adaptive_p99_ms": float(burst["adaptive"]["p99_ms"]),
     }
 
 
