@@ -10,8 +10,8 @@ space, at the cost of decomposing into more (O(log² L)) intervals.
 The decomposition is a pure function of ``(t_start, t_end, allowed levels,
 max_level)``, so it is memoized process-wide: repeated-range workloads (the
 paper's Figs. 10-13 re-issue the same ranges hundreds of times) compute each
-plan once — the dyadic baselines' counterpart of HIGGS's
-:class:`~repro.core.boundary.QueryPlanCache`.
+plan once.  HIGGS's plans depend on its tree, which every insert changes,
+so :func:`~repro.core.boundary.boundary_search` is not memoized.
 """
 
 from __future__ import annotations

@@ -16,10 +16,10 @@ simulated bucket placement, which decides no answer, runs when
 vertex / path / subgraph queries can be answered over any temporal range —
 individually or in bulk via :meth:`Higgs.query_batch`.  A query packs each
 endpoint once; the packed key is the same integer at every tree layer.
-Range decompositions are memoized in a
-:class:`~repro.core.boundary.QueryPlanCache` keyed by
-``(t_start, t_end, tree.version)``, so repeated-range workloads skip the
-boundary search after the first query.
+Each call decomposes each of its ranges once
+(:func:`~repro.core.boundary.boundary_search`): a path or subgraph query
+shares one plan over its edges, and :meth:`Higgs.query_batch` one per
+distinct range of the batch.  No plan outlives its call.
 
 Example
 -------
@@ -37,11 +37,11 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..errors import InsertionError
+from ..errors import InsertionError, QueryError
 from ..streams.edge import StreamEdge, Vertex
 from ..summary import TemporalGraphSummary
 from . import vectorized
-from .boundary import QueryPlanCache
+from .boundary import RangeDecomposition, boundary_search
 from .config import HiggsConfig
 from .hashing import VertexHasher
 from .node import pack_edge, pack_vertex, vertex_bits
@@ -59,6 +59,18 @@ def _timestamp_error(timestamp: int) -> InsertionError:
 
 def _weight_error(weight: object) -> InsertionError:
     return InsertionError(f"weight {weight!r} is not a real number")
+
+
+def _real_weight(weight: object) -> float:
+    """``weight`` as a float, by the batch paths' rule
+    (:func:`~repro.core.vectorized.real_weights`); raises
+    :class:`~repro.errors.InsertionError` for anything else."""
+    if type(weight) is float:
+        return weight
+    values = vectorized.real_weights([weight])
+    if not len(values):
+        raise _weight_error(weight)
+    return float(values[0])
 
 
 class Higgs(TemporalGraphSummary):
@@ -84,7 +96,10 @@ class Higgs(TemporalGraphSummary):
                                     self.config.leaf_matrix_size,
                                     seed=self.config.hash_seed)
         self._tree = HiggsTree(self.config)
-        self._plan_cache = QueryPlanCache()
+        #: Range decompositions computed, and queries that reused one
+        #: within a :meth:`query_batch` call (:meth:`plan_cache_stats`).
+        self._plans_computed = 0
+        self._plans_reused = 0
         #: Vertex → (packed key, leaf-level probe rows), filled by the batch
         #: paths; outside :meth:`memory_bytes`, which models the paper's
         #: structure.
@@ -105,11 +120,7 @@ class Higgs(TemporalGraphSummary):
         timestamp = int(timestamp)
         if not _INT64_MIN <= timestamp <= _INT64_MAX:
             raise _timestamp_error(timestamp)
-        if type(weight) is not float:
-            values = vectorized.real_weights([weight])
-            if not len(values):
-                raise _weight_error(weight)
-            weight = float(values[0])
+        weight = _real_weight(weight)
         src_fingerprint, src_address = self._hasher.split(source)
         dst_fingerprint, dst_address = self._hasher.split(destination)
         self._tree.insert_hashed(src_fingerprint, dst_fingerprint,
@@ -212,8 +223,11 @@ class Higgs(TemporalGraphSummary):
 
         The matching leaf item and every materialized ancestor aggregate are
         decremented; if no leaf item matches (the item was never inserted)
-        the summary is left unchanged.
+        the summary is left unchanged.  A weight that is not a real number
+        raises :class:`~repro.errors.InsertionError`, as :meth:`insert`
+        does, before the tree is touched.
         """
+        weight = _real_weight(weight)
         src_fingerprint, src_address = self._hasher.split(source)
         dst_fingerprint, dst_address = self._hasher.split(destination)
         self._tree.delete_hashed(src_fingerprint, dst_fingerprint,
@@ -228,24 +242,27 @@ class Higgs(TemporalGraphSummary):
         fingerprint, address = self._hasher.split(vertex)
         return pack_vertex(fingerprint, address, self.config.fingerprint_bits)
 
-    def _edge_query_packed(self, source: int, destination: int,
-                           t_start: int, t_end: int) -> float:
+    def _plan(self, t_start: int, t_end: int) -> RangeDecomposition:
+        """Decompose a checked range (Algorithm 3), counting the plan."""
+        self._plans_computed += 1
+        return boundary_search(self._tree, t_start, t_end)
+
+    def _edge_answer(self, plan: RangeDecomposition, source: int,
+                     destination: int, t_start: int, t_end: int) -> float:
         edge = pack_edge(source, destination, vertex_bits(self.config))
-        decomposition = self._plan_cache.lookup(self._tree, t_start, t_end)
         total = 0.0
-        for node in decomposition.aggregated_nodes:
+        for node in plan.aggregated_nodes:
             total += node.query_edge(edge)
-        for leaf in decomposition.boundary_leaves:
+        for leaf in plan.boundary_leaves:
             total += leaf.query_edge(edge, t_start, t_end)
         return total
 
-    def _vertex_query_packed(self, vertex: int, t_start: int, t_end: int,
-                             direction: str) -> float:
-        decomposition = self._plan_cache.lookup(self._tree, t_start, t_end)
+    def _vertex_answer(self, plan: RangeDecomposition, vertex: int,
+                       t_start: int, t_end: int, direction: str) -> float:
         total = 0.0
-        for node in decomposition.aggregated_nodes:
+        for node in plan.aggregated_nodes:
             total += node.query_vertex(vertex, direction=direction)
-        for leaf in decomposition.boundary_leaves:
+        for leaf in plan.boundary_leaves:
             total += leaf.query_vertex(vertex, t_start, t_end,
                                        direction=direction)
         return total
@@ -254,44 +271,77 @@ class Higgs(TemporalGraphSummary):
                    t_start: int, t_end: int) -> float:
         """Estimated aggregated weight of ``source → destination`` in range."""
         self.check_range(t_start, t_end)
-        return self._edge_query_packed(self._pack(source),
-                                       self._pack(destination), t_start, t_end)
+        return self._edge_answer(self._plan(t_start, t_end),
+                                 self._pack(source), self._pack(destination),
+                                 t_start, t_end)
 
     def vertex_query(self, vertex: Vertex, t_start: int, t_end: int,
                      direction: str = "out") -> float:
         """Estimated aggregated weight of a vertex's incident edges in range."""
         self.check_range(t_start, t_end)
         self.check_direction(direction)
-        return self._vertex_query_packed(self._pack(vertex), t_start, t_end,
-                                         direction)
+        return self._vertex_answer(self._plan(t_start, t_end),
+                                   self._pack(vertex), t_start, t_end,
+                                   direction)
+
+    def subgraph_query(self, edges: Sequence[Tuple[Vertex, Vertex]],
+                       t_start: int, t_end: int) -> float:
+        """Aggregated weight of a set of edges: their edge queries' sum, in
+        order from ``0.0``, over one decomposition of the range.
+
+        Raises :class:`~repro.errors.QueryError` when ``edges`` is empty or
+        the range is malformed.  :meth:`path_query` sums its hops here.
+        """
+        if not edges:
+            raise QueryError("a subgraph query needs at least one edge")
+        self.check_range(t_start, t_end)
+        plan = self._plan(t_start, t_end)
+        total = 0.0
+        for source, destination in edges:
+            total += self._edge_answer(plan, self._pack(source),
+                                       self._pack(destination), t_start, t_end)
+        return total
 
     def query_batch(self, queries: Sequence) -> List[float]:
         """Answer a batch of query objects with shared per-batch state.
 
-        The batch's distinct query endpoints — path and subgraph queries'
-        included — are hashed and packed in one pass, bit-identical to the
-        per-item path's :meth:`VertexHasher.split` and :func:`pack_vertex`,
-        and each query then answers from its endpoints' packed keys at
-        every layer.  A path or subgraph query sums its edges' estimates in
-        order from ``0.0``, exactly as :meth:`path_query` and
-        :meth:`subgraph_query` do.  Any other query object falls back to
-        its own ``evaluate``.
+        Every query's range (and direction) is checked first.  The batch's
+        distinct query endpoints — path and subgraph queries' included —
+        are hashed and packed in one pass, bit-identical to the per-item
+        path's :meth:`VertexHasher.split` and :func:`pack_vertex`, and each
+        distinct range is decomposed once.  Each query then answers from
+        its range's plan and its endpoints' packed keys.  A path or
+        subgraph query sums its edges' estimates in order from ``0.0``,
+        exactly as :meth:`path_query` and :meth:`subgraph_query` do.  Any
+        other query object falls back to its own ``evaluate``.
         """
         distinct: Dict[Vertex, None] = {}
         composites: Dict[int, Sequence[Tuple[Vertex, Vertex]]] = {}
+        ranges: Dict[Tuple[int, int], None] = {}
+        planned = 0
         for position, query in enumerate(queries):
-            if hasattr(query, "destination"):
+            # Structural dispatch keeps this module free of an import cycle
+            # with :mod:`repro.queries.types`.
+            if hasattr(query, "destination"):  # edge query
+                self.check_range(query.t_start, query.t_end)
                 distinct.setdefault(query.source)
                 distinct.setdefault(query.destination)
-            elif hasattr(query, "vertex"):
+            elif hasattr(query, "vertex"):  # vertex query
+                self.check_range(query.t_start, query.t_end)
+                self.check_direction(query.direction)
                 distinct.setdefault(query.vertex)
-            else:
+            else:  # path / subgraph query, or another query object
                 pairs = self.composite_pairs(query)
-                if pairs is not None:
-                    composites[position] = pairs
-                    for source, destination in pairs:
-                        distinct.setdefault(source)
-                        distinct.setdefault(destination)
+                if pairs is None:
+                    continue
+                composites[position] = pairs
+                for source, destination in pairs:
+                    distinct.setdefault(source)
+                    distinct.setdefault(destination)
+            ranges.setdefault((query.t_start, query.t_end))
+            planned += 1
+        plans = {key: self._plan(*key) for key in ranges}
+        self._plans_reused += planned - len(plans)
         vertices = list(distinct)
         fingerprints, addresses = vectorized.split_array(
             vectorized.hash64_array(vertices, self.config.hash_seed),
@@ -301,26 +351,24 @@ class Higgs(TemporalGraphSummary):
 
         results: List[float] = []
         append = results.append
+        edge_answer = self._edge_answer
         for position, query in enumerate(queries):
-            # Structural dispatch keeps this module free of an import cycle
-            # with :mod:`repro.queries.types`.
-            if hasattr(query, "destination"):  # edge query
-                self.check_range(query.t_start, query.t_end)
-                append(self._edge_query_packed(packed[query.source],
-                                               packed[query.destination],
-                                               query.t_start, query.t_end))
-            elif hasattr(query, "vertex"):  # vertex query
-                self.check_range(query.t_start, query.t_end)
-                self.check_direction(query.direction)
-                append(self._vertex_query_packed(packed[query.vertex],
-                                                 query.t_start, query.t_end,
-                                                 query.direction))
-            elif position in composites:  # path / subgraph query
+            if hasattr(query, "destination"):
+                t_start, t_end = query.t_start, query.t_end
+                append(edge_answer(plans[t_start, t_end], packed[query.source],
+                                   packed[query.destination], t_start, t_end))
+            elif hasattr(query, "vertex"):
+                t_start, t_end = query.t_start, query.t_end
+                append(self._vertex_answer(plans[t_start, t_end],
+                                           packed[query.vertex], t_start,
+                                           t_end, query.direction))
+            elif position in composites:
+                t_start, t_end = query.t_start, query.t_end
+                plan = plans[t_start, t_end]
                 total = 0.0
                 for source, destination in composites[position]:
-                    total += self._edge_query_packed(
-                        packed[source], packed[destination],
-                        query.t_start, query.t_end)
+                    total += edge_answer(plan, packed[source],
+                                         packed[destination], t_start, t_end)
                 append(total)
             else:
                 append(query.evaluate(self))
@@ -330,14 +378,11 @@ class Higgs(TemporalGraphSummary):
     # introspection
     # ------------------------------------------------------------------ #
 
-    @property
-    def plan_cache(self) -> QueryPlanCache:
-        """The query-plan cache memoizing range decompositions."""
-        return self._plan_cache
-
     def plan_cache_stats(self) -> Dict[str, int]:
-        """Hit/miss/size counters of the query-plan cache."""
-        return self._plan_cache.stats()
+        """Plan counters: ``misses`` counts the range decompositions
+        computed, and ``hits`` the queries that reused one computed earlier
+        in the same :meth:`query_batch` call."""
+        return {"hits": self._plans_reused, "misses": self._plans_computed}
 
     @property
     def tree(self) -> HiggsTree:

@@ -30,14 +30,13 @@ nodes.  Aggregation builds a node's exact maps only; Algorithm 2's
 simulated bucket placement, which decides no answer, runs when
 :meth:`HiggsTree.memory_bytes` or :meth:`HiggsTree.stats` first needs it
 (:func:`~repro.core.aggregation.place_levels`), so the first such call
-after a large ingest pays for it.  The tree also carries a monotonically
-increasing :attr:`version`, bumped by every mutation (placing a node is
-not one), which query-plan caches use as their invalidation key.
+after a large ingest pays for it.
 """
 
 from __future__ import annotations
 
 import bisect
+from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import InsertionError
@@ -45,6 +44,9 @@ from .aggregation import aggregate_internal, aggregate_leaves, place_levels
 from .config import HiggsConfig
 from .hashing import probe_address
 from .node import InternalNode, LeafNode, pack_edge, pack_vertex, vertex_bits
+
+_T_MIN = attrgetter("t_min")
+_T_MAX = attrgetter("t_max")
 
 
 class HiggsTree:
@@ -58,7 +60,6 @@ class HiggsTree:
         self._last_timestamp: Optional[int] = None
         self._monotonic = True
         self._items_inserted = 0
-        self._version = 0
 
     # ------------------------------------------------------------------ #
     # structure accessors
@@ -78,12 +79,6 @@ class HiggsTree:
     def items_inserted(self) -> int:
         """Total number of stream items inserted so far."""
         return self._items_inserted
-
-    @property
-    def version(self) -> int:
-        """Mutation counter: bumped by every insert/delete that may change a
-        range decomposition.  Query-plan caches key on it for invalidation."""
-        return self._version
 
     def internal_node(self, level: int, index: int) -> Optional[InternalNode]:
         """Return the materialized internal node at ``(level, index)`` or None.
@@ -168,14 +163,10 @@ class HiggsTree:
         finally:
             # Runs even when an item raises mid-batch: account exactly the
             # items applied and aggregate every group completed so far, so
-            # the tree stays consistent and query-plan caches invalidate.
+            # the tree stays consistent.
             count = start + leaf.arrivals - arrivals
             self._note_timestamps(timestamps[:count])
             self._items_inserted += count
-            if count or pending_groups:
-                # +1 covers a failed item that already closed a leaf; the
-                # version only needs to grow on mutation.
-                self._version += count + 1
             # Groups aggregate in leaf order, so internal nodes materialize
             # in order (``_append_internal`` enforces this).
             for index in pending_groups:
@@ -256,7 +247,6 @@ class HiggsTree:
                 break
         else:
             return False
-        self._version += 1
         for nodes in self._internal:
             index //= self.config.fanout
             if index >= len(nodes):
@@ -264,22 +254,35 @@ class HiggsTree:
             nodes[index].decrement(edge, source, destination, weight)
         return True
 
-    def _candidate_leaf_indices(self, timestamp: int) -> List[int]:
-        """Leaf indices whose time range may contain ``timestamp``."""
+    def _candidate_leaf_indices(self, timestamp: int) -> Sequence[int]:
+        """Leaf indices whose time range contains ``timestamp``, latest
+        first on a monotonic tree and earliest first otherwise."""
+        first, stop = self.leaf_span(timestamp, timestamp)
+        if self._monotonic:
+            return range(stop - 1, first - 1, -1)
+        return [i for i in range(first, stop)
+                if self.leaves[i].overlaps(timestamp, timestamp)]
+
+    def leaf_span(self, t_start: int, t_end: int) -> Tuple[int, int]:
+        """``(first, stop)``: every leaf overlapping ``[t_start, t_end]``
+        has an index in ``range(first, stop)``.
+
+        A monotonic stream fills leaves in time order, so their ``t_min``
+        and ``t_max`` are both sorted, and the span is bisected: ``first``
+        is the first leaf with ``t_max >= t_start`` and ``stop`` the first
+        with ``t_min > t_end``, and every leaf between overlaps.  Only the
+        open leaf can be empty, and it is left out.  Any other tree spans
+        every leaf.
+        """
+        leaves = self.leaves
+        count = len(leaves)
         if not self._monotonic:
-            return [i for i, leaf in enumerate(self.leaves)
-                    if leaf.overlaps(timestamp, timestamp)]
-        # A monotonic stream fills leaves in time order, so their ``t_min``
-        # values are sorted; an empty leaf sorts as ``timestamp``.
-        index = bisect.bisect_right(
-            self.leaves, timestamp,
-            key=lambda leaf: timestamp if leaf.t_min is None else leaf.t_min
-        ) - 1
-        candidates = []
-        while index >= 0 and self.leaves[index].overlaps(timestamp, timestamp):
-            candidates.append(index)
-            index -= 1
-        return candidates
+            return 0, count
+        if count and leaves[-1].t_min is None:
+            count -= 1
+        first = bisect.bisect_left(leaves, t_start, 0, count, key=_T_MAX)
+        return first, bisect.bisect_right(leaves, t_end, first, count,
+                                          key=_T_MIN)
 
     # ------------------------------------------------------------------ #
     # accounting

@@ -50,6 +50,7 @@ import threading
 from collections import deque
 from typing import Any, Deque, Dict, Iterable, List, Optional, Union
 
+from ..core import vectorized
 from ..core.config import ServingConfig
 from ..errors import ServingError
 from ..observability import MetricsRegistry, WindowedHistogram
@@ -189,8 +190,10 @@ class ServingEngine:
         Raises
         ------
         ServingError
-            When the engine is closed, or immediately under the ``"drop"``
-            policy when the admission queue is full.
+            When the engine is closed, when the payload is empty, holds a
+            malformed item or a weight that is not a real number, or
+            immediately under the ``"drop"`` policy when the admission
+            queue is full.
         """
         request = WriteRequest(self._normalize_edges(edges))
         self._admit(request)
@@ -354,31 +357,42 @@ class ServingEngine:
 
         A 4-tuple is one raw item when its first element is a vertex id,
         not itself an item (a ``StreamEdge``, tuple or list); otherwise it
-        is a batch of four items.
+        is a batch of four items.  Every weight, a raw item's or a
+        ``StreamEdge``'s, must be a real number by HIGGS's insert rule
+        (:func:`~repro.core.vectorized.real_weights`), or the write is
+        refused whole; a raw item's weight is stored as a float.
         """
-        if isinstance(edges, StreamEdge):
-            return [edges]
+        if isinstance(edges, StreamEdge) or (
+                isinstance(edges, tuple) and len(edges) == 4
+                and not isinstance(edges[0], (StreamEdge, tuple, list))):
+            edges = [edges]
+        normalized: List[StreamEdge] = []
+        raw: List[int] = []
         # The payload is caller-supplied; a malformed item must surface as
         # ServingError, not a bare ValueError/TypeError (ERR002).
         try:
-            if isinstance(edges, tuple) and len(edges) == 4 and \
-                    not isinstance(edges[0], (StreamEdge, tuple, list)):
-                source, destination, weight, timestamp = edges
-                return [StreamEdge(source, destination,
-                                   float(weight), int(timestamp))]
-            normalized: List[StreamEdge] = []
             for item in edges:
-                if isinstance(item, StreamEdge):
-                    normalized.append(item)
-                else:
+                if not isinstance(item, StreamEdge):
                     source, destination, weight, timestamp = item
-                    normalized.append(StreamEdge(source, destination,
-                                                 float(weight), int(timestamp)))
+                    raw.append(len(normalized))
+                    item = StreamEdge(source, destination, weight,
+                                      int(timestamp))
+                normalized.append(item)
         except (TypeError, ValueError) as exc:
             raise ServingError(
                 f"malformed stream item in write payload: {exc}") from exc
         if not normalized:
             raise ServingError("a write request needs at least one stream item")
+        weights = [edge.weight for edge in normalized]
+        values = vectorized.real_weights(weights).tolist()
+        if len(values) < len(weights):
+            raise ServingError(
+                f"weight {weights[len(values)]!r} in write payload is not a "
+                "real number")
+        for k in raw:
+            edge = normalized[k]
+            normalized[k] = StreamEdge(edge.source, edge.destination,
+                                       values[k], edge.timestamp)
         return normalized
 
     def _admit(self, request: _Request) -> None:

@@ -631,25 +631,13 @@ class ShardedSummary(TemporalGraphSummary):
         self._raise_scatter_failure("vertex_query", results)
         return sum(results[shard].value for shard in sorted(results))
 
-    def path_query(self, path: Sequence[Vertex], t_start: int, t_end: int) -> float:
-        """Aggregated weight along a vertex path (sum of per-hop edge queries).
-
-        The hops are grouped by owning shard and each involved shard answers
-        one bulk sub-query over its hops; the per-shard sums are added.
-        Raises :class:`~repro.errors.QueryError` for paths shorter than two
-        vertices or malformed ranges.
-        """
-        if len(path) < 2:
-            raise QueryError("a path query needs at least two vertices")
-        return self.subgraph_query(list(zip(path[:-1], path[1:], strict=True)),
-                                   t_start, t_end)
-
     def subgraph_query(self, edges: Sequence[Tuple[Vertex, Vertex]],
                        t_start: int, t_end: int) -> float:
         """Aggregated weight of a set of edges (sum of per-edge queries).
 
         Each involved shard answers a single ``subgraph_query`` over the
-        edges it owns; the per-shard sums are added in shard order.  Raises
+        edges it owns; the per-shard sums are added in shard order.
+        :meth:`path_query` sums a path's hops here.  Raises
         :class:`~repro.errors.QueryError` on an empty edge set or a
         malformed range.
         """

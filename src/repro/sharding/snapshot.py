@@ -54,7 +54,9 @@ FACTORY_NAME = "factory.pkl"
 #: drop their fingerprint and vertex widths.
 #: Version 4: HIGGS leaves keep bucket occupancy and their overflow-block
 #: keys instead of each key's bucket, and a summary pickles its vertex memo.
-FORMAT_VERSION = 4
+#: Version 5: a HIGGS summary pickles plan counters, not a query-plan
+#: cache, and its tree no longer pickles a mutation counter.
+FORMAT_VERSION = 5
 
 #: A payload checksum as the manifest records it (``hexdigest()`` form).
 _SHA256_HEX = re.compile(r"[0-9a-f]{64}")

@@ -12,7 +12,7 @@ Batch execution
 :meth:`insert_batch` and :meth:`query_batch` are the bulk entry points used
 by the throughput experiments.  Their default implementations fall back to
 the per-item methods, so every summary supports them; structures with a
-cheaper bulk path (pre-hashed inserts, memoized range decompositions)
+cheaper bulk path (pre-hashed inserts, range decompositions shared per batch)
 override them with a native implementation that produces *bit-identical*
 results.  :meth:`insert_stream` chunks a stream through :meth:`insert_batch`,
 so any summary with a native batch path accelerates stream replay for free.
@@ -196,9 +196,10 @@ class TemporalGraphSummary(ABC):
 
         Each element must expose ``evaluate(summary)`` (the protocol of
         :mod:`repro.queries.types`).  The default implementation evaluates
-        queries one at a time; summaries with shared per-batch state (plan
-        caches, memoized hash lifts) override it.  Overrides must return
-        estimates bit-identical to the per-item path.
+        queries one at a time; summaries with shared per-batch state (one
+        plan per distinct range, one hash per distinct vertex) override
+        it.  Overrides must return estimates bit-identical to the per-item
+        path.
         """
         return [query.evaluate(self) for query in queries]
 
@@ -207,19 +208,17 @@ class TemporalGraphSummary(ABC):
     # ------------------------------------------------------------------ #
 
     def path_query(self, path: Sequence[Vertex], t_start: int, t_end: int) -> float:
-        """Aggregated weight along a vertex path: the sum of the edge queries
-        of every consecutive pair.
+        """Aggregated weight along a vertex path: :meth:`subgraph_query`
+        over its consecutive pairs, in path order.
 
         Raises :class:`~repro.errors.QueryError` when ``path`` has fewer
-        than two vertices, or (from the underlying edge queries) when the
-        range is malformed.
+        than two vertices, or (from :meth:`subgraph_query`) when the range
+        is malformed.
         """
         if len(path) < 2:
             raise QueryError("a path query needs at least two vertices")
-        total = 0.0
-        for src, dst in zip(path[:-1], path[1:], strict=True):
-            total += self.edge_query(src, dst, t_start, t_end)
-        return total
+        return self.subgraph_query(list(zip(path[:-1], path[1:], strict=True)),
+                                   t_start, t_end)
 
     def subgraph_query(self, edges: Sequence[Tuple[Vertex, Vertex]],
                        t_start: int, t_end: int) -> float:

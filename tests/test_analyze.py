@@ -486,12 +486,12 @@ class TestDriver:
         dead001 = {e["symbol"] for e in entries if e["rule"] == "DEAD001"}
         assert dead001 == {
             "ShardedSummary.shard_summaries", "ShardedSummary.snapshot_items",
-            "HiggsTree.internal_levels", "ShardPartitioner.has_reassignments",
+            "HiggsTree.internal_node", "ShardPartitioner.has_reassignments",
             "ExactTemporalGraph.item_count", "interval_bounds",
             "RangeDecomposition.matrices_accessed", "Horae.num_layers",
             "AuxoTime.num_layers", "PGSS.num_granularities",
-            "Auxo.node_count", "Higgs.plan_cache",
-            "ServingEngine.run_maintenance", "ServingEngine.epoch",
+            "Auxo.node_count", "ServingEngine.run_maintenance",
+            "ServingEngine.epoch",
             "ServingEngine.render_prometheus",
             "ServingEngine.latency_percentiles", "SnapshotEmitter",
             "SnapshotEmitter.emitted", "SnapshotEmitter.sink_errors",

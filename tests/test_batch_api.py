@@ -17,6 +17,7 @@ from repro.baselines.auxo import Auxo
 from repro.baselines.exact import ExactTemporalGraph
 from repro.bench.methods import make_methods
 from repro.errors import InsertionError, ShardingError
+from repro.queries.types import EdgeQuery
 from repro.queries.workload import QueryWorkloadGenerator, WorkloadConfig
 from repro.sharding import HiggsShardFactory, ShardedSummary
 from repro.streams.edge import StreamEdge
@@ -149,9 +150,11 @@ class TestBatchExceptionSafety:
 
         with pytest.raises(RuntimeError, match="stream died"):
             summary.insert_batch(poisoned(150))
-        # Every applied item is accounted and the plan cache invalidates.
+        # Every applied item is accounted and answers.
         assert summary.tree.items_inserted == 150
-        assert summary.tree.version > 0
+        assert summary.query_batch(
+            [EdgeQuery(f"s{i}", f"d{i}", 0, 10_000) for i in range(200)]) \
+            == [1.0] * 150 + [0.0] * 50
         # Groups completed before the failure were aggregated, so continued
         # per-item insertion cascades cleanly (no out-of-order materialize).
         for i in range(150, 700):

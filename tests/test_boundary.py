@@ -2,12 +2,20 @@
 
 from __future__ import annotations
 
-import pytest
+import itertools
+import random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import walk_plan
+
+from repro import Higgs
 from repro.core.boundary import boundary_search
 from repro.core.config import HiggsConfig
 from repro.core.hashing import VertexHasher
 from repro.core.tree import HiggsTree
+from repro.streams.edge import StreamEdge
 
 
 @pytest.fixture()
@@ -75,45 +83,6 @@ class TestBoundarySearch:
         assert result.aggregated_nodes == []
         assert 1 <= len(result.boundary_leaves) <= 3
 
-    def test_nodes_visited_counted(self, loaded_tree):
-        result = boundary_search(loaded_tree, 0, 599)
-        assert result.nodes_visited > 0
-
-    def test_nodes_visited_excludes_phantom_children(self):
-        """Regression: positions past the last leaf are not real nodes.
-
-        With 5 leaves (fanout 4) the implicit tree spans 16 leaf slots; the
-        old counter charged the phantom subtrees under slots 5-15 as
-        "visited", inflating the efficiency metric.  A full-range search
-        inspects exactly 4 real nodes: the root position, the complete
-        level-2 group, the partial level-2 position, and leaf 4.
-        """
-        config = HiggsConfig(leaf_matrix_size=4, bucket_entries=1,
-                             fingerprint_bits=12, num_probes=1,
-                             enable_overflow_blocks=False)
-        hasher = VertexHasher(config.fingerprint_bits, config.leaf_matrix_size)
-        tree = HiggsTree(config)
-        i = 0
-        while tree.leaf_count < 5:
-            fs, hs = hasher.split(f"s{i}")
-            fd, hd = hasher.split(f"d{i}")
-            tree.insert_hashed(fs, fd, hs, hd, 1.0, i)
-            i += 1
-        assert tree.leaf_count == 5
-        t_max = max(leaf.t_max for leaf in tree.leaves)
-        result = boundary_search(tree, 0, t_max)
-        # root (3,0) + (2,0) complete + (2,1) partial + leaf 4 = 4 real nodes;
-        # phantom positions (2,2), (2,3) and leaves 5-7 must not count.
-        assert result.nodes_visited == 4
-
-    def test_nodes_visited_counts_real_nodes_on_full_tree(self, loaded_tree):
-        """Every visited position of a full-range search is a real node, so
-        the count is bounded by the number of nodes that exist."""
-        result = boundary_search(loaded_tree, 0, 599)
-        real_nodes = loaded_tree.leaf_count + sum(
-            len(nodes) for nodes in loaded_tree.internal_levels()) + 1
-        assert result.nodes_visited <= real_nodes
-
     def test_larger_ranges_do_not_explode_matrix_accesses(self, loaded_tree):
         small = boundary_search(loaded_tree, 290, 310)
         large = boundary_search(loaded_tree, 0, 599)
@@ -121,3 +90,60 @@ class TestBoundarySearch:
         # matrices logarithmic in the leaf count, not linear.
         assert large.matrices_accessed <= small.matrices_accessed + \
             4 * loaded_tree.height + 4
+
+
+@st.composite
+def _filled_summaries(draw):
+    """A small-config HIGGS holding 0-1,500 items, built through
+    ``insert_batch`` or per-item ``insert``.
+
+    Timestamps start at 10 and come sorted, in runs of equal values that
+    straddle leaf boundaries, or shuffled.  Random lengths leave the spine's
+    upper groups incomplete.
+    """
+    config = HiggsConfig(leaf_matrix_size=draw(st.sampled_from([2, 4])),
+                         bucket_entries=draw(st.sampled_from([1, 2])),
+                         enable_overflow_blocks=draw(st.booleans()),
+                         fingerprint_bits=8, num_probes=2, fanout=4)
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    count = rng.choice((rng.randrange(40), rng.randrange(1501)))
+    stamps = [10 + step for step in itertools.accumulate(
+        rng.choice((0, 0, 0, 1, 3)) for _ in range(count))]
+    if draw(st.booleans()):
+        rng.shuffle(stamps)
+    edges = [StreamEdge(f"v{rng.randrange(40)}", f"v{rng.randrange(40)}",
+                        1.0, stamp) for stamp in stamps]
+    summary = Higgs(config)
+    if draw(st.booleans()):
+        summary.insert_batch(edges)
+    else:
+        for edge in edges:
+            summary.insert(edge.source, edge.destination, edge.weight,
+                           edge.timestamp)
+    return summary, rng
+
+
+class TestPlanMatchesWalk:
+    """The one left-to-right pass yields the top-down walk's plan: the same
+    aggregated nodes and boundary leaves, in the same order, so every
+    answer sums in the same order."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_filled_summaries())
+    def test_plan_is_the_walks(self, built):
+        summary, rng = built
+        tree = summary.tree
+        low = min((leaf.t_min for leaf in tree.leaves), default=10)
+        high = max((leaf.t_max for leaf in tree.leaves), default=10)
+        # Ranges that start before the span, end after it, or miss it.
+        ranges = [(low - 10, low - 1), (high + 1, high + 10),
+                  (low - 10, high + 10)] + [
+            tuple(sorted(rng.randint(low - 10, high + 10) for _ in range(2)))
+            for _ in range(300)]
+        for t_start, t_end in ranges:
+            plan = boundary_search(tree, t_start, t_end)
+            walk = walk_plan(tree, t_start, t_end)
+            assert [id(node) for node in plan.aggregated_nodes] == \
+                [id(node) for node in walk.aggregated_nodes]
+            assert [id(leaf) for leaf in plan.boundary_leaves] == \
+                [id(leaf) for leaf in walk.boundary_leaves]

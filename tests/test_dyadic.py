@@ -92,3 +92,22 @@ class TestHelpers:
         assert compact_levels(5, stride=3) == [0, 3]
         with pytest.raises(QueryError):
             compact_levels(5, stride=0)
+
+
+class TestDyadicCache:
+    def test_memoized_decomposition_is_stable(self):
+        first = dyadic_intervals(13, 799, max_level=12)
+        second = dyadic_intervals(13, 799, max_level=12)
+        assert first == second
+        covered = []
+        for level, prefix in first:
+            start = prefix << level
+            covered.extend(range(start, start + (1 << level)))
+        assert covered == list(range(13, 800))
+
+    def test_allowed_levels_iterables_normalize(self):
+        as_list = dyadic_intervals(0, 255, allowed_levels=[0, 2, 4],
+                                   max_level=8)
+        as_tuple = dyadic_intervals(0, 255, allowed_levels=(4, 2, 0),
+                                    max_level=8)
+        assert as_list == as_tuple

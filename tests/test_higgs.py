@@ -118,6 +118,34 @@ class TestDeletion:
         assert higgs.edge_query("a", "b", 0, 10) == 1.0
 
 
+class TestAnswersFollowMutation:
+    """No range decomposition outlives its call, so an insert or delete
+    between two queries of one range shows in the second answer."""
+
+    @staticmethod
+    def _loaded(items: int = 600) -> Higgs:
+        summary = Higgs(HiggsConfig(leaf_matrix_size=4, bucket_entries=1,
+                                    fingerprint_bits=12, num_probes=1,
+                                    enable_overflow_blocks=False))
+        for i in range(items):
+            summary.insert(f"s{i}", f"d{i}", 1.0, i)
+        return summary
+
+    def test_insert_between_queries_shows(self):
+        summary = self._loaded()
+        before = summary.edge_query("s1", "d1", 0, 10_000)
+        summary.insert("s1", "d1", 2.5, 700)
+        after = summary.edge_query("s1", "d1", 0, 10_000)
+        assert after == pytest.approx(before + 2.5)
+
+    def test_delete_between_queries_shows(self):
+        summary = self._loaded()
+        before = summary.edge_query("s3", "d3", 0, 10_000)
+        summary.delete("s3", "d3", 1.0, 3)
+        assert summary.edge_query("s3", "d3", 0, 10_000) == \
+            pytest.approx(before - 1.0)
+
+
 class TestIntrospection:
     def test_stats_and_memory(self, small_stream):
         summary = Higgs()

@@ -18,6 +18,7 @@ import pytest
 from repro import Higgs, HiggsConfig
 from repro.core.aggregation import lift_coordinates
 from repro.core.node import pack_edge, pack_vertex, vertex_bits
+from repro.errors import InsertionError
 
 
 def _small_config() -> HiggsConfig:
@@ -40,11 +41,15 @@ class TestDeleteNeverInserted:
         summary.delete("ghost-src", "ghost-dst", 1.0, 50)
         assert pickle.dumps(summary.tree) == before
 
-    def test_version_unchanged_on_miss(self):
+    @pytest.mark.parametrize("weight", [None, "3", 1j])
+    def test_weight_that_is_not_real_refused(self, weight):
+        # The insert paths' weight rule: InsertionError, raised before the
+        # tree is touched, not a builtin error from inside the leaf.
         summary = _loaded()
-        version = summary.tree.version
-        summary.delete("ghost-src", "ghost-dst", 1.0, 50)
-        assert summary.tree.version == version
+        before = pickle.dumps(summary.tree)
+        with pytest.raises(InsertionError, match="not a real number"):
+            summary.delete("s1", "d1", weight, 1)
+        assert pickle.dumps(summary.tree) == before
 
     def test_wrong_timestamp_is_a_miss(self):
         summary = _loaded()

@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from repro import ServingConfig, ServingEngine, ShardedSummary
+from repro import Higgs, ServingConfig, ServingEngine, ShardedSummary
 from repro.baselines.exact import ExactTemporalGraph
 from repro.errors import ConfigurationError, DatasetError, QueryError, ServingError
 from repro.observability import nearest_rank
@@ -161,6 +161,31 @@ class TestServingEngineBasics:
             assert engine.submit_write(payload).result(5) == count
             assert engine.submit_query(
                 EdgeQuery("a", "b", 0, 10)).result(5) == float(count)
+
+    def test_raw_weight_that_is_not_real_refused(self):
+        # HIGGS refuses "3"; admission must not turn it into 3.0 first.
+        with ServingEngine(Higgs()) as engine:
+            with pytest.raises(ServingError, match="not a real number"):
+                engine.submit_write(("g", "h", "3", 4))
+            assert engine.submit_query(EdgeQuery("g", "h", 0, 10)).result(5) \
+                == 0.0
+
+    def test_batch_with_a_weight_that_is_not_real_refused_whole(self):
+        # Refused at admission, so no prefix of the batch is applied and no
+        # read of its round is aborted.
+        batch = [StreamEdge("a", "b", 1.0, 1), StreamEdge("c", "d", None, 2),
+                 StreamEdge("e", "f", 1.0, 3)]
+        with ServingEngine(Higgs()) as engine:
+            release = _hold_scheduler(engine)
+            read = engine.submit_query(EdgeQuery("a", "b", 0, 10))
+            try:
+                with pytest.raises(ServingError, match="not a real number"):
+                    engine.submit_write(batch)
+            finally:
+                release.set()
+            assert read.result(5) == 0.0
+            assert engine.submit_query(EdgeQuery("a", "b", 0, 10)).result(5) \
+                == 0.0
 
     def test_submit_after_close_rejected(self):
         engine = ServingEngine(ExactTemporalGraph())

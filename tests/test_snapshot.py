@@ -207,7 +207,7 @@ class TestSnapshotFormat:
         with pytest.raises(SnapshotError, match="checksum"):
             ShardedSummary.restore(path)
 
-    @pytest.mark.parametrize("version", [1, 2, 3])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4])
     def test_old_format_version_refuses(self, snapshot_dir, version):
         # A correctly checksummed manifest from an older format version,
         # whose HIGGS payloads pickle an old node layout, must not load.
@@ -220,10 +220,10 @@ class TestSnapshotFormat:
         manifest["checksum"] = snapshot_format._body_checksum(manifest["body"])
         with open(manifest_path, "w", encoding="utf-8") as handle:
             json.dump(manifest, handle)
-        assert snapshot_format.FORMAT_VERSION == 4
+        assert snapshot_format.FORMAT_VERSION == 5
         with pytest.raises(SnapshotError,
                            match=f"format version {version}; this build "
-                                 "reads version 4"):
+                                 "reads version 5"):
             ShardedSummary.restore(path)
 
     @pytest.mark.parametrize("field, value", [

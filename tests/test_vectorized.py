@@ -337,7 +337,6 @@ def test_placement_time_changes_nothing(items, shuffled, data):
                     twin.vertex_query(vertex, t_start, t_end, direction)
     assert probed.memory_bytes() == twin.memory_bytes()
     assert _tree_digest(probed) == _tree_digest(twin)
-    assert probed.tree.version == twin.tree.version
 
 
 # Spill- and overflow-forcing configs: one- and two-slot buckets in 2 x 2
@@ -472,13 +471,11 @@ def test_item_raising_mid_run_keeps_accounting_exact():
     twin = Higgs(_SMALL)
     twin.insert_batch(pack_edges(edges[:bad]))
     assert summary.tree.items_inserted == twin.tree.items_inserted == bad
-    assert summary.tree.version == twin.tree.version
     assert summary.height >= 2
     assert _tree_digest(summary) == _tree_digest(twin)
     for built in (summary, twin):
         built.insert_batch(edges[bad:])
     assert _tree_digest(summary) == _tree_digest(twin)
-    assert summary.tree.version == twin.tree.version
 
 
 def test_integer_vertex_ids_hash_by_value():
