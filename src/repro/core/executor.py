@@ -28,13 +28,14 @@ import pickle
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import ShardingError
 from ..streams.edge import StreamEdge, Vertex
-from .vectorized import real_weights
+from .vectorized import int64_timestamps, real_weights
 
 #: Reserved method name: returns the worker's load counters —
 #: ``{"busy_seconds": float, "calls": int}`` — in one round trip instead of
@@ -121,34 +122,44 @@ def pack_edges(edges: Sequence) -> PackedEdges:
     """Pack an edge sequence into a :class:`PackedEdges` batch.
 
     Raises ``ValueError`` for a weight that is not a real number
-    (:func:`~repro.core.vectorized.real_weights`), and whatever the edge
-    attributes raise on conversion (``OverflowError`` for out-of-range
-    timestamps, ...); callers treat any failure as "send the list instead",
-    so the summary that receives the list decides.
+    (:func:`~repro.core.vectorized.real_weights`), ``TypeError`` for a
+    timestamp that is not an integer and ``OverflowError`` for one outside
+    ``int64`` (:func:`~repro.core.vectorized.int64_timestamps`), and
+    whatever reading the edge attributes raises; callers treat any failure
+    as "send the list instead", so the summary that receives the list
+    decides.
     """
     index: Dict[Vertex, int] = {}
     setdefault = index.setdefault
     src_idx: List[int] = []
     dst_idx: List[int] = []
     weights: List[Any] = []
-    timestamps: List[int] = []
+    timestamps: List[Any] = []
     for edge in edges:
         src_idx.append(setdefault(edge.source, len(index)))
         dst_idx.append(setdefault(edge.destination, len(index)))
         weights.append(edge.weight)
-        timestamps.append(int(edge.timestamp))
+        timestamps.append(edge.timestamp)
+    # Packing fails with the builtin errors numpy's conversions raise; the
+    # worker catches them and sends the list instead.
     values = real_weights(weights)
     if len(values) < len(weights):
-        # Packing fails with the builtin errors numpy's conversions raise;
-        # the worker catches them and sends the list instead.
         # repro-lint: ok ERR001 — see above
         raise ValueError(
             f"weight {weights[len(values)]!r} is not a real number")
+    stamps = int64_timestamps(timestamps)
+    if len(stamps) < len(timestamps):
+        stamp = timestamps[len(stamps)]
+        if isinstance(stamp, Integral):
+            # repro-lint: ok ERR001 — see above
+            raise OverflowError(f"timestamp {stamp} is outside int64")
+        # repro-lint: ok ERR001 — see above
+        raise TypeError(f"timestamp {stamp!r} is not an integer")
     records = np.empty(len(src_idx), dtype=EDGE_DTYPE)
     records["src"] = src_idx
     records["dst"] = dst_idx
     records["weight"] = values
-    records["timestamp"] = timestamps
+    records["timestamp"] = stamps
     return PackedEdges(list(index), records)
 
 

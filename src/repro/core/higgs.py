@@ -15,8 +15,10 @@ simulated bucket placement, which decides no answer, runs when
 :meth:`Higgs.memory_bytes` or :meth:`Higgs.stats` first needs it.  Edge /
 vertex / path / subgraph queries can be answered over any temporal range —
 individually or in bulk via :meth:`Higgs.query_batch`.  A query packs each
-endpoint once; the packed key is the same integer at every tree layer.
-Each call decomposes each of its ranges once
+endpoint once, the same integer at every tree layer: the memo's key when
+batch ingest has met the endpoint, else a hash that is not stored, so
+queries never write the memo.  It reads the nodes' maps in place.  Each
+call decomposes each of its ranges once
 (:func:`~repro.core.boundary.boundary_search`): a path or subgraph query
 shares one plan over its edges, and :meth:`Higgs.query_batch` one per
 distinct range of the batch.  No plan outlives its call.
@@ -50,15 +52,30 @@ from .tree import HiggsTree
 _INT64_MIN = -(1 << 63)
 _INT64_MAX = (1 << 63) - 1
 
+#: Query kinds :meth:`Higgs.query_batch` tells apart in its first pass.
+_EDGE, _OUT, _IN = range(3)
 
-def _timestamp_error(timestamp: int) -> InsertionError:
+
+def _timestamp_error(timestamp: object) -> InsertionError:
     return InsertionError(
-        f"timestamp {timestamp} is outside the int64 range of the batch "
-        "and packed-edge formats")
+        f"timestamp {timestamp!r} is not an integer within the int64 range "
+        "of the batch and packed-edge formats")
 
 
 def _weight_error(weight: object) -> InsertionError:
     return InsertionError(f"weight {weight!r} is not a real number")
+
+
+def _int64_timestamp(timestamp: object) -> int:
+    """``timestamp`` as an int, by the batch paths' rule
+    (:func:`~repro.core.vectorized.int64_timestamps`); raises
+    :class:`~repro.errors.InsertionError` for anything else."""
+    if type(timestamp) is int and _INT64_MIN <= timestamp <= _INT64_MAX:
+        return timestamp
+    stamps = vectorized.int64_timestamps([timestamp])
+    if not len(stamps):
+        raise _timestamp_error(timestamp)
+    return int(stamps[0])
 
 
 def _real_weight(weight: object) -> float:
@@ -76,10 +93,11 @@ def _real_weight(weight: object) -> float:
 class Higgs(TemporalGraphSummary):
     """Item-based, bottom-up hierarchical graph stream summary.
 
-    Per-item :meth:`insert`, :meth:`delete` and the queries hash each
-    vertex as they meet it; the batch paths keep a vertex memo (see the
-    module docstring), which holds one entry per distinct vertex ingested
-    in a batch for the life of the summary.
+    Per-item :meth:`insert` and :meth:`delete` hash each vertex as they
+    meet it; the batch paths keep a vertex memo (see the module
+    docstring), which holds one entry per distinct vertex ingested in a
+    batch for the life of the summary.  The queries read the memo and
+    hash only the vertices it lacks.
 
     Parameters
     ----------
@@ -101,8 +119,9 @@ class Higgs(TemporalGraphSummary):
         self._plans_computed = 0
         self._plans_reused = 0
         #: Vertex → (packed key, leaf-level probe rows), filled by the batch
-        #: paths; outside :meth:`memory_bytes`, which models the paper's
-        #: structure.
+        #: paths and read, never written, by the queries
+        #: (:meth:`_packed_keys`); outside :meth:`memory_bytes`, which
+        #: models the paper's structure.
         self._vertices: Dict[Vertex, Tuple[int, Tuple[int, ...]]] = {}
 
     # ------------------------------------------------------------------ #
@@ -113,13 +132,13 @@ class Higgs(TemporalGraphSummary):
                timestamp: int) -> None:
         """Insert one stream item (paper Algorithm 1).
 
-        Raises :class:`~repro.errors.InsertionError` for a timestamp outside
-        the ``int64`` range or a weight that is not a real number, exactly
-        as :meth:`insert_batch` does; the weight is stored as a float.
+        Raises :class:`~repro.errors.InsertionError` for a timestamp that is
+        not an integer within the ``int64`` range (numpy integers count;
+        ``"12"`` and ``1.5`` do not) or a weight that is not a real number,
+        exactly as :meth:`insert_batch` does; the weight is stored as a
+        float and the timestamp as an int.
         """
-        timestamp = int(timestamp)
-        if not _INT64_MIN <= timestamp <= _INT64_MAX:
-            raise _timestamp_error(timestamp)
+        timestamp = _int64_timestamp(timestamp)
         weight = _real_weight(weight)
         src_fingerprint, src_address = self._hasher.split(source)
         dst_fingerprint, dst_address = self._hasher.split(destination)
@@ -141,9 +160,9 @@ class Higgs(TemporalGraphSummary):
 
         Failures keep the per-item contract: the items before a failing
         one are applied.  An iterable that raises mid-batch re-raises its
-        own exception; a timestamp outside ``int64`` or a weight that is
-        not a real number raises :class:`~repro.errors.InsertionError`, as
-        :meth:`insert` does.
+        own exception; a timestamp that is not an integer within ``int64``
+        or a weight that is not a real number raises
+        :class:`~repro.errors.InsertionError`, as :meth:`insert` does.
         """
         packed = getattr(edges, "packed_arrays", None)
         if packed is not None:
@@ -176,20 +195,19 @@ class Higgs(TemporalGraphSummary):
             src_idx.append(setdefault(edge.source, len(index)))
             dst_idx.append(setdefault(edge.destination, len(index)))
             weights.append(edge.weight)
-            timestamps.append(int(edge.timestamp))
+            timestamps.append(edge.timestamp)
         values = vectorized.real_weights(weights)
-        bad = len(values)  # the first item that fails, or len(items)
-        if min(timestamps) < _INT64_MIN or max(timestamps) > _INT64_MAX:
-            bad = min(bad, next(k for k, timestamp in enumerate(timestamps)
-                                if not _INT64_MIN <= timestamp <= _INT64_MAX))
+        stamps = vectorized.int64_timestamps(timestamps)
+        # The first item that fails, or len(items).
+        bad = min(len(values), len(stamps))
         if bad < len(items):
             self._insert_items(items[:bad])
-            if not _INT64_MIN <= timestamps[bad] <= _INT64_MAX:
+            if bad == len(stamps):
                 raise _timestamp_error(timestamps[bad])
             raise _weight_error(weights[bad])
         return self._tree.insert_packed(
             self._vertex_entries(list(index)), src_idx, dst_idx,
-            values.tolist(), timestamps)
+            values.tolist(), stamps.tolist())
 
     def _vertex_entries(self, vertices: Sequence[Vertex]
                         ) -> List[Tuple[int, Tuple[int, ...]]]:
@@ -223,57 +241,100 @@ class Higgs(TemporalGraphSummary):
 
         The matching leaf item and every materialized ancestor aggregate are
         decremented; if no leaf item matches (the item was never inserted)
-        the summary is left unchanged.  A weight that is not a real number
-        raises :class:`~repro.errors.InsertionError`, as :meth:`insert`
-        does, before the tree is touched.
+        the summary is left unchanged.  A timestamp or weight
+        :meth:`insert` refuses raises :class:`~repro.errors.InsertionError`
+        here too, before the tree is touched.
         """
+        timestamp = _int64_timestamp(timestamp)
         weight = _real_weight(weight)
         src_fingerprint, src_address = self._hasher.split(source)
         dst_fingerprint, dst_address = self._hasher.split(destination)
         self._tree.delete_hashed(src_fingerprint, dst_fingerprint,
-                                 src_address, dst_address, weight, int(timestamp))
+                                 src_address, dst_address, weight, timestamp)
 
     # ------------------------------------------------------------------ #
     # temporal range queries
     # ------------------------------------------------------------------ #
 
+    def _packed_keys(self, vertices: Iterable[Vertex]) -> Dict[Vertex, int]:
+        """Each of the distinct ``vertices``' packed key, the same integer
+        at every tree layer.
+
+        A vertex batch ingest has met takes the key its vertex memo entry
+        holds.  The others are hashed and packed by the scalar kernels
+        :meth:`insert` runs, and are not stored: queries never write the
+        memo.
+        """
+        memo = self._vertices
+        split = self._hasher.split
+        fingerprint_bits = self.config.fingerprint_bits
+        keys: Dict[Vertex, int] = {}
+        for vertex in vertices:
+            entry = memo.get(vertex)
+            if entry is None:
+                fingerprint, address = split(vertex)
+                keys[vertex] = pack_vertex(fingerprint, address,
+                                           fingerprint_bits)
+            else:
+                keys[vertex] = entry[0]
+        return keys
+
     def _pack(self, vertex: Vertex) -> int:
-        """A vertex's packed key, the same integer at every tree layer."""
-        fingerprint, address = self._hasher.split(vertex)
-        return pack_vertex(fingerprint, address, self.config.fingerprint_bits)
+        """One vertex's packed key (:meth:`_packed_keys`)."""
+        return self._packed_keys((vertex,))[vertex]
 
     def _plan(self, t_start: int, t_end: int) -> RangeDecomposition:
         """Decompose a checked range (Algorithm 3), counting the plan."""
         self._plans_computed += 1
         return boundary_search(self._tree, t_start, t_end)
 
-    def _edge_answer(self, plan: RangeDecomposition, source: int,
-                     destination: int, t_start: int, t_end: int) -> float:
-        edge = pack_edge(source, destination, vertex_bits(self.config))
+    @staticmethod
+    def _edge_answer(plan: RangeDecomposition, edge: int, t_start: int,
+                     t_end: int) -> float:
+        """A packed edge's weight in range: its aggregated nodes' map
+        entries, then its boundary leaves' items in range, summed in plan
+        order from ``0.0``.  A leaf whose index lacks the edge is skipped:
+        it would add ``0.0`` to a sum that starts at ``+0.0``, which
+        changes no bit."""
         total = 0.0
         for node in plan.aggregated_nodes:
-            total += node.query_edge(edge)
+            total += node.weights.get(edge, 0.0)
         for leaf in plan.boundary_leaves:
-            total += leaf.query_edge(edge, t_start, t_end)
+            keys = leaf.edges.get(edge)
+            if keys is not None:
+                total += leaf.range_weight(keys, t_start, t_end)
         return total
 
-    def _vertex_answer(self, plan: RangeDecomposition, vertex: int,
-                       t_start: int, t_end: int, direction: str) -> float:
+    @staticmethod
+    def _vertex_answer(plan: RangeDecomposition, vertex: int, t_start: int,
+                       t_end: int, outgoing: bool) -> float:
+        """A packed vertex's outgoing (or incoming) weight in range, summed
+        as :meth:`_edge_answer` sums an edge's."""
         total = 0.0
-        for node in plan.aggregated_nodes:
-            total += node.query_vertex(vertex, direction=direction)
-        for leaf in plan.boundary_leaves:
-            total += leaf.query_vertex(vertex, t_start, t_end,
-                                       direction=direction)
+        if outgoing:
+            for node in plan.aggregated_nodes:
+                total += node.out_weights.get(vertex, 0.0)
+            for leaf in plan.boundary_leaves:
+                keys = leaf.sources.get(vertex)
+                if keys is not None:
+                    total += leaf.range_weight(keys, t_start, t_end)
+        else:
+            for node in plan.aggregated_nodes:
+                total += node.in_weights.get(vertex, 0.0)
+            for leaf in plan.boundary_leaves:
+                keys = leaf.destinations.get(vertex)
+                if keys is not None:
+                    total += leaf.range_weight(keys, t_start, t_end)
         return total
 
     def edge_query(self, source: Vertex, destination: Vertex,
                    t_start: int, t_end: int) -> float:
         """Estimated aggregated weight of ``source → destination`` in range."""
         self.check_range(t_start, t_end)
-        return self._edge_answer(self._plan(t_start, t_end),
-                                 self._pack(source), self._pack(destination),
-                                 t_start, t_end)
+        edge = pack_edge(self._pack(source), self._pack(destination),
+                         vertex_bits(self.config))
+        return self._edge_answer(self._plan(t_start, t_end), edge, t_start,
+                                 t_end)
 
     def vertex_query(self, vertex: Vertex, t_start: int, t_end: int,
                      direction: str = "out") -> float:
@@ -282,7 +343,7 @@ class Higgs(TemporalGraphSummary):
         self.check_direction(direction)
         return self._vertex_answer(self._plan(t_start, t_end),
                                    self._pack(vertex), t_start, t_end,
-                                   direction)
+                                   direction == "out")
 
     def subgraph_query(self, edges: Sequence[Tuple[Vertex, Vertex]],
                        t_start: int, t_end: int) -> float:
@@ -296,82 +357,83 @@ class Higgs(TemporalGraphSummary):
             raise QueryError("a subgraph query needs at least one edge")
         self.check_range(t_start, t_end)
         plan = self._plan(t_start, t_end)
+        packed = self._packed_keys(
+            dict.fromkeys(vertex for pair in edges for vertex in pair))
+        bits = vertex_bits(self.config)
         total = 0.0
         for source, destination in edges:
-            total += self._edge_answer(plan, self._pack(source),
-                                       self._pack(destination), t_start, t_end)
+            total += self._edge_answer(
+                plan, pack_edge(packed[source], packed[destination], bits),
+                t_start, t_end)
         return total
 
     def query_batch(self, queries: Sequence) -> List[float]:
         """Answer a batch of query objects with shared per-batch state.
 
-        Every query's range (and direction) is checked first.  The batch's
-        distinct query endpoints — path and subgraph queries' included —
-        are hashed and packed in one pass, bit-identical to the per-item
-        path's :meth:`VertexHasher.split` and :func:`pack_vertex`, and each
-        distinct range is decomposed once.  Each query then answers from
-        its range's plan and its endpoints' packed keys.  A path or
-        subgraph query sums its edges' estimates in order from ``0.0``,
-        exactly as :meth:`path_query` and :meth:`subgraph_query` do.  Any
-        other query object falls back to its own ``evaluate``.
+        One pass over the batch works out each query's kind and checks its
+        range (and direction).  The batch's distinct query endpoints — path
+        and subgraph queries' included — are then packed once each
+        (:meth:`_packed_keys`: the vertex memo's keys, and the misses
+        hashed), and each distinct range is decomposed once.  Each
+        query answers from its range's plan and its endpoints' packed keys,
+        reading the plan's node maps in place.  A path or subgraph query
+        sums its edges' estimates in order from ``0.0``, exactly as
+        :meth:`path_query` and :meth:`subgraph_query` do.  Any other query
+        object falls back to its own ``evaluate``.
         """
         distinct: Dict[Vertex, None] = {}
-        composites: Dict[int, Sequence[Tuple[Vertex, Vertex]]] = {}
         ranges: Dict[Tuple[int, int], None] = {}
-        planned = 0
-        for position, query in enumerate(queries):
+        # Per query: _EDGE, _OUT, _IN, a composite's pairs, or None.
+        kinds: List[object] = []
+        for query in queries:
             # Structural dispatch keeps this module free of an import cycle
             # with :mod:`repro.queries.types`.
             if hasattr(query, "destination"):  # edge query
                 self.check_range(query.t_start, query.t_end)
-                distinct.setdefault(query.source)
-                distinct.setdefault(query.destination)
+                distinct[query.source] = None
+                distinct[query.destination] = None
+                kinds.append(_EDGE)
             elif hasattr(query, "vertex"):  # vertex query
                 self.check_range(query.t_start, query.t_end)
                 self.check_direction(query.direction)
-                distinct.setdefault(query.vertex)
+                distinct[query.vertex] = None
+                kinds.append(_OUT if query.direction == "out" else _IN)
             else:  # path / subgraph query, or another query object
                 pairs = self.composite_pairs(query)
+                kinds.append(pairs)
                 if pairs is None:
                     continue
-                composites[position] = pairs
                 for source, destination in pairs:
-                    distinct.setdefault(source)
-                    distinct.setdefault(destination)
-            ranges.setdefault((query.t_start, query.t_end))
-            planned += 1
+                    distinct[source] = None
+                    distinct[destination] = None
+            ranges[query.t_start, query.t_end] = None
         plans = {key: self._plan(*key) for key in ranges}
-        self._plans_reused += planned - len(plans)
-        vertices = list(distinct)
-        fingerprints, addresses = vectorized.split_array(
-            vectorized.hash64_array(vertices, self.config.hash_seed),
-            self.config.fingerprint_bits, self.config.leaf_matrix_size)
-        packed = dict(zip(vertices, vectorized.pack_vertex_array(
-            fingerprints, addresses, self.config).tolist(), strict=True))
+        self._plans_reused += len(queries) - kinds.count(None) - len(plans)
+        packed = self._packed_keys(distinct)
+        bits = vertex_bits(self.config)
 
         results: List[float] = []
         append = results.append
-        edge_answer = self._edge_answer
-        for position, query in enumerate(queries):
-            if hasattr(query, "destination"):
-                t_start, t_end = query.t_start, query.t_end
-                append(edge_answer(plans[t_start, t_end], packed[query.source],
-                                   packed[query.destination], t_start, t_end))
-            elif hasattr(query, "vertex"):
-                t_start, t_end = query.t_start, query.t_end
-                append(self._vertex_answer(plans[t_start, t_end],
-                                           packed[query.vertex], t_start,
-                                           t_end, query.direction))
-            elif position in composites:
-                t_start, t_end = query.t_start, query.t_end
-                plan = plans[t_start, t_end]
-                total = 0.0
-                for source, destination in composites[position]:
-                    total += edge_answer(plan, packed[source],
-                                         packed[destination], t_start, t_end)
-                append(total)
-            else:
+        edge_answer, vertex_answer = self._edge_answer, self._vertex_answer
+        for query, kind in zip(queries, kinds, strict=True):
+            if kind is None:
                 append(query.evaluate(self))
+                continue
+            t_start, t_end = query.t_start, query.t_end
+            plan = plans[t_start, t_end]
+            if kind == _EDGE:
+                edge = (packed[query.source] << bits) | \
+                    packed[query.destination]  # pack_edge
+                append(edge_answer(plan, edge, t_start, t_end))
+            elif kind in (_OUT, _IN):
+                append(vertex_answer(plan, packed[query.vertex], t_start,
+                                     t_end, kind == _OUT))
+            else:
+                total = 0.0
+                for source, destination in kind:
+                    edge = (packed[source] << bits) | packed[destination]
+                    total += edge_answer(plan, edge, t_start, t_end)
+                append(total)
         return results
 
     # ------------------------------------------------------------------ #

@@ -91,14 +91,16 @@ class LeafNode:
     * ``arrivals`` — the number of stream items the leaf took, accumulated
       ones included.
 
-    Keys are packed by :func:`pack_vertex`, :func:`pack_edge` and
-    :func:`pack_item`.  An item key is unique only for ``int64``
-    timestamps: both insert paths reject others, and a delete outside the
-    range finds no candidate leaf, but a direct :meth:`decrement` at
-    ``2 ** 63`` would hit the key of ``(edge + 1, -2 ** 63)``.  The maps
-    hold only ints, floats and tuples of ints, so after a full collection
-    the cyclic garbage collector tracks none of them; the overflow-key set
-    is one tracked object per leaf.
+    A query reads the index map it needs in place and, only when the map
+    holds its key, sums that key's items in range through
+    :meth:`range_weight`.  Keys are packed by :func:`pack_vertex`,
+    :func:`pack_edge` and :func:`pack_item`.  An item key is unique only
+    for ``int64`` timestamps: ``Higgs`` refuses others on every insert
+    path and on delete, but a direct :meth:`decrement` at ``2 ** 63``
+    would hit the key of ``(edge + 1, -2 ** 63)``.  The maps hold only
+    ints, floats and tuples of ints, so after a full collection the cyclic
+    garbage collector tracks none of them; the overflow-key set is one
+    tracked object per leaf.
     """
 
     __slots__ = ("index", "config", "closed", "t_min", "t_max", "arrivals",
@@ -247,18 +249,11 @@ class LeafNode:
 
     # -- queries --------------------------------------------------------------
 
-    def query_edge(self, edge: int, t_start: int, t_end: int) -> float:
-        """Weight of one edge's items with a timestamp in ``[t_start, t_end]``."""
-        return self._sum(self.edges.get(edge, ()), t_start, t_end)
-
-    def query_vertex(self, vertex: int, t_start: int, t_end: int, *,
-                     direction: str = "out") -> float:
-        """Weight of a vertex's outgoing (``out``) or incoming (``in``)
-        items with a timestamp in ``[t_start, t_end]``."""
-        index = self.sources if direction == "out" else self.destinations
-        return self._sum(index.get(vertex, ()), t_start, t_end)
-
-    def _sum(self, keys: Tuple[int, ...], t_start: int, t_end: int) -> float:
+    def range_weight(self, keys: Tuple[int, ...], t_start: int,
+                     t_end: int) -> float:
+        """Summed weight, in order from ``0.0``, of the item keys ``keys``
+        (one entry of :attr:`edges`, :attr:`sources` or
+        :attr:`destinations`) whose timestamp lies in ``[t_start, t_end]``."""
         low, high = t_start + _TIME_BIAS, t_end + _TIME_BIAS
         return sum((self.weights[key] for key in keys
                     if low <= key & _TIME_MASK <= high), 0.0)
@@ -320,10 +315,12 @@ class InternalNode:
     * ``out_weights`` / ``in_weights`` — source / destination vertex key →
       summed weight of its edges.
 
-    Placement decides no answer, only how many keys spill, so the node is
-    built unplaced and :func:`~repro.core.aggregation.place_levels` places
-    it when the tree's memory model first asks.  The maps hold only ints
-    and floats, so they add no object the cyclic garbage collector tracks.
+    A query covering the node's span reads the map it needs in place, one
+    ``get`` per node.  Placement decides no answer, only how many keys
+    spill, so the node is built unplaced and
+    :func:`~repro.core.aggregation.place_levels` places it when the tree's
+    memory model first asks.  The maps hold only ints and floats, so they
+    add no object the cyclic garbage collector tracks.
     """
 
     __slots__ = ("level", "index", "keys", "t_min", "t_max", "weights",
@@ -351,17 +348,6 @@ class InternalNode:
     def overlaps(self, t_start: int, t_end: int) -> bool:
         """True if the node's time span intersects ``[t_start, t_end]``."""
         return not (self.t_max < t_start or self.t_min > t_end)
-
-    # -- queries on the aggregated data ------------------------------------
-
-    def query_edge(self, edge: int) -> float:
-        """Aggregated weight of one edge over this node's whole subtree."""
-        return self.weights.get(edge, 0.0)
-
-    def query_vertex(self, vertex: int, *, direction: str = "out") -> float:
-        """Aggregated weight of a vertex's incident edges over the subtree."""
-        weights = self.out_weights if direction == "out" else self.in_weights
-        return weights.get(vertex, 0.0)
 
     def decrement(self, edge: int, source: int, destination: int,
                   weight: float) -> bool:

@@ -122,6 +122,33 @@ def real_weights(weights: Sequence[object]) -> "np.ndarray":
     return values.astype(np.float64, copy=False)
 
 
+def int64_timestamps(timestamps: Sequence[object]) -> "np.ndarray":
+    """The longest prefix of ``timestamps`` that are integers within the
+    ``int64`` range, as int64.
+
+    The result is shorter than ``timestamps`` exactly when
+    ``timestamps[len(result)]`` is not such an integer: ``None``, a string
+    (``"12"`` included), a float (``1.5`` and ``1.0`` alike) or an integer
+    outside ``int64``.  A batch numpy reads as bools or integers that fit
+    ``int64`` passes in one ``np.asarray`` call; any other batch is checked
+    timestamp by timestamp against :class:`numbers.Integral` (and numpy's
+    bool) and the range.
+    """
+    try:
+        values = np.asarray(timestamps)
+    except ValueError:  # ragged: some timestamp is itself a sequence
+        values = None
+    if values is not None and values.ndim == 1 and (
+            values.dtype.kind in "bi" or (values.dtype.kind == "u" and
+                                          values.max(initial=0) <= _INT64_MAX)):
+        return values.astype(np.int64, copy=False)
+    end = next((k for k, stamp in enumerate(timestamps)
+                if not (isinstance(stamp, (Integral, np.bool_))
+                        and _INT64_MIN <= stamp <= _INT64_MAX)),
+               len(timestamps))
+    return np.asarray(timestamps[:end], dtype=np.int64)
+
+
 def split_array(hashes: "np.ndarray", fingerprint_bits: int,
                 matrix_size: int) -> Tuple["np.ndarray", "np.ndarray"]:
     """Vectorized :meth:`~repro.core.hashing.VertexHasher.split`.

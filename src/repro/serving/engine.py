@@ -191,7 +191,8 @@ class ServingEngine:
         ------
         ServingError
             When the engine is closed, when the payload is empty, holds a
-            malformed item or a weight that is not a real number, or
+            malformed item, a weight that is not a real number or a
+            timestamp that is not an integer within ``int64``, or
             immediately under the ``"drop"`` policy when the admission
             queue is full.
         """
@@ -358,9 +359,12 @@ class ServingEngine:
         A 4-tuple is one raw item when its first element is a vertex id,
         not itself an item (a ``StreamEdge``, tuple or list); otherwise it
         is a batch of four items.  Every weight, a raw item's or a
-        ``StreamEdge``'s, must be a real number by HIGGS's insert rule
-        (:func:`~repro.core.vectorized.real_weights`), or the write is
-        refused whole; a raw item's weight is stored as a float.
+        ``StreamEdge``'s, must be a real number and every timestamp an
+        integer within ``int64`` by HIGGS's insert rules
+        (:func:`~repro.core.vectorized.real_weights`,
+        :func:`~repro.core.vectorized.int64_timestamps`), or the write is
+        refused whole; a raw item's weight is stored as a float and its
+        timestamp as an int.
         """
         if isinstance(edges, StreamEdge) or (
                 isinstance(edges, tuple) and len(edges) == 4
@@ -375,8 +379,7 @@ class ServingEngine:
                 if not isinstance(item, StreamEdge):
                     source, destination, weight, timestamp = item
                     raw.append(len(normalized))
-                    item = StreamEdge(source, destination, weight,
-                                      int(timestamp))
+                    item = StreamEdge(source, destination, weight, timestamp)
                 normalized.append(item)
         except (TypeError, ValueError) as exc:
             raise ServingError(
@@ -389,10 +392,16 @@ class ServingEngine:
             raise ServingError(
                 f"weight {weights[len(values)]!r} in write payload is not a "
                 "real number")
+        timestamps = [edge.timestamp for edge in normalized]
+        stamps = vectorized.int64_timestamps(timestamps).tolist()
+        if len(stamps) < len(timestamps):
+            raise ServingError(
+                f"timestamp {timestamps[len(stamps)]!r} in write payload is "
+                "not an integer within int64")
         for k in raw:
             edge = normalized[k]
             normalized[k] = StreamEdge(edge.source, edge.destination,
-                                       values[k], edge.timestamp)
+                                       values[k], stamps[k])
         return normalized
 
     def _admit(self, request: _Request) -> None:

@@ -111,8 +111,8 @@ class TestAggregateLeaves:
         node = aggregate_leaves(0, leaves, config)
 
         def parent_estimate(source, destination):
-            return node.query_edge(
-                _packed_edge(hasher, config, source, destination))
+            return node.weights.get(
+                _packed_edge(hasher, config, source, destination), 0.0)
 
         assert parent_estimate("a", "b") >= 5.0
         assert parent_estimate("a", "c") >= 2.0
@@ -148,7 +148,7 @@ class TestAggregateLeaves:
         edge = pack_edge(pack_vertex(1, 0, config.fingerprint_bits),
                          pack_vertex(2, 1, config.fingerprint_bits),
                          vertex_bits(config))
-        assert node.query_edge(edge) == 8.0
+        assert node.weights[edge] == 8.0
 
 
 class TestAggregateInternal:
@@ -164,8 +164,8 @@ class TestAggregateInternal:
             level2_nodes.append(aggregate_leaves(group, leaves, config))
         level3 = aggregate_internal(0, level2_nodes, config)
         assert level3.level == 3
-        assert level3.query_edge(
-            _packed_edge(hasher, config, "a", "b")) >= 16.0
+        assert level3.weights[
+            _packed_edge(hasher, config, "a", "b")] >= 16.0
         assert level3.t_min == 1
         assert level3.t_max == 151
 
@@ -274,15 +274,21 @@ def _matrix_buckets(matrix):
 
 def _child_edge(child, edge):
     if isinstance(child, LeafNode):
-        return child.query_edge(edge, _INT64_MIN, _INT64_MAX)
-    return child.query_edge(edge)
+        return child.range_weight(child.edges.get(edge, ()), _INT64_MIN,
+                                  _INT64_MAX)
+    return child.weights.get(edge, 0.0)
+
+
+def _vertex_map(node, direction):
+    return node.out_weights if direction == "out" else node.in_weights
 
 
 def _child_vertex(child, vertex, direction):
     if isinstance(child, LeafNode):
-        return child.query_vertex(vertex, _INT64_MIN, _INT64_MAX,
-                                  direction=direction)
-    return child.query_vertex(vertex, direction=direction)
+        index = child.sources if direction == "out" else child.destinations
+        return child.range_weight(index.get(vertex, ()), _INT64_MIN,
+                                  _INT64_MAX)
+    return _vertex_map(child, direction).get(vertex, 0.0)
 
 
 def _assert_aggregation_exact(summary):
@@ -300,13 +306,13 @@ def _assert_aggregation_exact(summary):
             vertices = set()
             for edge in {edge for child in children
                          for edge, _ in _handed_up(child)}:
-                assert node.query_edge(edge) == \
+                assert node.weights[edge] == \
                     sum(_child_edge(child, edge) for child in children)
                 source, destination = unpack_edge(edge, bits)
                 vertices.add((source, "out"))
                 vertices.add((destination, "in"))
             for vertex, direction in vertices:
-                assert node.query_vertex(vertex, direction=direction) == \
+                assert _vertex_map(node, direction)[vertex] == \
                     sum(_child_vertex(child, vertex, direction)
                         for child in children)
             spilled += node.spilled

@@ -8,6 +8,9 @@ returns — on the same fig10-13-style workloads the paper evaluates.
 
 from __future__ import annotations
 
+import pickle
+
+import numpy as np
 import pytest
 
 from repro import Higgs, HiggsConfig
@@ -16,6 +19,7 @@ from repro.baselines import (AuxoTime, AuxoTimeCompact, Horae, HoraeCompact,
 from repro.baselines.auxo import Auxo
 from repro.baselines.exact import ExactTemporalGraph
 from repro.bench.methods import make_methods
+from repro.core.executor import pack_edges
 from repro.errors import InsertionError, ShardingError
 from repro.queries.types import EdgeQuery
 from repro.queries.workload import QueryWorkloadGenerator, WorkloadConfig
@@ -292,3 +296,87 @@ class TestWeightRule:
             assert self._answers(engine, edges) == expected
         finally:
             engine.close()
+
+
+class TestTimestampRule:
+    """A timestamp is an integer within ``int64``, numpy integers included.
+    Anything else, ``"12"`` and ``1.5`` among it, is refused on every write
+    path with InsertionError, after the items before it are applied."""
+
+    _CONFIG = HiggsConfig(leaf_matrix_size=8)
+    _REFUSED = [None, "x", "12", 1.5, 2.0]
+
+    @staticmethod
+    def _edges(timestamp):
+        # 40 edges before the one under test, so the process worker tries
+        # to pack the batch.
+        return [StreamEdge(f"s{i % 5}", f"d{i % 3}", 1.0, i)
+                for i in range(40)] + [StreamEdge("a", "b", 1.0, timestamp),
+                                       StreamEdge("s0", "d0", 1.0, 41)]
+
+    @pytest.mark.parametrize("timestamp", _REFUSED)
+    def test_per_item_insert_refuses(self, timestamp):
+        summary = Higgs(self._CONFIG)
+        with pytest.raises(InsertionError, match="int64"):
+            summary.insert("a", "b", 1.0, timestamp)
+        assert summary.tree.items_inserted == 0
+        assert summary.edge_query("a", "b", 0, 100) == 0.0
+
+    @pytest.mark.parametrize("timestamp", _REFUSED)
+    def test_delete_refuses_before_touching_the_tree(self, timestamp):
+        summary = Higgs(self._CONFIG)
+        summary.insert("a", "b", 3.0, 12)
+        before = pickle.dumps(summary.tree)
+        with pytest.raises(InsertionError, match="int64"):
+            summary.delete("a", "b", 1.0, timestamp)
+        assert pickle.dumps(summary.tree) == before
+
+    def test_batch_applies_the_items_before_the_refused_one(self):
+        batch = [StreamEdge("a", "b", 1.0, 1), StreamEdge("c", "d", 1.0, None),
+                 StreamEdge("e", "f", 1.0, 3)]
+        summary = Higgs(self._CONFIG)
+        with pytest.raises(InsertionError, match="None"):
+            summary.insert_batch(batch)
+        assert summary.tree.items_inserted == 1
+        assert [summary.edge_query(s, d, 0, 10) for s, d in
+                (("a", "b"), ("c", "d"), ("e", "f"))] == [1.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("timestamp", _REFUSED)
+    def test_every_path_refuses_alike(self, timestamp):
+        """Per-item, list-batch and process-engine ingest: packing refuses
+        the batch, so the list goes to the shard, which refuses it too."""
+        edges = self._edges(timestamp)
+        per_item = Higgs(self._CONFIG)
+        with pytest.raises(InsertionError):
+            for edge in edges:
+                per_item.insert(edge.source, edge.destination, edge.weight,
+                                edge.timestamp)
+        batched = Higgs(self._CONFIG)
+        with pytest.raises(InsertionError):
+            batched.insert_batch(edges)
+        assert per_item.tree.items_inserted == 40
+        assert batched.stats() == per_item.stats()
+        engine = ShardedSummary(HiggsShardFactory(self._CONFIG), shards=1,
+                                executor="process")
+        try:
+            with pytest.raises(ShardingError, match="int64"):
+                engine.insert_batch(edges)
+            assert engine.transport_stats()["fallback_batches"] == 1
+            assert engine.edge_query("a", "b", 0, 100) == 0.0
+            assert engine.edge_query("s0", "d0", 0, 100) == \
+                per_item.edge_query("s0", "d0", 0, 100)
+        finally:
+            engine.close()
+
+    def test_numpy_integers_are_integers_on_every_path(self):
+        edges = self._edges(np.int64(40))
+        per_item = Higgs(self._CONFIG)
+        for edge in edges:
+            per_item.insert(edge.source, edge.destination, edge.weight,
+                            edge.timestamp)
+        batched = Higgs(self._CONFIG)
+        assert batched.insert_batch(edges) == len(edges)
+        assert batched.stats() == per_item.stats()
+        assert batched.edge_query("a", "b", 40, 40) == 1.0
+        packed = pack_edges(edges)
+        assert packed.packed_arrays()[4].tolist() == list(range(42))

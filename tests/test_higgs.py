@@ -6,7 +6,7 @@ import pytest
 
 from repro import Higgs, HiggsConfig
 from repro.baselines.exact import ExactTemporalGraph
-from repro.errors import QueryError
+from repro.errors import InsertionError, QueryError
 
 
 @pytest.fixture()
@@ -157,6 +157,8 @@ class TestIntrospection:
         assert summary.height >= 1
         assert "Higgs" in repr(summary)
 
-    def test_timestamps_are_coerced_to_int(self, higgs):
-        higgs.insert("a", "b", 1.0, 3.0)
-        assert higgs.edge_query("a", "b", 0, 10) == 1.0
+    def test_float_timestamps_are_refused(self, higgs):
+        # A timestamp is an integer: 3.0 is refused, not read as 3.
+        with pytest.raises(InsertionError, match="int64"):
+            higgs.insert("a", "b", 1.0, 3.0)
+        assert higgs.edge_query("a", "b", 0, 10) == 0.0

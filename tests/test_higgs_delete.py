@@ -93,10 +93,10 @@ class TestDeleteAfterAggregation:
         assert len(ancestors) >= 2
 
         bits = vertex_bits(summary.config)
-        before = [node.query_edge(pack_edge(src, dst, bits))
+        before = [node.weights[pack_edge(src, dst, bits)]
                   for node, src, dst in ancestors]
         summary.delete(source, destination, weight, timestamp)
-        after = [node.query_edge(pack_edge(src, dst, bits))
+        after = [node.weights[pack_edge(src, dst, bits)]
                  for node, src, dst in ancestors]
         for value_before, value_after in zip(before, after, strict=True):
             assert value_after == pytest.approx(value_before - weight)
@@ -114,8 +114,8 @@ class TestDeleteAfterAggregation:
             sums = [summary.vertex_query(source, 0, 1_000, "out"),
                     summary.vertex_query(destination, 0, 1_000, "in")]
             for node, src, dst in ancestors:
-                sums.append(node.query_vertex(src, direction="out"))
-                sums.append(node.query_vertex(dst, direction="in"))
+                sums.append(node.out_weights[src])
+                sums.append(node.in_weights[dst])
             return sums
 
         before = vertex_sums()

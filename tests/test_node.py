@@ -67,6 +67,12 @@ def _key(hasher, source, destination):
     return fs, fd, hs, hd
 
 
+def _leaf_edge(leaf, edge, t_start, t_end):
+    """A leaf's weight of one packed edge in range, read as queries read
+    it."""
+    return leaf.range_weight(leaf.edges.get(edge, ()), t_start, t_end)
+
+
 class TestLeafNode:
     def test_empty_leaf_has_no_time_range(self, config):
         leaf = LeafNode(0, config)
@@ -114,8 +120,8 @@ class TestLeafNode:
         # The block holding B accumulates it; the matrix still holds A.
         assert _put(leaf, _B, 2.0, 4)
         assert _put(leaf, _A, 5.0, 4)
-        assert leaf.query_edge(_edge(_B), 0, 9) == 3.0
-        assert leaf.query_edge(_edge(_A), 0, 9) == 6.0
+        assert _leaf_edge(leaf, _edge(_B), 0, 9) == 3.0
+        assert _leaf_edge(leaf, _edge(_A), 0, 9) == 6.0
         # A new key whose bucket is full is refused after t_max ...
         assert not _put(leaf, _C, 1.0, 5)
         # ... while one with room is taken and moves t_max on.
@@ -133,7 +139,7 @@ class TestLeafNode:
         _put(leaf, key, 1.0, 7, config)
         _put(leaf, key, 3.0, 8, config)
         assert leaf.entry_count() == 2
-        assert leaf.query_edge(_edge(key, config), 0, 100) == 4.0
+        assert _leaf_edge(leaf, _edge(key, config), 0, 100) == 4.0
 
     def test_timestamp_range_filter(self, config, hasher):
         leaf = LeafNode(0, config)
@@ -141,10 +147,10 @@ class TestLeafNode:
         edge = _edge(key, config)
         _put(leaf, key, 1.0, 5, config)
         _put(leaf, key, 2.0, 15, config)
-        assert leaf.query_edge(edge, 0, 9) == 1.0
-        assert leaf.query_edge(edge, 10, 20) == 2.0
-        assert leaf.query_edge(edge, 0, 20) == 3.0
-        assert leaf.query_edge(edge, 16, 20) == 0.0
+        assert _leaf_edge(leaf, edge, 0, 9) == 1.0
+        assert _leaf_edge(leaf, edge, 10, 20) == 2.0
+        assert _leaf_edge(leaf, edge, 0, 20) == 3.0
+        assert _leaf_edge(leaf, edge, 16, 20) == 0.0
 
     def test_start_and_end_time_tracking(self, config, hasher):
         leaf = LeafNode(0, config)
@@ -161,9 +167,10 @@ class TestLeafNode:
         _put(leaf, key, 1.0, 1, config)
         _put(leaf, key, 2.0, 10, config)
         source, destination = _source(key, config), _destination(key, config)
-        assert leaf.query_vertex(source, 0, 5, direction="out") == 1.0
-        assert leaf.query_vertex(destination, 5, 20, direction="in") == 2.0
-        assert leaf.query_vertex(source, 0, 20, direction="in") == 0.0
+        assert leaf.range_weight(leaf.sources[source], 0, 5) == 1.0
+        assert leaf.range_weight(leaf.destinations[destination], 5, 20) \
+            == 2.0
+        assert source not in leaf.destinations
 
 
 def _aggregated(*entries) -> InternalNode:
@@ -197,37 +204,37 @@ class TestInternalNode:
         # full and spills.  Both answer by lookup.
         node = _aggregated((_A, 5.0), (_B, 2.0))
         assert (node.placed, node.spilled) == (1, 1)
-        assert node.query_edge(_edge(_A)) == 5.0
-        assert node.query_edge(_edge(_B)) == 2.0
-        assert node.query_edge(_edge((1, 5, 0, 1))) == 0.0
+        assert node.weights[_edge(_A)] == 5.0
+        assert node.weights[_edge(_B)] == 2.0
+        assert _edge((1, 5, 0, 1)) not in node.weights
 
     def test_vertex_query_combines_matrix_and_overflow(self):
         node = _aggregated((_A, 5.0), (_B, 2.0), (_C, 1.0))
         assert (node.placed, node.spilled) == (1, 2)
-        assert node.query_vertex(_source(_A), direction="out") == 7.0
-        assert node.query_vertex(_destination(_A), direction="in") == 6.0
-        assert node.query_vertex(_source(_C), direction="out") == 1.0
-        assert node.query_vertex(_destination(_B), direction="in") == 2.0
-        assert node.query_vertex(_destination(_A), direction="out") == 0.0
+        assert node.out_weights[_source(_A)] == 7.0
+        assert node.in_weights[_destination(_A)] == 6.0
+        assert node.out_weights[_source(_C)] == 1.0
+        assert node.in_weights[_destination(_B)] == 2.0
+        assert _destination(_A) not in node.out_weights
 
     def test_overflow_accumulates_same_key(self):
         # B spills from two children; its weights add into one spilled key.
         node = _aggregated((_A, 5.0), (_B, 1.0), (_B, 2.5))
         assert (node.placed, node.spilled) == (1, 1)
         assert list(node.weights.values()) == [5.0, 3.5]
-        assert node.query_edge(_edge(_B)) == 3.5
+        assert node.weights[_edge(_B)] == 3.5
 
     def test_decrement_prefers_matrix_then_overflow(self):
         # Deletion reaches a placed key and a spilled key alike, and the
         # vertex sums of both endpoints.
         node = _aggregated((_A, 5.0), (_B, 4.0))
         assert node.decrement(_edge(_A), _source(_A), _destination(_A), 2.0)
-        assert node.query_edge(_edge(_A)) == 3.0
+        assert node.weights[_edge(_A)] == 3.0
         assert node.decrement(_edge(_B), _source(_B), _destination(_B), 1.0)
-        assert node.query_edge(_edge(_B)) == 3.0
-        assert node.query_vertex(_source(_A), direction="out") == 6.0
-        assert node.query_vertex(_destination(_A), direction="in") == 3.0
-        assert node.query_vertex(_destination(_B), direction="in") == 3.0
+        assert node.weights[_edge(_B)] == 3.0
+        assert node.out_weights[_source(_A)] == 6.0
+        assert node.in_weights[_destination(_A)] == 3.0
+        assert node.in_weights[_destination(_B)] == 3.0
         before = (dict(node.weights), dict(node.out_weights),
                   dict(node.in_weights))
         absent = (1, 5, 0, 1)

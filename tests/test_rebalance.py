@@ -19,13 +19,16 @@ from __future__ import annotations
 
 import os
 import tempfile
+from collections import Counter
 
 import pytest
 
 from faultinject import FaultSpec, FaultyShardWorker, inject_fault, kill_worker
-from repro import RebalancePlan, ShardedSummary, SnapshotConfig
+from repro import HiggsConfig, RebalancePlan, ShardedSummary, SnapshotConfig
 from repro.baselines.exact import ExactTemporalGraph
 from repro.errors import ShardingError
+from repro.queries.types import EdgeQuery, PathQuery, SubgraphQuery, VertexQuery
+from repro.sharding import HiggsShardFactory
 from repro.streams.edge import StreamEdge
 
 FULL = (0, 10**9)
@@ -176,6 +179,80 @@ class TestRebalance:
                             partition_by="edge") as engine, \
                 pytest.raises(ShardingError, match="source"):
             engine.rebalance(RebalancePlan(reassign={"v1": 0}))
+
+
+class TestBatchReadsAcrossOwnerHistory:
+    """query_batch after rebalance: a reassigned vertex's queries reach
+    every shard that owned it, in one batch with every query kind."""
+
+    @staticmethod
+    def _rebalanced(factory, edges, executor):
+        """A 4-shard engine that moved the two hottest sources mid-stream,
+        and those sources."""
+        engine = ShardedSummary(factory, shards=4, executor=executor)
+        half = len(edges) // 2
+        engine.insert_batch(edges[:half])
+        hot = [v for v, _ in Counter(e.source for e in edges).most_common(2)]
+        engine.rebalance(RebalancePlan(reassign={
+            v: (engine.partitioner.shard_of_vertex(v) + 1) % 4 for v in hot}))
+        engine.insert_batch(edges[half:])
+        for v in hot:
+            assert len(engine.partitioner.owners_of_vertex(v)) == 2
+        return engine, hot
+
+    @staticmethod
+    def _batch(edges, hot):
+        """Edge, out-vertex, in-vertex, path and subgraph queries over the
+        hot vertices, mixed with queries over vertices that never moved."""
+        t_mid = edges[len(edges) // 2].timestamp
+        hot_pairs = sorted({(e.source, e.destination) for e in edges
+                            if e.source in hot})
+        cold = [e for e in edges if e.source not in hot][:6]
+        queries = []
+        for t_start, t_end in (FULL, (0, t_mid), (t_mid, FULL[1])):
+            for source, destination in hot_pairs[:6]:
+                queries.append(EdgeQuery(source, destination, t_start, t_end))
+            for v in hot + [e.destination for e in cold[:2]]:
+                queries.append(VertexQuery(v, t_start, t_end, "out"))
+                queries.append(VertexQuery(v, t_start, t_end, "in"))
+            for e in cold:
+                queries.append(EdgeQuery(e.source, e.destination, t_start,
+                                         t_end))
+            first, second = hot_pairs[0], hot_pairs[-1]
+            queries.append(PathQuery((first[0], first[1], second[0],
+                                      second[1]), t_start, t_end))
+            queries.append(SubgraphQuery(
+                tuple(hot_pairs[:5]) + tuple((e.source, e.destination)
+                                             for e in cold[:3]),
+                t_start, t_end))
+        return queries
+
+    def test_exact_shards_answer_as_the_reference(self, small_stream):
+        edges = list(small_stream)
+        truth = _reference(edges)
+        engine, hot = self._rebalanced(ExactTemporalGraph, edges, "serial")
+        with engine:
+            queries = self._batch(edges, hot)
+            assert engine.query_batch(queries) == \
+                [query.evaluate(truth) for query in queries]
+
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    def test_higgs_shards_answer_as_per_item_queries(self, small_stream,
+                                                     executor):
+        edges = list(small_stream)
+        engine, hot = self._rebalanced(
+            HiggsShardFactory(HiggsConfig(leaf_matrix_size=8)), edges,
+            executor)
+        with engine:
+            queries = self._batch(edges, hot)
+            per_item = [query.evaluate(engine) for query in queries]
+            assert engine.query_batch(queries) == per_item
+            # The moved sources' out-weight over the whole stream is split
+            # across their owners, and the batch sums every part.
+            truth = _reference(edges)
+            for v in hot:
+                assert engine.query_batch([VertexQuery(v, *FULL, "out")])[0] \
+                    >= truth.vertex_query(v, *FULL, "out")
 
 
 @pytest.mark.faultinject

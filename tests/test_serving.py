@@ -8,6 +8,7 @@ import hashlib
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro import Higgs, ServingConfig, ServingEngine, ShardedSummary
@@ -169,6 +170,27 @@ class TestServingEngineBasics:
                 engine.submit_write(("g", "h", "3", 4))
             assert engine.submit_query(EdgeQuery("g", "h", 0, 10)).result(5) \
                 == 0.0
+
+    @pytest.mark.parametrize("payload", [
+        StreamEdge("a", "b", 1.0, None), ("a", "b", 1.0, "12"),
+        ("a", "b", 1.0, 1.5), [StreamEdge("c", "d", 1.0, 1),
+                               StreamEdge("a", "b", 1.0, "x")]],
+        ids=["edge-none", "raw-str", "raw-float", "batch-str"])
+    def test_timestamp_that_is_not_an_integer_refused(self, payload):
+        # HIGGS refuses these; admission must neither admit them nor turn
+        # "12" into 12 first, and it refuses a batch whole.
+        with ServingEngine(Higgs()) as engine:
+            with pytest.raises(ServingError, match="int64"):
+                engine.submit_write(payload)
+            for source, destination in (("a", "b"), ("c", "d")):
+                assert engine.submit_query(EdgeQuery(
+                    source, destination, 0, 100)).result(5) == 0.0
+
+    def test_raw_numpy_timestamp_admitted(self):
+        with ServingEngine(ExactTemporalGraph()) as engine:
+            engine.submit_write(("a", "b", 1.0, np.int64(7))).result(5)
+            assert engine.submit_query(EdgeQuery("a", "b", 7, 7)).result(5) \
+                == 1.0
 
     def test_batch_with_a_weight_that_is_not_real_refused_whole(self):
         # Refused at admission, so no prefix of the batch is applied and no

@@ -144,7 +144,8 @@ class TestDeletion:
         # The item is now zero-weighted.
         edge = _edge(hasher, config, "s10", "d10")
         for leaf in tree.leaves:
-            assert leaf.query_edge(edge, 0, 1_000) <= 0.0 + 1e-9
+            assert leaf.range_weight(leaf.edges.get(edge, ()), 0, 1_000) \
+                <= 0.0 + 1e-9
 
     def test_delete_missing_item_returns_false(self, config, hasher):
         tree = HiggsTree(config)
@@ -168,9 +169,9 @@ class TestDeletion:
             pack_vertex(*lift_coordinates(fd, hd, 1, 2, config), bits),
             vertex_bits(config))
         assert edge == _edge(hasher, config, "s0", "d0")
-        before = node.query_edge(edge)
+        before = node.weights[edge]
         assert tree.delete_hashed(fs, fd, hs, hd, 1.0, 0)
-        assert node.query_edge(edge) == pytest.approx(before - 1.0)
+        assert node.weights[edge] == pytest.approx(before - 1.0)
 
 
 class TestStatsAndMemory:

@@ -221,16 +221,47 @@ def test_batch_insert_matches_per_item_inserts(edges, cuts, forms):
         _tree_digest(_build(_SMALL, edges, batch=False))
 
 
+def _bits(answers):
+    """Answers as exact bit patterns, so ``-0.0`` differs from ``0.0``."""
+    return [answer.hex() for answer in answers]
+
+
 @given(edges=_edges)
 @settings(max_examples=20, deadline=None)
 def test_query_answers_bit_identical(edges):
-    queries = _queries(edges)
+    """Batch and per-item queries answer alike whether their endpoints'
+    keys come from the vertex memo or are hashed: on a summary with an
+    empty memo, a batch-built one, and one whose memo another stream
+    warmed, round-tripped through pickle.  Endpoints no stream ingested
+    are queried too, and no query writes the memo."""
+    t_min, t_max = edges[0].timestamp, edges[-1].timestamp
+    unseen = [EdgeQuery("w0", edges[0].destination, t_min, t_max),
+              EdgeQuery(edges[0].source, "w1", t_min, t_max),
+              VertexQuery("w2", t_min, t_max, "out"),
+              VertexQuery("w0", t_min, t_max, "in"),
+              PathQuery((edges[0].source, "w3", edges[0].destination),
+                        t_min, t_max),
+              SubgraphQuery((("w4", "w5"), (edges[0].source,
+                                            edges[0].destination)),
+                            t_min, t_max)]
+    queries = _queries(edges) + unseen
     batched = _build(_SMALL, edges, batch=True)
     itemized = _build(_SMALL, edges, batch=False)
-    reference = [query.evaluate(itemized) for query in queries]
-    assert batched.query_batch(queries) == reference
-    assert itemized.query_batch(queries) == reference
-    assert [query.evaluate(batched) for query in queries] == reference
+    donor = Higgs(_SMALL)
+    donor.insert_batch([StreamEdge(f"v{i % 23}", f"u{i % 7}", 1.0, i)
+                        for i in range(60)])
+    warmed = Higgs(_SMALL)
+    warmed._vertices.update(donor._vertices)
+    warmed.insert_batch(edges)
+    warmed = pickle.loads(pickle.dumps(warmed))
+    reference = _bits(query.evaluate(itemized) for query in queries)
+    for summary in (itemized, batched, warmed):
+        memo = len(summary._vertices)
+        assert _bits(summary.query_batch(queries)) == reference
+        assert _bits(query.evaluate(summary) for query in queries) == \
+            reference
+        assert len(summary._vertices) == memo
+    assert len(itemized._vertices) == 0
 
 
 @pytest.mark.parametrize("partition_by", ["source", "edge"])
