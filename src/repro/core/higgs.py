@@ -5,11 +5,12 @@ hasher and the aggregated B-tree, and implements the
 :class:`~repro.summary.TemporalGraphSummary` interface: stream items are
 inserted one at a time (or in bulk via :meth:`Higgs.insert_batch`, which
 looks each distinct vertex of the batch up in a per-summary memo, hashes
-the ones it has not seen in one vectorized pass, and defers upward
-aggregation to the end of the batch).  The memo maps a vertex to its packed
-key and probe rows, a pure function of the vertex and the config; it grows
-with the number of distinct vertices, pickles with the summary, and stays
-outside :meth:`Higgs.memory_bytes`, which models the paper's structure.
+the ones it has not seen, and defers upward aggregation to the end of the
+batch).  The memo maps a vertex to its packed key and probe rows
+(:meth:`Higgs._hash_vertices`, the one place an insert hashes a vertex),
+a pure function of the vertex and the config; it grows with the number of
+distinct vertices, pickles with the summary, and stays outside
+:meth:`Higgs.memory_bytes`, which models the paper's structure.
 Aggregation builds each internal node's exact sums only; Algorithm 2's
 simulated bucket placement, which decides no answer, runs when
 :meth:`Higgs.memory_bytes` or :meth:`Higgs.stats` first needs it.  Edge /
@@ -93,11 +94,11 @@ def _real_weight(weight: object) -> float:
 class Higgs(TemporalGraphSummary):
     """Item-based, bottom-up hierarchical graph stream summary.
 
-    Per-item :meth:`insert` and :meth:`delete` hash each vertex as they
-    meet it; the batch paths keep a vertex memo (see the module
-    docstring), which holds one entry per distinct vertex ingested in a
-    batch for the life of the summary.  The queries read the memo and
-    hash only the vertices it lacks.
+    Per-item :meth:`insert` hashes each vertex as it meets it; the batch
+    paths keep a vertex memo (see the module docstring), which holds one
+    entry per distinct vertex ingested in a batch for the life of the
+    summary.  :meth:`delete` and the queries read the memo and hash only
+    the vertices it lacks.
 
     Parameters
     ----------
@@ -140,19 +141,17 @@ class Higgs(TemporalGraphSummary):
         """
         timestamp = _int64_timestamp(timestamp)
         weight = _real_weight(weight)
-        src_fingerprint, src_address = self._hasher.split(source)
-        dst_fingerprint, dst_address = self._hasher.split(destination)
-        self._tree.insert_hashed(src_fingerprint, dst_fingerprint,
-                                 src_address, dst_address, weight, timestamp)
+        self._tree.insert_packed(self._hash_vertices((source, destination)),
+                                 [0], [1], [weight], [timestamp])
 
     def insert_batch(self, edges: Iterable[StreamEdge]) -> int:
         """Insert a batch of stream items with one-pass hashing.
 
         The batch's distinct vertices are indexed once and looked up in the
         summary's vertex memo (:meth:`_vertex_entries`), which hashes the
-        ones it has not seen in one vectorized pass, and the batch is then
-        applied by :meth:`HiggsTree.insert_packed`, which defers upward
-        aggregation to the end of the batch.  The resulting structure is
+        ones it has not seen, and the batch is then applied by
+        :meth:`HiggsTree.insert_packed`, which defers upward aggregation to
+        the end of the batch.  The resulting structure is
         identical to per-item insertion.  Batches exposing pre-packed
         arrays (``packed_arrays()``, e.g. the
         :class:`~repro.core.executor.PackedEdges` batches a process shard
@@ -214,26 +213,36 @@ class Higgs(TemporalGraphSummary):
         """Each vertex's packed key and leaf-level probe rows, from the
         vertex memo.
 
-        The vertices the memo has not seen are hashed, packed and probed
-        in one vectorized pass and stored.  An entry is a pure function of
-        the vertex and the config, bit-identical to the scalar kernels
-        :meth:`insert` runs, so the memo never changes a tree or an answer.
+        The vertices the memo has not seen are hashed by
+        :meth:`_hash_vertices` and stored.  An entry is a pure function of
+        the vertex and the config, so the memo changes no tree or answer.
         """
         memo = self._vertices
         missing = [vertex for vertex in vertices if vertex not in memo]
         if missing:
-            config = self.config
-            fingerprints, addresses = vectorized.split_array(
-                vectorized.hash64_array(missing, config.hash_seed),
-                config.fingerprint_bits, config.leaf_matrix_size)
-            keys = vectorized.pack_vertex_array(fingerprints, addresses,
-                                                config).tolist()
-            rows = vectorized.probe_rows_array(fingerprints, addresses,
-                                               config.num_probes,
-                                               config.leaf_matrix_size)
-            memo.update(zip(missing, zip(keys, map(tuple, rows.tolist())),
+            memo.update(zip(missing, self._hash_vertices(missing),
                             strict=True))
         return [memo[vertex] for vertex in vertices]
+
+    # hot-path
+    def _hash_vertices(self, vertices: Iterable[Vertex]
+                       ) -> List[Tuple[int, Tuple[int, ...]]]:
+        """Each vertex's packed key and leaf-level probe rows in probe order,
+        by the scalar kernels: hashed and split once (Formula (1)), packed,
+        and probed (Section IV-C, ``probe_address`` inlined)."""
+        split = self._hasher.split
+        config = self.config
+        fingerprint_bits = config.fingerprint_bits
+        size = config.leaf_matrix_size
+        probes = range(config.num_probes)
+        entries: List[Tuple[int, Tuple[int, ...]]] = []
+        append = entries.append
+        for vertex in vertices:
+            fingerprint, address = split(vertex)
+            step = 2 * fingerprint + 1  # probe_address
+            append((pack_vertex(fingerprint, address, fingerprint_bits),
+                    tuple([(address + i * step) % size for i in probes])))
+        return entries
 
     def delete(self, source: Vertex, destination: Vertex, weight: float,
                timestamp: int) -> None:
@@ -247,10 +256,9 @@ class Higgs(TemporalGraphSummary):
         """
         timestamp = _int64_timestamp(timestamp)
         weight = _real_weight(weight)
-        src_fingerprint, src_address = self._hasher.split(source)
-        dst_fingerprint, dst_address = self._hasher.split(destination)
-        self._tree.delete_hashed(src_fingerprint, dst_fingerprint,
-                                 src_address, dst_address, weight, timestamp)
+        keys = self._packed_keys((source, destination))
+        self._tree.delete_packed(keys[source], keys[destination], weight,
+                                 timestamp)
 
     # ------------------------------------------------------------------ #
     # temporal range queries

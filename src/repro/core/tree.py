@@ -3,11 +3,12 @@
 This module implements the paper's central data structure.  Leaves hold the
 timestamped items of the arriving stream (Algorithm 1); whenever a group of
 ``θ`` consecutive nodes at one layer is complete, an aggregated parent node
-is materialized one layer up (Algorithm 2).  The tree operates on *hashed*
-items throughout: the public :class:`~repro.core.higgs.Higgs` class owns the
-vertex hasher and passes fingerprint/address pairs down, and the tree packs
-them into the integer keys every node uses (:mod:`repro.core.node`), which
-keeps the structural code independent of vertex identifier types.
+is materialized one layer up (Algorithm 2).  The tree operates on *packed*
+vertex keys throughout (:mod:`repro.core.node`): the public
+:class:`~repro.core.higgs.Higgs` class owns the vertex hasher and hands
+the tree each vertex's packed key and probe rows, so the tree never hashes
+or packs a vertex and its structural code is independent of vertex
+identifier types.
 
 Timestamps are expected to be non-decreasing across inserts (the natural
 order of a stream replay).  Out-of-order inserts are still stored correctly —
@@ -17,12 +18,11 @@ never on positional assumptions.
 
 Insertion
 ---------
-:meth:`HiggsTree.insert_hashed` packs one item with the scalar kernels;
-the batch paths of :class:`~repro.core.higgs.Higgs` hand
-:meth:`HiggsTree.insert_packed` each distinct vertex's packed key and
-probe rows from the summary's vertex memo.  Both run one loop: the open
-leaf takes items in one :meth:`LeafNode.fill` call per run, until it
-refuses one and a new leaf opens, and the loop *defers the upward
+Every insert path of :class:`~repro.core.higgs.Higgs`, per-item and batch,
+hands :meth:`HiggsTree.insert_packed` each distinct vertex's packed key
+and probe rows (a batch's from the summary's vertex memo).  It runs one
+loop: the open leaf takes items in one :meth:`LeafNode.fill` call per run,
+until it refuses one and a new leaf opens, and the loop *defers the upward
 aggregation* of leaf groups that complete mid-loop to its end.  Deferral is
 sound because a completed group's leaves are closed — no later item can
 change them — so aggregating at the end builds byte-identical internal
@@ -42,8 +42,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..errors import InsertionError
 from .aggregation import aggregate_internal, aggregate_leaves, place_levels
 from .config import HiggsConfig
-from .hashing import probe_address
-from .node import InternalNode, LeafNode, pack_edge, pack_vertex, vertex_bits
+from .node import InternalNode, LeafNode, pack_edge, vertex_bits
 
 _T_MIN = attrgetter("t_min")
 _T_MAX = attrgetter("t_max")
@@ -101,33 +100,11 @@ class HiggsTree:
     # insertion
     # ------------------------------------------------------------------ #
 
-    def insert_hashed(self, src_fingerprint: int, dst_fingerprint: int,
-                      src_address: int, dst_address: int, weight: float,
-                      timestamp: int) -> None:
-        """Insert one hashed stream item (Algorithm 1).
-
-        Packs the item with the scalar kernels, then runs the loop batch
-        ingest runs, so its leaf closing and upward aggregation are the
-        batch's.
-        """
-        config = self.config
-        probes = range(config.num_probes)
-        size = config.leaf_matrix_size
-        fingerprint_bits = config.fingerprint_bits
-        self.insert_packed(
-            [(pack_vertex(src_fingerprint, src_address, fingerprint_bits),
-              [probe_address(src_address, i, src_fingerprint, size)
-               for i in probes]),
-             (pack_vertex(dst_fingerprint, dst_address, fingerprint_bits),
-              [probe_address(dst_address, i, dst_fingerprint, size)
-               for i in probes])],
-            [0], [1], [weight], [timestamp])
-
     def insert_packed(self, vertices: Sequence[Tuple[int, Sequence[int]]],
                       src_idx: List[int], dst_idx: List[int],
                       weights: List[float], timestamps: List[int]) -> int:
-        """The insert loop of both paths; returns the number of items
-        inserted.
+        """The insert loop of every insert path; returns the number of
+        items inserted.
 
         ``vertices`` holds each distinct vertex's packed key and leaf-level
         probe addresses; ``src_idx`` / ``dst_idx`` index it per item.  The
@@ -231,16 +208,11 @@ class HiggsTree:
     # deletion
     # ------------------------------------------------------------------ #
 
-    def delete_hashed(self, src_fingerprint: int, dst_fingerprint: int,
-                      src_address: int, dst_address: int, weight: float,
+    def delete_packed(self, source: int, destination: int, weight: float,
                       timestamp: int) -> bool:
-        """Subtract ``weight`` from the matching leaf item and every
-        materialized ancestor aggregate, all under the same packed keys.
-        Returns True if a leaf item matched."""
-        fingerprint_bits = self.config.fingerprint_bits
-        source = pack_vertex(src_fingerprint, src_address, fingerprint_bits)
-        destination = pack_vertex(dst_fingerprint, dst_address,
-                                  fingerprint_bits)
+        """Subtract ``weight`` from the item of the packed vertex keys'
+        edge at ``timestamp``, in the matching leaf and every materialized
+        ancestor.  Returns True if a leaf item matched."""
         edge = pack_edge(source, destination, vertex_bits(self.config))
         for index in self._candidate_leaf_indices(timestamp):
             if self.leaves[index].decrement(edge, timestamp, weight):

@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Sequence, Tuple
 
+from ..errors import DatasetError
+
 Vertex = str | int
 EdgeTuple = Tuple[Vertex, Vertex, float, int]
 
@@ -45,17 +47,40 @@ class GraphStream:
     summaries and benchmarks consume.  Edges are kept in arrival order; the
     constructor optionally sorts them by timestamp, which matches how real
     stream logs (and the paper's datasets) are replayed.
+
+    Weights must be real numbers and timestamps integers within ``int64``,
+    as on every HIGGS write path, or :class:`~repro.errors.DatasetError`
+    names the first bad item and its position.  A raw tuple's weight is
+    stored as a float and its timestamp as an int.
     """
 
     def __init__(self, edges: Iterable[StreamEdge | EdgeTuple], *,
                  sort_by_time: bool = False, name: str = "stream") -> None:
+        # repro.core imports this module, so its kernels load on first use.
+        from ..core.vectorized import int64_timestamps, real_weights
+
         normalized: List[StreamEdge] = []
+        raw: List[int] = []
         for item in edges:
-            if isinstance(item, StreamEdge):
-                normalized.append(item)
-            else:
+            if not isinstance(item, StreamEdge):
                 s, d, w, t = item
-                normalized.append(StreamEdge(s, d, float(w), int(t)))
+                raw.append(len(normalized))
+                item = StreamEdge(s, d, w, t)
+            normalized.append(item)
+        weights = [edge.weight for edge in normalized]
+        values = real_weights(weights).tolist()
+        timestamps = [edge.timestamp for edge in normalized]
+        stamps = int64_timestamps(timestamps).tolist()
+        bad = min(len(values), len(stamps))
+        if bad < len(normalized):
+            problem = (f"weight {weights[bad]!r} is not a real number"
+                       if bad == len(values) else
+                       f"timestamp {timestamps[bad]!r} is not an int64 integer")
+            raise DatasetError(f"stream item {bad} {normalized[bad]}: {problem}")
+        for k in raw:
+            edge = normalized[k]
+            normalized[k] = StreamEdge(edge.source, edge.destination,
+                                       values[k], stamps[k])
         if sort_by_time:
             normalized.sort(key=lambda e: e.timestamp)
         self._edges: List[StreamEdge] = normalized

@@ -95,8 +95,10 @@ class FaultyShardWorker(ShardWorker):
     the spec fires:
 
     * ``"kill"`` terminates the inner worker's child process *before*
-      forwarding the submit, so the call lands on a dead worker exactly the
-      way a mid-call crash would (requires a process-executor inner worker);
+      forwarding the submit, once the call submitted before it has finished
+      (:func:`await_earlier_result`), so this call, and only this one,
+      lands on a dead worker exactly the way a mid-call crash would
+      (requires a process-executor inner worker);
     * ``"delay"`` sleeps, then forwards;
     * ``"error"`` swallows the submit and queues a synthetic failed result,
       keeping the FIFO submit/collect pairing intact.
@@ -116,6 +118,7 @@ class FaultyShardWorker(ShardWorker):
         """Forward one submit, applying the fault if the spec fires."""
         if self.spec.should_fire(method):
             if self.spec.kind == "kill":
+                await_earlier_result(self.inner)
                 kill_inner_process(self.inner)
             elif self.spec.kind == "delay":
                 time.sleep(self.spec.delay_s)
@@ -159,6 +162,24 @@ def inject_fault(engine: ShardedSummary, shard: int, spec: FaultSpec
     wrapper = FaultyShardWorker(engine._workers[shard], spec)
     engine._workers[shard] = wrapper
     return wrapper
+
+
+def await_earlier_result(worker: ShardWorker, timeout: float = 5.0) -> None:
+    """Wait until a (possibly wrapped) process worker with an uncollected
+    call has put that call's result on its pipe.
+
+    A kill fault targets one call; without this wait it also kills the
+    call submitted before it whenever the child is still running that one
+    (``insert_stream`` keeps two rounds in flight), and the engine then
+    sees the failure a round early.  The child runs calls in order, so
+    with one call outstanding, as with two rounds in flight, that call is
+    done once the pipe holds a result.
+    """
+    while isinstance(worker, FaultyShardWorker):
+        worker = worker.inner
+    connection = getattr(worker, "_conn", None)
+    if connection is not None and worker.outstanding:
+        connection.poll(timeout)
 
 
 def kill_inner_process(worker: ShardWorker) -> None:

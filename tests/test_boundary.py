@@ -8,12 +8,11 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import walk_plan
+from oracles import vertex_entry, walk_plan
 
 from repro import Higgs
 from repro.core.boundary import boundary_search
 from repro.core.config import HiggsConfig
-from repro.core.hashing import VertexHasher
 from repro.core.tree import HiggsTree
 from repro.streams.edge import StreamEdge
 
@@ -22,12 +21,11 @@ from repro.streams.edge import StreamEdge
 def loaded_tree():
     config = HiggsConfig(leaf_matrix_size=4, bucket_entries=1, fingerprint_bits=12,
                          num_probes=1, enable_overflow_blocks=False)
-    hasher = VertexHasher(config.fingerprint_bits, config.leaf_matrix_size)
     tree = HiggsTree(config)
     for i in range(600):
-        fs, hs = hasher.split(f"s{i}")
-        fd, hd = hasher.split(f"d{i}")
-        tree.insert_hashed(fs, fd, hs, hd, 1.0, i)
+        tree.insert_packed([vertex_entry(config, f"s{i}"),
+                            vertex_entry(config, f"d{i}")],
+                           [0], [1], [1.0], [i])
     return tree
 
 

@@ -1,14 +1,46 @@
-"""Tests for vertex hashing, fingerprint/address splitting, and probing."""
+"""Tests for vertex hashing, fingerprint/address splitting, and probing.
+
+Vertex hashing has one implementation, the scalar kernels.  Golden values
+pin :func:`hash64` itself, and a property test pins
+:meth:`Higgs._hash_vertices`, the one place a vertex becomes its packed
+key and probe rows, against those kernels called one by one.
+"""
 
 from __future__ import annotations
 
+import dataclasses
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import vertex_entry
 
+from repro import Higgs, HiggsConfig
 from repro.core.hashing import (VertexHasher, hash64, lift_address,
                                 probe_address, probe_step)
 from repro.errors import ConfigurationError
+
+#: Keys of every kind ``hash64`` encodes: text, bytes, and integers of any
+#: type (hashed by value), in and beyond the int64 range.
+_GOLDEN_KEYS = ["v1", "", b"\x00\xff", 0, -1, 7, np.int64(7), True, 2 ** 63,
+                -(2 ** 100)]
+_GOLDEN = {
+    0: [0xC069F3B9F06680F7, 0xC3817C016BA4FF30, 0x54578A4514ABB9DF,
+        0x4193FD1B681DCD25, 0x435E54E58958DFAF, 0xD2F655E36A07A1EC,
+        0xD2F655E36A07A1EC, 0x14681DF3075459CB, 0x1BFD62D6C7F9DAA4,
+        0x4A6F40875A28D8E5],
+    12345: [0x3B219450092F3920, 0x7426F5A2AE9B776F, 0x398A154E066A3F24,
+            0x15CC017839F8DFD7, 0x78CF39CCE81E9053, 0x4D7A4C89C5E4A4B9,
+            0x4D7A4C89C5E4A4B9, 0xB126B39B90362009, 0x8770D090152A3806,
+            0xB999B3F8F390565C],
+}
+
+_keys = st.one_of(
+    st.integers(min_value=-(2 ** 63), max_value=2 ** 63 - 1),
+    st.integers(min_value=-(2 ** 63), max_value=2 ** 63 - 1).map(np.int64),
+    st.text(max_size=24),
+    st.binary(max_size=24))
 
 
 class TestHash64:
@@ -37,6 +69,23 @@ class TestHash64:
     @settings(max_examples=50)
     def test_stable_for_arbitrary_text(self, key):
         assert hash64(key) == hash64(key)
+
+    @pytest.mark.parametrize("seed", sorted(_GOLDEN))
+    def test_golden_values(self, seed):
+        assert [hash64(key, seed) for key in _GOLDEN_KEYS] == _GOLDEN[seed]
+
+
+# The wide config's 40-bit fingerprints make a packed edge key wider than
+# int64.
+@pytest.mark.parametrize("config", [
+    HiggsConfig(), HiggsConfig(leaf_matrix_size=8, fingerprint_bits=40)],
+    ids=["default", "wide"])
+@given(keys=st.lists(_keys, max_size=40), seed=st.integers(0, 2 ** 16))
+@settings(max_examples=40, deadline=None)
+def test_hash_vertices_matches_scalar_kernels(config, keys, seed):
+    config = dataclasses.replace(config, hash_seed=seed)
+    assert Higgs(config)._hash_vertices(keys) == \
+        [vertex_entry(config, key) for key in keys]
 
 
 class TestProbeSequence:

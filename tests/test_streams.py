@@ -20,6 +20,22 @@ class TestGraphStream:
         stream = GraphStream([("a", "b", 1, 3), StreamEdge("b", "c", 2.0, 1)])
         assert len(stream) == 2
         assert isinstance(stream[0], StreamEdge)
+        weight, timestamp = stream[0].weight, stream[0].timestamp
+        assert (weight, timestamp) == (1.0, 3)
+        assert type(weight) is float and type(timestamp) is int
+
+    @pytest.mark.parametrize("item, field", [
+        (("a", "b", "3", 1.5), "weight '3'"),
+        (("a", "b", None, 1), "weight None"),
+        (("a", "b", 1.0, "12"), "timestamp '12'"),
+        (("a", "b", 1.0, None), "timestamp None"),
+        (StreamEdge("a", "b", 1.0, 2.0), "timestamp 2.0")])
+    def test_refuses_what_every_write_path_refuses(self, item, field):
+        # A weight that is not a real number, or a timestamp that is not an
+        # integer within int64, is refused, not coerced; the error names
+        # the first bad item and its position.
+        with pytest.raises(DatasetError, match=f"stream item 1 .*{field}"):
+            GraphStream([("a", "b", 1.0, 0), item, ("a", "b", None, None)])
 
     def test_sort_by_time(self):
         stream = GraphStream([("a", "b", 1, 5), ("b", "c", 1, 2)],

@@ -1,24 +1,26 @@
-"""Bit-identity of the vectorized (numpy) paths against the per-item reference.
+"""Bit-identity of the batch paths against the per-item reference.
 
-The array paths — batch ingest with its vertex memo, Algorithm 2
-aggregation, ``query_batch`` endpoint hashing, the packed edge batches —
-are *optimizations*, never a semantic change: they must produce
-byte-for-byte the same summary (each leaf's per-block bucket occupancy,
-overflow-block keys, item weights, edge and vertex indexes, time range and
-item count; each internal node's ordered key map, placed count and vertex
-maps) and the
-same query answers as per-item ``Higgs.insert`` and per-item queries, the
-scalar reference path.  These tests build the same stream both ways and
-compare deep structural digests plus every query type (edge, vertex in/out,
-path, subgraph) through both the per-item and the batch query APIs, and
-check each shard of a sharded engine against per-item ingest of its
-partition, for both partition modes.  Internal nodes are placed lazily,
-so the digests compare placed trees, and one test checks that when
-placement runs changes no answer and no placed tree.
+The batch paths — batch ingest with its vertex memo, Algorithm 2
+aggregation on numpy, ``query_batch`` with its shared endpoints and plans,
+the packed edge batches — are *optimizations*, never a semantic change:
+they must produce byte-for-byte the same summary (each leaf's per-block
+bucket occupancy, overflow-block keys, item weights, edge and vertex
+indexes, time range and item count; each internal node's ordered key map,
+placed count and vertex maps) and the same query answers as per-item
+``Higgs.insert`` and per-item queries, the scalar reference path.  These
+tests build the same stream both ways and compare deep structural digests
+plus every query type (edge, vertex in/out, path, subgraph) through both
+the per-item and the batch query APIs, and check each shard of a sharded
+engine against per-item ingest of its partition, for both partition
+modes.  Internal nodes are placed lazily, so the digests compare placed
+trees, and one test checks that when placement runs changes no answer and
+no placed tree.
 
-Kernel-level properties (``hash64_array`` vs :func:`repro.core.hashing.hash64`
-and friends) are pinned separately so a divergence points at the exact
-kernel rather than at "the tree ended up different".
+Array kernels (``probe_rows_array`` against
+:func:`repro.core.hashing.probe_address`) and the packed key's lift
+invariance are pinned separately, so a divergence points at the exact
+kernel rather than at "the tree ended up different".  Vertex hashing has
+one, scalar, implementation; ``tests/test_hashing.py`` pins it.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from repro.baselines.exact import ExactTemporalGraph
 from repro.core import vectorized
 from repro.core.aggregation import lift_coordinates
 from repro.core.executor import pack_edges
-from repro.core.hashing import VertexHasher, hash64, probe_address, shard_of
+from repro.core.hashing import probe_address, shard_of
 from repro.core.node import pack_vertex, unpack_vertex, vertex_bits
 from repro.queries.types import (EdgeQuery, PathQuery, SubgraphQuery,
                                  VertexQuery)
@@ -56,11 +58,6 @@ _edges = st.lists(
         lambda items: [StreamEdge(s, d, float(w), t)
                        for s, d, w, t in
                        sorted(items, key=lambda item: item[3])])
-_keys = st.one_of(
-    st.integers(min_value=-(2 ** 63), max_value=2 ** 63 - 1),
-    st.integers(min_value=-(2 ** 63), max_value=2 ** 63 - 1).map(np.int64),
-    st.text(max_size=24),
-    st.binary(max_size=24))
 
 
 def _leaf_digest(leaf):
@@ -116,28 +113,6 @@ def _queries(edges):
 # kernel-level equivalences
 # --------------------------------------------------------------------- #
 
-@given(keys=st.lists(_keys, min_size=1, max_size=60),
-       seed=st.integers(0, 2 ** 32 - 1))
-@settings(max_examples=80, deadline=None)
-def test_hash64_array_matches_scalar(keys, seed):
-    bulk = vectorized.hash64_array(keys, seed).tolist()
-    assert bulk == [hash64(key, seed) for key in keys]
-
-
-@given(keys=st.lists(_keys, min_size=1, max_size=40),
-       seed=st.integers(0, 2 ** 16))
-@settings(max_examples=40, deadline=None)
-def test_split_array_matches_vertex_hasher(keys, seed):
-    config = HiggsConfig(hash_seed=seed)
-    hasher = VertexHasher(config.fingerprint_bits, config.leaf_matrix_size,
-                          seed=seed)
-    hashes = vectorized.hash64_array(keys, seed)
-    fingerprints, addresses = vectorized.split_array(
-        hashes, config.fingerprint_bits, config.leaf_matrix_size)
-    expected = [hasher.split(key) for key in keys]
-    assert list(zip(fingerprints.tolist(), addresses.tolist())) == expected
-
-
 @given(items=st.lists(st.tuples(st.integers(0, 2 ** 19 - 1),
                                 st.integers(0, 15)),
                       min_size=1, max_size=50))
@@ -148,23 +123,6 @@ def test_probe_rows_array_matches_scalar(items):
     bulk = vectorized.probe_rows_array(fingerprints, addresses, 4, 16)
     for row, (fp, addr) in zip(bulk.tolist(), items):
         assert row == [probe_address(addr, i, fp, 16) for i in range(4)]
-
-
-@pytest.mark.parametrize("config", [
-    _MEDIUM, HiggsConfig(leaf_matrix_size=8, fingerprint_bits=40)],
-    ids=["int64", "wide"])
-@given(data=st.data())
-@settings(max_examples=30, deadline=None)
-def test_pack_vertex_array_matches_scalar(config, data):
-    items = data.draw(st.lists(
-        st.tuples(st.integers(0, 2 ** config.fingerprint_bits - 1),
-                  st.integers(0, config.leaf_matrix_size - 1)),
-        min_size=1, max_size=50))
-    fingerprints = np.asarray([fp for fp, _ in items], dtype=np.int64)
-    addresses = np.asarray([addr for _, addr in items], dtype=np.int64)
-    bulk = vectorized.pack_vertex_array(fingerprints, addresses, config)
-    assert bulk.tolist() == [pack_vertex(fp, addr, config.fingerprint_bits)
-                             for fp, addr in items]
 
 
 @given(fps=st.lists(st.integers(0, 2 ** 12 - 1), min_size=1, max_size=50),
@@ -543,8 +501,6 @@ def test_integer_vertex_ids_hash_by_value():
         assert shard_of(np.int64(7), shards) == shard_of(7, shards)
         assert shard_of(True, shards) == shard_of(np.int64(1), shards) == \
             shard_of(1, shards)
-    assert vectorized.hash64_array([np.int64(7), True, 7]).tolist() == \
-        [hash64(7), hash64(1), hash64(7)]
 
 
 def test_generator_prefix_applied_on_mid_stream_error():

@@ -491,7 +491,7 @@ def _is_bulk_call(call: ast.Call) -> bool:
     """True when ``call`` invokes a bulk kernel.
 
     Either the called name ends in a :data:`_BULK_SUFFIXES` suffix
-    (``probe_rows_array``, ``vectorized.hash64_array``, ...) or the
+    (``probe_rows_array``, ``vectorized.candidate_cells_array``, ...) or the
     attribute chain is rooted at ``np`` / ``numpy`` (``np.unique``,
     ``numpy.concatenate``, ...).
     """
