@@ -1,9 +1,9 @@
 """Setuptools configuration.
 
 The library is pure Python with one hard dependency, numpy: it runs the
-batch paths (vectorized hashing and probing, the Algorithm 2 aggregation,
-``query_batch`` endpoint hashing) and the packed edge batches sent to
-process shard workers.
+weight and timestamp checks of the batch write paths, the Algorithm 2
+aggregation and placement, and the packed edge batches sent to process
+shard workers.  Vertices are hashed by scalar Python kernels.
 """
 
 from setuptools import find_packages, setup

@@ -12,11 +12,18 @@ calls and the number of calls it executed (:meth:`ShardWorker.stats`), which
 the benchmark harness uses to report per-shard load balance and projected
 parallel ingest time.
 
-A process worker's calls and results are pickled through its pipe.  Large
-edge batches travel as :class:`PackedEdges` (a vertex table plus 24-byte
-records) instead of lists of edge objects, which pickle smaller and which
+A process worker's calls and results cross its pipe as plain
+:func:`pickle.dumps` bytes (``send_bytes`` / ``recv_bytes``), in both
+directions; nothing that crosses holds a connection or a file descriptor,
+so multiprocessing's reducing pickler is not needed.  Large edge batches
+travel as :class:`PackedEdges` (a vertex table plus 24-byte records)
+instead of lists of edge objects, which pickle smaller and which
 :meth:`~repro.core.higgs.Higgs.insert_batch` ingests without building edge
-objects in the child.
+objects in the child; the sharded engine's reads travel as plain query
+rows (:data:`~repro.summary.QueryRow`).  The parent waits for a result in
+one ``poll`` call on a :func:`select.poll` object each worker keeps,
+registered on the pipe and on the child's process sentinel, so a result
+and a death both wake it at once.
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ import contextlib
 import gc
 import multiprocessing
 import pickle
+import select
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -61,11 +69,6 @@ SERIALIZE_OP = "__serialize__"
 #: :data:`SERIALIZE_OP`; restore and migration swap shard state in through
 #: this op, on whatever execution vehicle the worker uses.
 LOAD_OP = "__load__"
-
-#: How often the process-worker collect loop re-checks child liveness, in
-#: seconds.  Small enough that a dead child surfaces promptly; large enough
-#: that polling stays invisible next to real shard work.
-_COLLECT_POLL_SECONDS = 0.05
 
 #: Per-edge packed record: vertex-table indices, weight, timestamp.
 #: 24 bytes per edge, little-endian, alignment-free.
@@ -381,13 +384,21 @@ class _TargetHolder:
         self.target = target
 
 
+def _send(conn, message: Any) -> None:
+    """Pickle ``message`` with the plain pickler and write it to ``conn``."""
+    conn.send_bytes(pickle.dumps(message, pickle.HIGHEST_PROTOCOL))
+
+
 def _process_worker_main(factory: Callable[[], Any], conn) -> None:
     """Entry point of a shard worker process.
 
-    Builds the target from ``factory``, acknowledges readiness, then serves
-    ``(method, args, kwargs)`` requests until the ``None`` sentinel arrives.
-    Exceptions are reduced to ``(type name, message)`` pairs because arbitrary
-    exception objects may not pickle.
+    Builds the target from ``factory``, acknowledges readiness (the one
+    message sent with ``conn.send``), then serves ``(method, args,
+    kwargs)`` requests until the ``None`` sentinel arrives.  Requests and
+    replies are plain pickles read with ``recv_bytes`` and written with
+    ``send_bytes``; a reply whose value fails to pickle is reported as the
+    call's error.  Exceptions are reduced to ``(type name, message)`` pairs
+    because arbitrary exception objects may not pickle.
     """
     # A forked child starts with a copy of the parent's whole heap.  Freeze
     # it, so the worker's collections walk only the objects it creates.
@@ -403,7 +414,7 @@ def _process_worker_main(factory: Callable[[], Any], conn) -> None:
     try:
         while True:
             try:
-                request = conn.recv()
+                request = pickle.loads(conn.recv_bytes())
             except EOFError:
                 break
             if request is None:
@@ -412,16 +423,16 @@ def _process_worker_main(factory: Callable[[], Any], conn) -> None:
             reserved = _apply_reserved(holder, method, args, busy)
             if reserved is not None:
                 if reserved.ok:
-                    conn.send(("ok", reserved.value))
+                    _send(conn, ("ok", reserved.value))
                 else:
                     error = reserved.error
-                    conn.send(("err", (type(error).__name__, str(error))))
+                    _send(conn, ("err", (type(error).__name__, str(error))))
                 continue
             try:
                 value = _timed_invoke(holder.target, method, args, kwargs, busy)
-                conn.send(("ok", value))
+                _send(conn, ("ok", value))
             except BaseException as exc:  # noqa: BLE001 - reported to the parent
-                conn.send(("err", (type(exc).__name__, str(exc))))
+                _send(conn, ("err", (type(exc).__name__, str(exc))))
     finally:
         conn.close()
 
@@ -453,6 +464,11 @@ class ProcessShardWorker(ShardWorker):
         self._process.start()
         child_conn.close()
         self._closed = False
+        #: One wait for both wake-ups: a result on the pipe, or the
+        #: child's exit (its sentinel becomes readable).
+        self._poller = select.poll()
+        self._poller.register(self._conn.fileno(), select.POLLIN)
+        self._poller.register(self._process.sentinel, select.POLLIN)
         #: One marker per uncollected submit: "sent" means a result will
         #: arrive on the pipe, "failed" means the send itself failed and
         #: collect() must synthesize the failure.  Keeping the markers in
@@ -481,8 +497,10 @@ class ProcessShardWorker(ShardWorker):
     def submit(self, method: str, args: Tuple = (), kwargs: Optional[dict] = None) -> None:
         if self._closed:
             raise ShardingError("submit on a closed shard worker")
+        request = pickle.dumps((method, self._maybe_pack(args), kwargs),
+                               pickle.HIGHEST_PROTOCOL)
         try:
-            self._conn.send((method, self._maybe_pack(args), kwargs))
+            self._conn.send_bytes(request)
         except (BrokenPipeError, OSError):
             # A dead child must not leak a raw OSError out of submit (and
             # thereby desynchronize the caller's scatter loop); the failure
@@ -532,44 +550,39 @@ class ProcessShardWorker(ShardWorker):
     def collect(self, timeout: Optional[float] = None) -> ShardResult:
         self._outstanding = max(0, self._outstanding - 1)
         marker = self._submit_markers.pop(0) if self._submit_markers else "sent"
-        if marker == "failed":
+        if marker == "failed" or self._closed:
             return self._death_result()
-        # Poll instead of a blocking recv: a child that dies between submit
-        # and collect (crash, OOM-kill, SIGKILL) may leave nothing on the
-        # pipe, and an unbounded recv would hang the caller forever.  The
-        # loop waits in short slices, re-checking child liveness each round
-        # and honouring the caller's overall timeout.
+        # Wait on the pipe and the child's sentinel together instead of a
+        # blocking recv: a child that dies between submit and collect
+        # (crash, OOM-kill, SIGKILL) may leave nothing on the pipe, and an
+        # unbounded recv would hang the caller forever.
         deadline = None if timeout is None else time.monotonic() + timeout
+        conn_fd = self._conn.fileno()
         while True:
-            try:
-                if self._conn.poll(_COLLECT_POLL_SECONDS):
-                    status, payload = self._conn.recv()
-                    if self._stale:
-                        # A result owed to an earlier timed-out collect:
-                        # discard it and keep waiting for this call's own.
-                        self._stale -= 1
-                        continue
-                    break
-            except (EOFError, OSError):
+            wait_ms = None if deadline is None else \
+                max(0.0, deadline - time.monotonic()) * 1000.0
+            ready = [fd for fd, _ in self._poller.poll(wait_ms)]
+            if conn_fd in ready:
+                # The pipe first: a result the child wrote just before it
+                # exited is still delivered.  A dead child's pipe reads EOF.
+                try:
+                    status, payload = pickle.loads(self._conn.recv_bytes())
+                except (EOFError, OSError):
+                    return self._death_result()
+                if self._stale:
+                    # A result owed to an earlier timed-out collect:
+                    # discard it and keep waiting for this call's own.
+                    self._stale -= 1
+                    continue
+                break
+            if ready:  # only the sentinel: the child is dead
                 return self._death_result()
-            if not self._process.is_alive():
-                # One last zero-wait poll: the child may have flushed its
-                # result just before exiting.
-                with contextlib.suppress(EOFError, OSError):
-                    if self._conn.poll(0):
-                        status, payload = self._conn.recv()
-                        if self._stale:
-                            self._stale -= 1
-                            continue
-                        break
-                return self._death_result()
-            if deadline is not None and time.monotonic() >= deadline:
-                # Abandon the call but remember that its result is still
-                # coming, so later collects keep pairing with their calls.
-                self._stale += 1
-                return ShardResult(False, None, ShardingError(
-                    f"timed out after {timeout:.3f}s waiting for shard "
-                    f"worker {self.name!r}"))
+            # Abandon the call but remember that its result is still
+            # coming, so later collects keep pairing with their calls.
+            self._stale += 1
+            return ShardResult(False, None, ShardingError(
+                f"timed out after {timeout:.3f}s waiting for shard "
+                f"worker {self.name!r}"))
         if status == "ok":
             return ShardResult(True, payload)
         type_name, message = payload
@@ -595,7 +608,7 @@ class ProcessShardWorker(ShardWorker):
             return
         self._closed = True
         with contextlib.suppress(BrokenPipeError, OSError):
-            self._conn.send(None)
+            _send(self._conn, None)
         self._process.join(timeout=5)
         if self._process.is_alive():  # pragma: no cover - defensive
             self._process.terminate()

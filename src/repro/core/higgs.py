@@ -15,14 +15,18 @@ Aggregation builds each internal node's exact sums only; Algorithm 2's
 simulated bucket placement, which decides no answer, runs when
 :meth:`Higgs.memory_bytes` or :meth:`Higgs.stats` first needs it.  Edge /
 vertex / path / subgraph queries can be answered over any temporal range —
-individually or in bulk via :meth:`Higgs.query_batch`.  A query packs each
+individually, or in bulk via :meth:`Higgs.query_batch` (query objects) and
+:meth:`Higgs.query_rows` (the plain rows of :data:`~repro.summary.QueryRow`,
+which sharded shards receive).  Both bulk forms answer in one loop:
+:meth:`Higgs.query_batch` turns its objects into rows and calls
+:meth:`Higgs.query_rows`.  A query packs each
 endpoint once, the same integer at every tree layer: the memo's key when
 batch ingest has met the endpoint, else a hash that is not stored, so
 queries never write the memo.  It reads the nodes' maps in place.  Each
 call decomposes each of its ranges once
 (:func:`~repro.core.boundary.boundary_search`): a path or subgraph query
-shares one plan over its edges, and :meth:`Higgs.query_batch` one per
-distinct range of the batch.  No plan outlives its call.
+shares one plan over its edges, and a bulk call one per distinct range of
+the batch.  No plan outlives its call.
 
 Example
 -------
@@ -42,7 +46,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import InsertionError, QueryError
 from ..streams.edge import StreamEdge, Vertex
-from ..summary import TemporalGraphSummary
+from ..summary import (ROW_EDGE, ROW_IN, ROW_OUT, ROW_PAIRS, QueryRow,
+                       TemporalGraphSummary)
 from . import vectorized
 from .boundary import RangeDecomposition, boundary_search
 from .config import HiggsConfig
@@ -52,9 +57,6 @@ from .tree import HiggsTree
 
 _INT64_MIN = -(1 << 63)
 _INT64_MAX = (1 << 63) - 1
-
-#: Query kinds :meth:`Higgs.query_batch` tells apart in its first pass.
-_EDGE, _OUT, _IN = range(3)
 
 
 def _timestamp_error(timestamp: object) -> InsertionError:
@@ -116,7 +118,7 @@ class Higgs(TemporalGraphSummary):
                                     seed=self.config.hash_seed)
         self._tree = HiggsTree(self.config)
         #: Range decompositions computed, and queries that reused one
-        #: within a :meth:`query_batch` call (:meth:`plan_cache_stats`).
+        #: within a :meth:`query_rows` call (:meth:`plan_cache_stats`).
         self._plans_computed = 0
         self._plans_reused = 0
         #: Vertex → (packed key, leaf-level probe rows), filled by the batch
@@ -378,70 +380,89 @@ class Higgs(TemporalGraphSummary):
     def query_batch(self, queries: Sequence) -> List[float]:
         """Answer a batch of query objects with shared per-batch state.
 
-        One pass over the batch works out each query's kind and checks its
-        range (and direction).  The batch's distinct query endpoints — path
-        and subgraph queries' included — are then packed once each
-        (:meth:`_packed_keys`: the vertex memo's keys, and the misses
-        hashed), and each distinct range is decomposed once.  Each
-        query answers from its range's plan and its endpoints' packed keys,
-        reading the plan's node maps in place.  A path or subgraph query
-        sums its edges' estimates in order from ``0.0``, exactly as
-        :meth:`path_query` and :meth:`subgraph_query` do.  Any other query
-        object falls back to its own ``evaluate``.
+        Each query is checked and turned into its row
+        (:meth:`~repro.summary.TemporalGraphSummary.query_row`), in batch
+        order, and the rows are answered together by :meth:`query_rows`,
+        the one answer loop.  Any other query object falls back to its own
+        ``evaluate``.
+        """
+        rows: List[QueryRow] = []
+        others: List[Tuple[int, object]] = []
+        row_of = self.query_row
+        for index, query in enumerate(queries):
+            row = row_of(query)
+            if row is None:
+                others.append((index, query))
+            else:
+                rows.append(row)
+        results = self.query_rows(rows)
+        # In index order, each insert lands at its query's position.
+        for index, query in others:
+            results.insert(index, query.evaluate(self))
+        return results
+
+    def query_rows(self, rows: Sequence[QueryRow]) -> List[float]:
+        """Answer a batch of query rows with shared per-batch state.
+
+        One pass over the rows checks each distinct range, in row order,
+        and collects the distinct endpoints — a pair row's included.  These
+        are then packed once each (:meth:`_packed_keys`: the vertex memo's
+        keys, and the misses hashed), and each distinct range is
+        decomposed once.  Each row answers from its range's plan and its
+        endpoints' packed keys, reading the plan's node maps in place.  A
+        :data:`~repro.summary.ROW_PAIRS` row sums its edges' estimates in
+        order from ``0.0``, exactly as :meth:`path_query` and
+        :meth:`subgraph_query` do.
+
+        Raises
+        ------
+        QueryError
+            On a malformed range, an empty pair sequence or an unknown
+            kind code, before any row is answered.
         """
         distinct: Dict[Vertex, None] = {}
         ranges: Dict[Tuple[int, int], None] = {}
-        # Per query: _EDGE, _OUT, _IN, a composite's pairs, or None.
-        kinds: List[object] = []
-        for query in queries:
-            # Structural dispatch keeps this module free of an import cycle
-            # with :mod:`repro.queries.types`.
-            if hasattr(query, "destination"):  # edge query
-                self.check_range(query.t_start, query.t_end)
-                distinct[query.source] = None
-                distinct[query.destination] = None
-                kinds.append(_EDGE)
-            elif hasattr(query, "vertex"):  # vertex query
-                self.check_range(query.t_start, query.t_end)
-                self.check_direction(query.direction)
-                distinct[query.vertex] = None
-                kinds.append(_OUT if query.direction == "out" else _IN)
-            else:  # path / subgraph query, or another query object
-                pairs = self.composite_pairs(query)
-                kinds.append(pairs)
-                if pairs is None:
-                    continue
-                for source, destination in pairs:
+        check_range = self.check_range
+        for kind, a, b, t_start, t_end in rows:
+            if kind == ROW_EDGE:
+                distinct[a] = None
+                distinct[b] = None
+            elif kind == ROW_OUT or kind == ROW_IN:
+                distinct[a] = None
+            elif kind == ROW_PAIRS:
+                if not a:
+                    raise QueryError(
+                        "a subgraph query needs at least one edge")
+                for source, destination in a:
                     distinct[source] = None
                     distinct[destination] = None
-            ranges[query.t_start, query.t_end] = None
+            else:
+                raise QueryError(f"unknown query row kind {kind!r}")
+            if (t_start, t_end) not in ranges:
+                check_range(t_start, t_end)
+                ranges[t_start, t_end] = None
         plans = {key: self._plan(*key) for key in ranges}
-        self._plans_reused += len(queries) - kinds.count(None) - len(plans)
+        self._plans_reused += len(rows) - len(plans)
         packed = self._packed_keys(distinct)
         bits = vertex_bits(self.config)
 
         results: List[float] = []
         append = results.append
         edge_answer, vertex_answer = self._edge_answer, self._vertex_answer
-        for query, kind in zip(queries, kinds, strict=True):
-            if kind is None:
-                append(query.evaluate(self))
-                continue
-            t_start, t_end = query.t_start, query.t_end
+        for kind, a, b, t_start, t_end in rows:
             plan = plans[t_start, t_end]
-            if kind == _EDGE:
-                edge = (packed[query.source] << bits) | \
-                    packed[query.destination]  # pack_edge
+            if kind == ROW_EDGE:
+                edge = (packed[a] << bits) | packed[b]  # pack_edge
                 append(edge_answer(plan, edge, t_start, t_end))
-            elif kind in (_OUT, _IN):
-                append(vertex_answer(plan, packed[query.vertex], t_start,
-                                     t_end, kind == _OUT))
-            else:
+            elif kind == ROW_PAIRS:
                 total = 0.0
-                for source, destination in kind:
+                for source, destination in a:
                     edge = (packed[source] << bits) | packed[destination]
                     total += edge_answer(plan, edge, t_start, t_end)
                 append(total)
+            else:
+                append(vertex_answer(plan, packed[a], t_start, t_end,
+                                     kind == ROW_OUT))
         return results
 
     # ------------------------------------------------------------------ #
@@ -451,7 +472,7 @@ class Higgs(TemporalGraphSummary):
     def plan_cache_stats(self) -> Dict[str, int]:
         """Plan counters: ``misses`` counts the range decompositions
         computed, and ``hits`` the queries that reused one computed earlier
-        in the same :meth:`query_batch` call."""
+        in the same :meth:`query_rows` (or :meth:`query_batch`) call."""
         return {"hits": self._plans_reused, "misses": self._plans_computed}
 
     @property

@@ -6,11 +6,8 @@ queries.  Each query object knows how to evaluate itself against any
 :class:`~repro.summary.TemporalGraphSummary`, which keeps the evaluation
 harness method-agnostic.
 
-Each type pickles as a call to its constructor (``__reduce__``).  Without
-that, a ``slots=True`` dataclass pickles through the ``dataclasses``
-``__getstate__``/``__setstate__`` pair, which calls ``fields()`` for every
-object — the larger part of the cost of sending a query batch to a shard
-worker process.
+Query objects do not cross process boundaries: the sharded engine sends
+its shards plain query rows (:data:`~repro.summary.QueryRow`) instead.
 """
 
 from __future__ import annotations
@@ -31,10 +28,6 @@ class EdgeQuery:
     t_start: int
     t_end: int
 
-    def __reduce__(self):
-        return EdgeQuery, (self.source, self.destination, self.t_start,
-                           self.t_end)
-
     def evaluate(self, summary: TemporalGraphSummary) -> float:
         return summary.edge_query(self.source, self.destination,
                                   self.t_start, self.t_end)
@@ -48,10 +41,6 @@ class VertexQuery:
     t_start: int
     t_end: int
     direction: str = "out"
-
-    def __reduce__(self):
-        return VertexQuery, (self.vertex, self.t_start, self.t_end,
-                             self.direction)
 
     def evaluate(self, summary: TemporalGraphSummary) -> float:
         return summary.vertex_query(self.vertex, self.t_start, self.t_end,
@@ -71,9 +60,6 @@ class PathQuery:
         """Number of edges in the path."""
         return len(self.path) - 1
 
-    def __reduce__(self):
-        return PathQuery, (self.path, self.t_start, self.t_end)
-
     def evaluate(self, summary: TemporalGraphSummary) -> float:
         return summary.path_query(self.path, self.t_start, self.t_end)
 
@@ -90,9 +76,6 @@ class SubgraphQuery:
     def size(self) -> int:
         """Number of edges in the queried subgraph."""
         return len(self.edges)
-
-    def __reduce__(self):
-        return SubgraphQuery, (self.edges, self.t_start, self.t_end)
 
     def evaluate(self, summary: TemporalGraphSummary) -> float:
         return summary.subgraph_query(self.edges, self.t_start, self.t_end)

@@ -225,7 +225,7 @@ class ServingEngine:
         direction = getattr(query, "direction", None)
         if direction is not None:
             self._summary.check_direction(direction)
-        self._summary.composite_pairs(query)
+        self._summary.query_row(query)
         request = ReadRequest(query)
         self._admit(request)
         return request.future

@@ -49,9 +49,9 @@ from ..core.executor import (LOAD_OP, SERIALIZE_OP, ShardResult, ShardWorker,
 from ..core.higgs import Higgs
 from ..errors import QueryError, ShardingError, SnapshotError
 from ..observability import MetricsRegistry
-from ..queries.types import SubgraphQuery
 from ..streams.edge import GraphStream, StreamEdge, Vertex
-from ..summary import TemporalGraphSummary
+from ..summary import (ROW_EDGE, ROW_OUT, ROW_PAIRS, QueryRow,
+                       TemporalGraphSummary)
 from . import snapshot as snapshot_format
 from .partition import ShardPartitioner
 
@@ -654,56 +654,61 @@ class ShardedSummary(TemporalGraphSummary):
     def query_batch(self, queries: Sequence) -> List[float]:
         """Answer a batch of query objects with one call per involved shard.
 
-        Edge queries and routable vertex queries go to their owning shard's
-        sub-batch (preserving their relative order within the shard);
-        scattered vertex queries join every shard's sub-batch.  A path or
-        subgraph query is checked up front, split by owning shard as
-        :meth:`subgraph_query` splits it, and sent in the same sub-batches
-        as a :class:`~repro.queries.types.SubgraphQuery` over each shard's
-        pairs.  Each shard's estimates are then added into their queries'
-        results in shard order, as the per-item methods add them, so
-        results come back in the callers' order and match the per-item
-        methods exactly.  Any other query object is evaluated on its own.
+        Each query is checked up front and turned into its plain
+        :data:`~repro.summary.QueryRow`
+        (:meth:`~repro.summary.TemporalGraphSummary.query_row`).  Edge
+        queries and routable vertex queries go to their owning shard's
+        rows (preserving their relative order within the shard); scattered
+        vertex queries join every shard's rows.  A path or subgraph query
+        is split by owning shard as :meth:`subgraph_query` splits it, and
+        each involved shard gets one :data:`~repro.summary.ROW_PAIRS` row
+        over its pairs.  Each shard answers its rows in one ``query_rows``
+        call, and its estimates are then added into their queries' results
+        in shard order, as the per-item methods add them, so results come
+        back in the callers' order and match the per-item methods exactly.
+        Any other query object is evaluated on its own.
         """
         results: List[float] = [0.0] * len(queries)
-        per_shard: Dict[int, List[Tuple[int, object]]] = {}
+        every_shard = range(self.num_shards)
+        # Per shard, its rows and their queries' indices, in batch order.
+        shard_rows: List[List[QueryRow]] = [[] for _ in every_shard]
+        shard_indices: List[List[int]] = [[] for _ in every_shard]
         others: List[Tuple[int, object]] = []
+        partitioner = self._partitioner
+        out_routes = self._vertex_routes_to_one_shard("out")
+        row_of = self.query_row
         for index, query in enumerate(queries):
-            if hasattr(query, "destination"):  # edge query
-                self.check_range(query.t_start, query.t_end)
+            row = row_of(query)
+            if row is None:
+                others.append((index, query))
+                continue
+            kind = row[0]
+            if kind == ROW_EDGE:
                 # A reassigned source splits the edge's occurrences across
                 # its owner history; querying every owner and accumulating
                 # into results[index] re-unifies the estimate exactly.
-                for shard in self._partitioner.owners_of_edge(
-                        query.source, query.destination):
-                    per_shard.setdefault(shard, []).append((index, query))
-            elif hasattr(query, "vertex"):  # vertex query
-                self.check_range(query.t_start, query.t_end)
-                self.check_direction(query.direction)
-                if self._vertex_routes_to_one_shard(query.direction):
-                    for shard in self._partitioner.owners_of_vertex(
-                            query.vertex):
-                        per_shard.setdefault(shard, []).append((index, query))
-                else:
-                    for shard in range(self.num_shards):
-                        per_shard.setdefault(shard, []).append((index, query))
+                owners: Sequence[int] = partitioner.owners_of_edge(row[1],
+                                                                   row[2])
+            elif kind == ROW_OUT and out_routes:
+                owners = partitioner.owners_of_vertex(row[1])
+            elif kind == ROW_PAIRS:
+                for shard, group in partitioner.group_pairs(row[1]).items():
+                    shard_rows[shard].append(
+                        (ROW_PAIRS, group, None, row[3], row[4]))
+                    shard_indices[shard].append(index)
+                continue
             else:
-                pairs = self.composite_pairs(query)
-                if pairs is None:
-                    others.append((index, query))
-                    continue
-                for shard, group in self._partitioner.group_pairs(pairs).items():
-                    part = SubgraphQuery(tuple(group), query.t_start,
-                                         query.t_end)
-                    per_shard.setdefault(shard, []).append((index, part))
-        calls = {shard: ("query_batch", ([query for _, query in items],))
-                 for shard, items in per_shard.items()}
+                owners = every_shard
+            for shard in owners:
+                shard_rows[shard].append(row)
+                shard_indices[shard].append(index)
+        calls = {shard: ("query_rows", (rows,))
+                 for shard, rows in enumerate(shard_rows) if rows}
         gathered = self._scatter(calls)
         self._raise_scatter_failure("query_batch", gathered)
-        for shard in sorted(per_shard):
-            estimates = gathered[shard].value
-            for (index, _), estimate in zip(per_shard[shard], estimates,
-                                            strict=True):
+        for shard in calls:  # in shard order
+            for index, estimate in zip(shard_indices[shard],
+                                       gathered[shard].value, strict=True):
                 results[index] += estimate
         for index, query in others:
             results[index] = query.evaluate(self)

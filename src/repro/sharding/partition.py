@@ -61,10 +61,11 @@ class ShardPartitioner:
 
     Notes
     -----
-    Vertex-to-shard assignments are memoized in an unbounded dictionary;
-    graph streams are heavily skewed, so nearly every lookup after warm-up is
-    a dictionary hit.  The memo grows with the number of *distinct* vertices,
-    which is small relative to the stream itself.
+    Vertex-to-shard assignments (``"source"`` mode) and vertex hashes
+    (``"edge"`` mode) are memoized in unbounded dictionaries; graph streams
+    are heavily skewed, so nearly every lookup after warm-up is a dictionary
+    hit.  The memos grow with the number of *distinct* vertices, which is
+    small relative to the stream itself.
     """
 
     def __init__(self, num_shards: int, *, partition_by: str = "source",
@@ -79,6 +80,10 @@ class ShardPartitioner:
         self.partition_by = partition_by
         self.seed = seed
         self._vertex_memo: Dict[Vertex, int] = {}
+        #: ``"edge"`` mode: vertex → ``hash64(vertex, seed)``, so an edge's
+        #: assignment hashes neither endpoint twice.  Rebuilt on demand,
+        #: never exported.
+        self._hashes: Dict[Vertex, int] = {}
         #: Explicit vertex→shard overrides installed by :meth:`reassign`.
         #: Authoritative record of every reassigned key (the memo holds the
         #: same values plus plain hash results, and can be rebuilt from this).
@@ -111,8 +116,16 @@ class ShardPartitioner:
             return self.shard_of_vertex(source)
         if self.num_shards == 1:
             return 0
-        return (hash64(source, self.seed) * 0x9E3779B97F4A7C15
-                + hash64(destination, self.seed)) % self.num_shards
+        hashes = self._hashes
+        source_hash = hashes.get(source)
+        if source_hash is None:
+            source_hash = hashes[source] = hash64(source, self.seed)
+        destination_hash = hashes.get(destination)
+        if destination_hash is None:
+            destination_hash = hashes[destination] = hash64(destination,
+                                                            self.seed)
+        return (source_hash * 0x9E3779B97F4A7C15
+                + destination_hash) % self.num_shards
 
     # ------------------------------------------------------------------ #
     # key reassignment (elastic rebalancing)
@@ -258,8 +271,9 @@ class ShardPartitioner:
                     shard = memo[source] = shard_of(source, num_shards, seed)
                 parts[shard].append(edge)
         else:
+            shard_of_edge = self.shard_of_edge
             for edge in edges:
-                parts[self.shard_of_edge(edge.source, edge.destination)].append(edge)
+                parts[shard_of_edge(edge.source, edge.destination)].append(edge)
         return parts
 
     def group_pairs(self, pairs: Iterable[Tuple[Vertex, Vertex]]

@@ -17,6 +17,19 @@ override them with a native implementation that produces *bit-identical*
 results.  :meth:`insert_stream` chunks a stream through :meth:`insert_batch`,
 so any summary with a native batch path accelerates stream replay for free.
 
+Query rows
+----------
+:meth:`query_rows` answers queries in the plain tuple form a
+:data:`QueryRow` defines, ``(kind, a, b, t_start, t_end)``: an edge
+(:data:`ROW_EDGE`, ``a → b``), an outgoing or incoming vertex query
+(:data:`ROW_OUT` / :data:`ROW_IN` on vertex ``a``; ``b`` is ``None``), or
+the sum over a sequence of ``(source, destination)`` pairs
+(:data:`ROW_PAIRS`, the pairs in ``a``; ``b`` is ``None``), which is what
+a path or subgraph query asks.  Rows hold only vertices, ints and
+sequences of vertex pairs, so they pickle small and fast; the sharded
+engine sends each shard its part of a batch in this form, and
+:meth:`query_row` turns a query object into its row.
+
 Because every structure honours this one contract, composition layers can
 wrap summaries without knowing what is inside them: the sharded engine
 (:class:`repro.sharding.ShardedSummary`) partitions a stream across many
@@ -26,7 +39,8 @@ inner summaries and is itself a :class:`TemporalGraphSummary`.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Final, Iterable, List, Optional, Protocol, Sequence, Tuple
+from typing import (Any, Final, Iterable, List, Optional, Protocol, Sequence,
+                    Tuple)
 
 from .errors import QueryError
 from .streams.edge import GraphStream, StreamEdge, Vertex
@@ -35,6 +49,14 @@ from .streams.edge import GraphStream, StreamEdge, Vertex
 #: batch insert path.  Large enough to amortize per-batch setup (hash memo
 #: dictionaries), small enough to keep the memo working set in cache.
 DEFAULT_BATCH_SIZE: Final = 1024
+
+#: Kind codes of a :data:`QueryRow`: edge, outgoing vertex, incoming
+#: vertex, and a sum over ``(source, destination)`` pairs.
+ROW_EDGE, ROW_OUT, ROW_IN, ROW_PAIRS = range(4)
+
+#: One query in plain form: ``(kind, a, b, t_start, t_end)`` (see the
+#: module docstring).
+QueryRow = Tuple[int, Any, Any, int, int]
 
 
 class SummaryQuery(Protocol):
@@ -203,6 +225,36 @@ class TemporalGraphSummary(ABC):
         """
         return [query.evaluate(self) for query in queries]
 
+    def query_rows(self, rows: Sequence[QueryRow]) -> List[float]:
+        """Answer a batch of :data:`QueryRow` tuples; one estimate per row.
+
+        The default implementation answers each row through the per-item
+        methods — :meth:`edge_query`, :meth:`vertex_query` and
+        :meth:`subgraph_query` — so a row answers exactly as
+        :meth:`query_batch` answers the query object it came from.
+        Overrides must keep that bit for bit.
+
+        Raises
+        ------
+        QueryError
+            On a malformed range, an empty pair sequence or an unknown
+            kind code.
+        """
+        results: List[float] = []
+        append = results.append
+        for kind, a, b, t_start, t_end in rows:
+            if kind == ROW_EDGE:
+                append(self.edge_query(a, b, t_start, t_end))
+            elif kind == ROW_OUT:
+                append(self.vertex_query(a, t_start, t_end, direction="out"))
+            elif kind == ROW_IN:
+                append(self.vertex_query(a, t_start, t_end, direction="in"))
+            elif kind == ROW_PAIRS:
+                append(self.subgraph_query(a, t_start, t_end))
+            else:
+                raise QueryError(f"unknown query row kind {kind!r}")
+        return results
+
     # ------------------------------------------------------------------ #
     # composite queries (defaults per Section III)
     # ------------------------------------------------------------------ #
@@ -282,15 +334,30 @@ class TemporalGraphSummary(ABC):
                 f"direction must be 'out' or 'in', got {direction!r}")
 
     @staticmethod
-    def composite_pairs(query) -> Optional[Sequence[Tuple[Vertex, Vertex]]]:
-        """The ``(source, destination)`` pairs a path or subgraph query sums.
+    def query_row(query) -> Optional[QueryRow]:
+        """The :data:`QueryRow` a query object asks, checked as the per-item
+        methods check it.
 
-        Checks ``query`` as :meth:`path_query` and :meth:`subgraph_query`
-        do — :class:`QueryError` for a path shorter than two vertices, an
-        empty edge set or a malformed range — and returns its hops or edges
-        in order; ``None`` for a query object that is neither.  Batch paths
-        use it to answer composites from their own per-batch state.
+        An edge query (it has a ``destination``) and a vertex query (a
+        ``vertex``) have their range, and a vertex query its direction,
+        checked.  A path query (a ``path``) becomes a :data:`ROW_PAIRS` row
+        over its hops, and a subgraph query (``edges``) one over its edges,
+        in order; each raises :class:`QueryError` as :meth:`path_query` and
+        :meth:`subgraph_query` do, for a path shorter than two vertices, an
+        empty edge set or a malformed range.  The dispatch is structural,
+        which keeps this module free of an import cycle with
+        :mod:`repro.queries.types`.  ``None`` for any other query object.
         """
+        check_range = TemporalGraphSummary.check_range
+        if hasattr(query, "destination"):  # edge query
+            check_range(query.t_start, query.t_end)
+            return (ROW_EDGE, query.source, query.destination, query.t_start,
+                    query.t_end)
+        if hasattr(query, "vertex"):  # vertex query
+            check_range(query.t_start, query.t_end)
+            TemporalGraphSummary.check_direction(query.direction)
+            return (ROW_OUT if query.direction == "out" else ROW_IN,
+                    query.vertex, None, query.t_start, query.t_end)
         path = getattr(query, "path", None)
         if path is not None:
             if len(path) < 2:
@@ -303,5 +370,5 @@ class TemporalGraphSummary(ABC):
                 raise QueryError("a subgraph query needs at least one edge")
         else:
             return None
-        TemporalGraphSummary.check_range(query.t_start, query.t_end)
-        return pairs
+        check_range(query.t_start, query.t_end)
+        return (ROW_PAIRS, pairs, None, query.t_start, query.t_end)

@@ -4,6 +4,7 @@ the heap a process worker inherits."""
 from __future__ import annotations
 
 import gc
+import os
 import threading
 import time
 
@@ -23,6 +24,9 @@ class _SlowTarget:
     def ping(self) -> str:
         return "pong"
 
+    def exit_now(self, code: int) -> None:
+        os._exit(code)
+
 
 class _HeapProbe:
     """Picklable worker target that counts its process's GC-tracked objects."""
@@ -35,14 +39,20 @@ class TestProcessWorkerDeath:
     """Regression: a worker that dies between submit and collect must surface
     a :class:`ShardingError` naming the shard, not hang on the result pipe."""
 
-    def test_killed_worker_fails_collect_promptly(self):
+    @pytest.mark.parametrize("kill_while_waiting", [False, True],
+                             ids=["before-wait", "during-wait"])
+    def test_killed_worker_fails_collect_promptly(self, kill_while_waiting):
+        """Killed before the collect, the child's pipe already reads EOF;
+        killed while the parent waits in collect, the wake comes from the
+        child's exit."""
         worker = ProcessShardWorker(_SlowTarget, name="shard-7")
         try:
             worker.submit("nap", (60.0,))
             # Let the child dequeue the call, then kill it mid-nap: nothing
             # will ever arrive on the result pipe for this submit.
             time.sleep(0.2)
-            worker._process.kill()
+            if not kill_while_waiting:
+                worker._process.kill()
 
             outcome: dict = {}
 
@@ -52,6 +62,10 @@ class TestProcessWorkerDeath:
             caller = threading.Thread(target=collect, daemon=True)
             start = time.perf_counter()
             caller.start()
+            if kill_while_waiting:
+                time.sleep(0.3)
+                assert caller.is_alive(), "collect returned before the kill"
+                worker._process.kill()
             caller.join(timeout=10.0)
             assert not caller.is_alive(), "collect hung on a dead worker"
             assert time.perf_counter() - start < 10.0
@@ -59,6 +73,25 @@ class TestProcessWorkerDeath:
             assert not result.ok
             assert isinstance(result.error, ShardingError)
             assert "shard-7" in str(result.error)
+        finally:
+            worker.close()
+
+    def test_result_written_before_exit_is_delivered(self):
+        """A result the child wrote just before it exited comes first; the
+        next collect reports the death with the shard and exit code."""
+        worker = ProcessShardWorker(_SlowTarget, name="shard-5")
+        try:
+            worker.submit("ping")
+            worker.submit("exit_now", (3,))
+            worker._process.join(timeout=10.0)
+            assert not worker._process.is_alive()
+            first = worker.collect(timeout=10.0)
+            assert first.ok and first.value == "pong"
+            second = worker.collect(timeout=10.0)
+            assert not second.ok
+            assert isinstance(second.error, ShardingError)
+            assert "shard-5" in str(second.error)
+            assert "exit code 3" in str(second.error)
         finally:
             worker.close()
 

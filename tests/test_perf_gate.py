@@ -261,14 +261,39 @@ class TestInjections:
         # every READ_TAIL_EVERY-th read: p50 must hold while p99 inflates.
         from repro.core.higgs import Higgs
 
-        monkeypatch.setattr(Higgs, "query_batch",
-                            lambda self, queries: [0.0])
+        monkeypatch.setattr(Higgs, "query_rows", lambda self, rows: [0.0])
         sleeps = []
         monkeypatch.setattr(check_perf.time, "sleep", sleeps.append)
         check_perf.inject_read_tail(0.05)
         for _ in range(2 * check_perf.READ_TAIL_EVERY):
-            assert Higgs.query_batch(None, []) == [0.0]
+            assert Higgs.query_rows(None, []) == [0.0]
         assert sleeps == [0.05, 0.05]
+
+    @pytest.mark.parametrize("shards", [None, 2], ids=["bare", "sharded"])
+    def test_read_tail_injection_reaches_higgs_reads(self, monkeypatch,
+                                                     shards):
+        # Bare HIGGS and a sharded HIGGS engine answer their reads through
+        # the loop the injection wraps, so its self-check cannot go blind.
+        from repro.core.higgs import Higgs
+        from repro.queries.types import EdgeQuery, VertexQuery
+        from repro.sharding import HiggsShardFactory, ShardedSummary
+
+        monkeypatch.setattr(Higgs, "query_rows", Higgs.query_rows)
+        sleeps = []
+        monkeypatch.setattr(check_perf.time, "sleep", sleeps.append)
+        check_perf.inject_read_tail(0.05)
+        if shards is None:
+            summary = Higgs()
+        else:
+            summary = ShardedSummary(HiggsShardFactory(), shards=shards,
+                                     executor="serial")
+        summary.insert("a", "b", 1.0, 5)
+        batch = [EdgeQuery("a", "b", 0, 10), VertexQuery("b", 0, 10, "in")]
+        for _ in range(check_perf.READ_TAIL_EVERY):
+            assert summary.query_batch(batch) == [1.0, 1.0]
+        # One answer-loop call per batch on bare HIGGS, one per shard on the
+        # engine (the incoming vertex query reaches both shards).
+        assert sleeps == [0.05] * (1 if shards is None else 2)
 
     def test_admission_squeeze_hits_only_drop_policy(self, monkeypatch):
         from repro.baselines.exact import ExactTemporalGraph

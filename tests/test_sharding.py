@@ -2,16 +2,20 @@
 
 from __future__ import annotations
 
+import io
+import pickle
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from faultinject import FaultSpec, inject_fault
 from repro import (Higgs, HiggsConfig, HiggsShardFactory, ShardedSummary,
                    ShardingConfig, SnapshotConfig)
 from repro.baselines.exact import ExactTemporalGraph
 from repro.core.executor import make_shard_worker
-from repro.core.hashing import shard_of
+from repro.core.hashing import hash64, shard_of
 from repro.errors import ConfigurationError, QueryError, ShardingError
 from repro.queries.types import EdgeQuery, PathQuery, SubgraphQuery, VertexQuery
 from repro.sharding import ShardPartitioner
@@ -26,6 +30,19 @@ def _config() -> HiggsConfig:
 
 def _factory() -> HiggsShardFactory:
     return HiggsShardFactory(_config())
+
+
+def _pickled_modules(data: bytes) -> list:
+    """The modules of the classes and functions a pickle names."""
+    modules = []
+
+    class _Recorder(pickle.Unpickler):
+        def find_class(self, module, name):
+            modules.append(module)
+            return super().find_class(module, name)
+
+    _Recorder(io.BytesIO(data)).load()
+    return modules
 
 
 def _ranges(stream):
@@ -62,6 +79,37 @@ class TestPartitioner:
             expected = [e for e in small_stream
                         if partitioner.shard_of_edge(e.source, e.destination) == shard]
             assert part == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(pairs=st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)),
+                          max_size=60),
+           shards=st.integers(2, 5), seed=st.integers(0, 3))
+    def test_edge_mode_memo_matches_the_formula(self, pairs, shards, seed):
+        """Edge mode memoizes vertex hashes; every assignment must still be
+        the formula over freshly computed hashes, whatever the memo holds
+        from earlier edges (a vertex recurs as source and destination)."""
+        def formula(source, destination):
+            return (hash64(source, seed) * 0x9E3779B97F4A7C15
+                    + hash64(destination, seed)) % shards
+
+        stream = [StreamEdge(f"v{s}", f"v{d}", 1.0, t)
+                  for t, (s, d) in enumerate(pairs)]
+        partitioner = ShardPartitioner(shards, partition_by="edge",
+                                       seed=seed)
+        assert partitioner.split(stream) == [
+            [e for e in stream if formula(e.source, e.destination) == shard]
+            for shard in range(shards)]
+        for edge in reversed(stream):
+            assert partitioner.shard_of_edge(edge.source, edge.destination) \
+                == formula(edge.source, edge.destination)
+        named = [(f"v{s}", f"v{d}") for s, d in pairs]
+        expected: dict = {}
+        for source, destination in named:
+            expected.setdefault(formula(source, destination), []).append(
+                (source, destination))
+        fresh = ShardPartitioner(shards, partition_by="edge", seed=seed)
+        assert fresh.group_pairs(named) == expected
+        assert partitioner.group_pairs(named) == expected
 
     def test_group_pairs_matches_edge_assignment(self):
         partitioner = ShardPartitioner(4, partition_by="source")
@@ -163,27 +211,56 @@ class TestScatterGather:
         inner_total = sum(s.tree.items_inserted for s in sharded.shard_summaries())
         assert inner_total == len(small_stream)
 
-    def test_query_batch_matches_per_item_queries(self, small_stream):
-        sharded = ShardedSummary(_factory(), shards=3, partition_by="source")
-        sharded.insert_stream(small_stream)
-        edges = sorted(small_stream.distinct_edges())
-        t_min, t_max = small_stream.time_span
-        queries = [
-            EdgeQuery(*edges[0], t_min, t_max),
-            VertexQuery(edges[1][0], t_min, t_max, "out"),
-            VertexQuery(edges[2][1], t_min, t_max, "in"),
-            PathQuery((edges[3][0], edges[3][1], edges[4][1]), t_min, t_max),
-            SubgraphQuery(tuple(edges[5:8]), t_min, t_max),
-            EdgeQuery(*edges[9], t_min, t_max),
-        ]
-        calls = [entry["calls"] for entry in sharded.shard_stats()]
-        batched = sharded.query_batch(queries)
-        # One call per involved shard: the incoming vertex query involves
-        # all three, and the path and subgraph queries ride in those calls.
-        assert [entry["calls"] - before for entry, before
-                in zip(sharded.shard_stats(), calls, strict=True)] == [1, 1, 1]
-        singles = [query.evaluate(sharded) for query in queries]
-        assert batched == singles
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    @pytest.mark.parametrize("factory", [_factory(), ExactTemporalGraph],
+                             ids=["higgs", "exact"])
+    def test_query_batch_matches_per_item_queries(self, small_stream,
+                                                  factory, executor):
+        """Every shard type answers the rows a batch sends it as its
+        per-item methods answer the queries, over both executors."""
+        with ShardedSummary(factory, shards=3, partition_by="source",
+                            executor=executor) as sharded:
+            sharded.insert_stream(small_stream)
+            edges = sorted(small_stream.distinct_edges())
+            t_min, t_max = small_stream.time_span
+            queries = [
+                EdgeQuery(*edges[0], t_min, t_max),
+                VertexQuery(edges[1][0], t_min, t_max, "out"),
+                VertexQuery(edges[2][1], t_min, t_max, "in"),
+                PathQuery((edges[3][0], edges[3][1], edges[4][1]), t_min,
+                          t_max),
+                SubgraphQuery(tuple(edges[5:8]), t_min, t_max),
+                EdgeQuery(*edges[9], t_min, t_max),
+            ]
+            payloads: list = []
+
+            def recording(send):
+                def send_bytes(data):
+                    payloads.append(data)
+                    send(data)
+                return send_bytes
+
+            if executor == "process":
+                for worker in sharded._workers:
+                    worker._conn.send_bytes = recording(
+                        worker._conn.send_bytes)
+            calls = [entry["calls"] for entry in sharded.shard_stats()]
+            batched = sharded.query_batch(queries)
+            # One call per involved shard: the incoming vertex query
+            # involves all three, and the path and subgraph queries ride in
+            # those calls.
+            assert [entry["calls"] - before for entry, before
+                    in zip(sharded.shard_stats(), calls, strict=True)] \
+                == [1, 1, 1]
+            singles = [query.evaluate(sharded) for query in queries]
+            assert batched == singles
+            if executor == "process":
+                # The shards received plain rows: no query class is named
+                # in any pickled call.
+                assert any(b"query_rows" in data for data in payloads)
+                assert not any(module == "repro.queries.types"
+                               for data in payloads
+                               for module in _pickled_modules(data))
 
     def test_query_batch_adds_shard_estimates_in_shard_order(self):
         """A batch adds each query's per-shard estimates in shard order, as

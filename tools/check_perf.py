@@ -41,7 +41,9 @@ The injection flags plant a *real* regression before measuring, verifying
 end-to-end that the gate fails when the guarded behavior degrades:
 ``--inject-slowdown S`` sleeps in every ``Higgs.insert_batch`` (collapses
 the batch speedup), ``--inject-read-tail S`` sleeps in every 20th
-``Higgs.query_batch`` (a tail-only read regression — p50 holds, p99
+``Higgs.query_rows`` call, HIGGS's one answer loop, which bare
+``Higgs.query_batch`` and every sharded shard's reads run through (a
+tail-only read regression — p50 holds, p99
 inflates, exactly the failure uniform slowdowns cannot expose because the
 overload row re-calibrates its offered rate from the same run's measured
 capacity), and ``--inject-admission-squeeze`` shrinks the drop-policy
@@ -101,31 +103,35 @@ def inject_slowdown(seconds_per_batch: float) -> None:
     Higgs.insert_batch = slowed
 
 
-#: Every Nth ``Higgs.query_batch`` call is slowed by ``--inject-read-tail``
+#: Every Nth ``Higgs.query_rows`` call is slowed by ``--inject-read-tail``
 #: — rare enough to leave p50 alone, frequent enough to own p99.
 READ_TAIL_EVERY = 20
 
 
 def inject_read_tail(seconds_per_batch: float) -> None:
-    """Slow every :data:`READ_TAIL_EVERY`-th ``Higgs.query_batch`` call.
+    """Slow every :data:`READ_TAIL_EVERY`-th ``Higgs.query_rows`` call.
 
-    A tail-only read regression: most read rounds stay fast (p50 holds)
-    while the slowed ones inflate p99, so the gated ``serving_read_p99_p50_x``
-    ratio moves.  A *uniform* read slowdown would shift p50 and p99
-    together and leave the ratio flat — which is why the latency gate needs
-    this tail-shaped injection to prove it trips.
+    ``Higgs.query_rows`` is HIGGS's one answer loop: bare
+    ``Higgs.query_batch`` answers through it, and a sharded engine sends
+    each shard its reads as rows, so the injection reaches reads on every
+    engine the gate measures.  A tail-only read regression: most read
+    rounds stay fast (p50 holds) while the slowed ones inflate p99, so the
+    gated ``serving_read_p99_p50_x`` ratio moves.  A *uniform* read
+    slowdown would shift p50 and p99 together and leave the ratio flat —
+    which is why the latency gate needs this tail-shaped injection to prove
+    it trips.
     """
     from repro.core.higgs import Higgs
-    original = Higgs.query_batch
+    original = Higgs.query_rows
     calls = [0]
 
-    def tailed(self, queries):
+    def tailed(self, rows):
         calls[0] += 1
         if calls[0] % READ_TAIL_EVERY == 0:
             time.sleep(seconds_per_batch)
-        return original(self, queries)
+        return original(self, rows)
 
-    Higgs.query_batch = tailed
+    Higgs.query_rows = tailed
 
 
 def inject_admission_squeeze(divisor: int = 32) -> None:
@@ -374,8 +380,9 @@ def main(argv: List[str] | None = None) -> int:
     parser.add_argument("--inject-read-tail", type=float, default=0.0,
                         metavar="SECONDS",
                         help=f"slow every {READ_TAIL_EVERY}th "
-                             f"Higgs.query_batch by SECONDS first (verifies "
-                             f"the p99/p50 latency gate trips)")
+                             f"Higgs.query_rows (HIGGS's one answer loop) by "
+                             f"SECONDS first (verifies the p99/p50 latency "
+                             f"gate trips)")
     parser.add_argument("--inject-admission-squeeze", action="store_true",
                         help="shrink the drop-policy admission queue 32x "
                              "first (verifies the shed-fraction gate trips)")
@@ -413,7 +420,7 @@ def main(argv: List[str] | None = None) -> int:
     if args.inject_read_tail > 0:
         inject_read_tail(args.inject_read_tail)
         print(f"injected {args.inject_read_tail * 1e3:.1f} ms tail per "
-              f"{READ_TAIL_EVERY}th Higgs.query_batch call")
+              f"{READ_TAIL_EVERY}th Higgs.query_rows call")
     if args.inject_admission_squeeze:
         inject_admission_squeeze()
         print("injected 32x admission-queue squeeze on drop-policy engines")
